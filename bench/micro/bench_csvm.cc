@@ -8,17 +8,28 @@
 #include <utility>
 #include <vector>
 
-#include "core/coupled_svm.h"
 #include "core/feedback_scheme.h"
+#include "core/multi_coupled_svm.h"
 #include "util/rng.h"
 
 namespace {
 
 using namespace cbir;
 
-core::CsvmTrainData MakeData(size_t nl, size_t nu, uint64_t seed) {
+// One two-modality (K = 2) problem: visual rows (36-d) and log rows (150-d),
+// labeled rows first.
+struct BenchData {
+  la::Matrix visual;
+  la::Matrix log;
+  std::vector<double> labels;
+  std::vector<double> initial_unlabeled_labels;
+  std::vector<double> initial_visual_alpha;  ///< empty = cold start
+  std::vector<double> initial_log_alpha;
+};
+
+BenchData MakeData(size_t nl, size_t nu, uint64_t seed) {
   Rng rng(seed);
-  core::CsvmTrainData data;
+  BenchData data;
   data.visual = la::Matrix(nl + nu, 36);
   data.log = la::Matrix(nl + nu, 150);
   for (size_t i = 0; i < nl + nu; ++i) {
@@ -41,19 +52,30 @@ core::CsvmTrainData MakeData(size_t nl, size_t nu, uint64_t seed) {
   return data;
 }
 
-core::CsvmOptions BenchOptions() {
-  core::CsvmOptions options;
-  options.visual_kernel = svm::KernelParams::Rbf(1.0 / 36.0);
-  options.log_kernel = svm::KernelParams::Rbf(1.0 / 150.0);
-  return options;
+// Visual then log modality, each with the default C and an RBF kernel at
+// the LIBSVM default gamma for its dimension.
+std::vector<core::ModalityView> Views(const BenchData& data) {
+  std::vector<core::ModalityView> views(2);
+  views[0].data = &data.visual;
+  views[0].kernel = svm::KernelParams::Rbf(1.0 / 36.0);
+  views[0].initial_alpha = &data.initial_visual_alpha;
+  views[1].data = &data.log;
+  views[1].kernel = svm::KernelParams::Rbf(1.0 / 150.0);
+  views[1].initial_alpha = &data.initial_log_alpha;
+  return views;
+}
+
+cbir::Result<core::MultiCoupledModel> Train(const core::MultiCoupledSvm& csvm,
+                                            const BenchData& data) {
+  return csvm.TrainViews(Views(data), data.labels,
+                         data.initial_unlabeled_labels);
 }
 
 void BM_CoupledTrainByNPrime(benchmark::State& state) {
-  const core::CsvmTrainData data =
-      MakeData(20, static_cast<size_t>(state.range(0)), 3);
-  const core::CoupledSvm csvm(BenchOptions());
+  const BenchData data = MakeData(20, static_cast<size_t>(state.range(0)), 3);
+  const core::MultiCoupledSvm csvm({});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(csvm.Train(data));
+    benchmark::DoNotOptimize(Train(csvm, data));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -64,14 +86,14 @@ BENCHMARK(BM_CoupledTrainByNPrime)->Arg(0)->Arg(10)->Arg(20)->Arg(40);
 // warm-start baseline), 1 shares one cache per modality across the whole
 // chain. Same QPs, same solution; only kernel-row recomputation differs.
 void BM_CoupledTrainCacheSharing(benchmark::State& state) {
-  const core::CsvmTrainData data = MakeData(20, 20, 3);
-  core::CsvmOptions options = BenchOptions();
+  const BenchData data = MakeData(20, 20, 3);
+  core::MultiCsvmOptions options;
   options.reuse_chain_cache = state.range(0) != 0;
-  const core::CoupledSvm csvm(options);
+  const core::MultiCoupledSvm csvm(options);
   double hit_rate = 0.0;
   double misses = 0.0;
   for (auto _ : state) {
-    auto model = csvm.Train(data);
+    auto model = Train(csvm, data);
     benchmark::DoNotOptimize(model);
     hit_rate = model.value().diagnostics.cache_stats.hit_rate();
     misses =
@@ -85,13 +107,13 @@ BENCHMARK(BM_CoupledTrainCacheSharing)->Arg(0)->Arg(1);
 
 void BM_CoupledTrainByRhoInit(benchmark::State& state) {
   // Larger rho_init -> fewer annealing steps -> proportionally cheaper.
-  const core::CsvmTrainData data = MakeData(20, 20, 5);
-  core::CsvmOptions options = BenchOptions();
+  const BenchData data = MakeData(20, 20, 5);
+  core::MultiCsvmOptions options;
   options.rho = 1.0;  // fixed final weight so the step count is the knob
   options.rho_init = 1.0 / static_cast<double>(state.range(0));
-  const core::CoupledSvm csvm(options);
+  const core::MultiCoupledSvm csvm(options);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(csvm.Train(data));
+    benchmark::DoNotOptimize(Train(csvm, data));
   }
 }
 BENCHMARK(BM_CoupledTrainByRhoInit)->Arg(2)->Arg(64)->Arg(10000);
@@ -108,8 +130,8 @@ void BM_CoupledFeedbackSession(benchmark::State& state) {
   constexpr int kRounds = 4;
   const size_t step = 10;
   const size_t nu = 20;
-  const core::CsvmTrainData full = MakeData(step * kRounds, nu, 9);
-  const core::CoupledSvm csvm(BenchOptions());
+  const BenchData full = MakeData(step * kRounds, nu, 9);
+  const core::MultiCoupledSvm csvm({});
   const bool warm = state.range(0) >= 1;
   const bool session_cache = state.range(0) >= 2;
   long total_smo_iters = 0;
@@ -119,7 +141,7 @@ void BM_CoupledFeedbackSession(benchmark::State& state) {
     core::SessionState session_state;
     for (int r = 1; r <= kRounds; ++r) {
       const size_t nl = step * static_cast<size_t>(r);
-      core::CsvmTrainData data;
+      BenchData data;
       data.visual = la::Matrix(nl + nu, 36);
       data.log = la::Matrix(nl + nu, 150);
       data.labels.assign(full.labels.begin(),
@@ -149,8 +171,8 @@ void BM_CoupledFeedbackSession(benchmark::State& state) {
           data.initial_log_alpha[nl + j] = carried_log[prev_nl + j];
         }
       }
-      cbir::Result<core::CoupledModel> model = [&] {
-        if (!session_cache) return csvm.Train(data);
+      cbir::Result<core::MultiCoupledModel> model = [&] {
+        if (!session_cache) return Train(csvm, data);
         // Rows keyed by their index in `full` (the bench's stand-in for
         // image ids): the labeled prefix and the unlabeled pool both carry
         // over between rounds, so their kernel rows are remapped, and only
@@ -161,28 +183,23 @@ void BM_CoupledFeedbackSession(benchmark::State& state) {
         for (size_t j = 0; j < nu; ++j) {
           ids.push_back(static_cast<int>(full_nl + j));
         }
-        const core::CsvmOptions& opt = csvm.options();
-        core::CsvmTrainView view;
-        view.labels = &data.labels;
-        view.initial_unlabeled_labels = &data.initial_unlabeled_labels;
-        view.initial_visual_alpha = &data.initial_visual_alpha;
-        view.initial_log_alpha = &data.initial_log_alpha;
-        view.visual_cache = session_state.visual_rows.Bind(
-            ids, std::move(data.visual), opt.visual_kernel,
-            opt.smo.cache_rows);
-        view.log_cache = session_state.log_rows.Bind(
-            std::move(ids), std::move(data.log), opt.log_kernel,
-            opt.smo.cache_rows);
-        view.visual = &session_state.visual_rows.data();
-        view.log = &session_state.log_rows.data();
-        return csvm.TrainView(view);
+        const size_t cache_rows = csvm.options().smo.cache_rows;
+        std::vector<core::ModalityView> views = Views(data);
+        views[0].shared_cache = session_state.visual_rows.Bind(
+            ids, std::move(data.visual), views[0].kernel, cache_rows);
+        views[1].shared_cache = session_state.log_rows.Bind(
+            std::move(ids), std::move(data.log), views[1].kernel, cache_rows);
+        views[0].data = &session_state.visual_rows.data();
+        views[1].data = &session_state.log_rows.data();
+        return csvm.TrainViews(views, data.labels,
+                               data.initial_unlabeled_labels);
       }();
       benchmark::DoNotOptimize(model);
       total_smo_iters += model.value().diagnostics.total_smo_iterations;
       hit_rate = model.value().diagnostics.cache_stats.hit_rate();
       if (warm) {
-        carried_visual = std::move(model.value().visual_alpha);
-        carried_log = std::move(model.value().log_alpha);
+        carried_visual = std::move(model.value().alphas[0]);
+        carried_log = std::move(model.value().alphas[1]);
       }
     }
   }
@@ -194,13 +211,11 @@ void BM_CoupledFeedbackSession(benchmark::State& state) {
 BENCHMARK(BM_CoupledFeedbackSession)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_CoupledDecision(benchmark::State& state) {
-  const core::CsvmTrainData data = MakeData(20, 20, 7);
-  const core::CoupledSvm csvm(BenchOptions());
-  const auto model = csvm.Train(data);
-  const la::Vec x = data.visual.Row(0);
-  const la::Vec r = data.log.Row(0);
+  const BenchData data = MakeData(20, 20, 7);
+  const auto model = Train(core::MultiCoupledSvm({}), data);
+  const std::vector<la::Vec> sample = {data.visual.Row(0), data.log.Row(0)};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.value().Decision(x, r));
+    benchmark::DoNotOptimize(model.value().Decision(sample));
   }
 }
 BENCHMARK(BM_CoupledDecision);

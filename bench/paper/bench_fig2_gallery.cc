@@ -47,7 +47,11 @@ int main() {
 
   std::cout << "\nPaper reference: Fig. 2 shows sample COREL photos "
                "(antique, antelope, aviation, balloon, ...).\n"
-               "Substitution: procedural category themes with controlled "
-               "cross-category overlap (see DESIGN.md).\n";
+               "Substitution: the COREL photos are not redistributable, so "
+               "each category is a procedural theme drawn from small\n"
+               "vocabularies of hue family, background and shape kind. "
+               "Categories collide on some of these axes, which\n"
+               "recreates the semantic gap that the feedback log has to "
+               "bridge.\n";
   return 0;
 }

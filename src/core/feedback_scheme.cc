@@ -98,9 +98,9 @@ SchemeOptions MakeDefaultSchemeOptions(const retrieval::ImageDatabase& db,
   // formulation is literally linear in the log matrix (u'R assigns one
   // weight per session), and the inner product of two log vectors is the
   // signed co-marking count — the semantically meaningful similarity for
-  // sparse ternary session data. (The paper's experiments used RBF
-  // everywhere; see DESIGN.md for this documented deviation and the
-  // log-representation ablation bench for the comparison.)
+  // sparse ternary session data. This deviates from the paper, whose
+  // experiments used RBF on both sides; the log-representation ablation
+  // bench compares the two.
   options.log_kernel = svm::KernelParams::Linear();
   options.c_log = 1.0;
   if (log_features != nullptr && !log_features->empty()) {

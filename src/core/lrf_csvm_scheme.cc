@@ -9,14 +9,9 @@ namespace cbir::core {
 
 LrfCsvmScheme::LrfCsvmScheme(const SchemeOptions& scheme_options,
                              const LrfCsvmOptions& options)
-    : options_(options),
-      cross_round_kernel_cache_(scheme_options.cross_round_kernel_cache) {
-  // The shared scheme options carry the data-derived kernels and C values;
-  // fold them into the coupled-SVM configuration.
-  options_.csvm.c_visual = scheme_options.c_visual;
-  options_.csvm.c_log = scheme_options.c_log;
-  options_.csvm.visual_kernel = scheme_options.visual_kernel;
-  options_.csvm.log_kernel = scheme_options.log_kernel;
+    : scheme_options_(scheme_options), options_(options) {
+  // The shared scheme options carry the data-derived kernels and C values of
+  // the two modalities and the solver settings.
   options_.csvm.smo = scheme_options.smo;
   CBIR_CHECK_GE(options_.n_prime, 0);
 }
@@ -26,7 +21,7 @@ CsvmDiagnostics LrfCsvmScheme::AggregatedDiagnostics() const {
   return aggregated_diagnostics_;
 }
 
-Result<CoupledModel> LrfCsvmScheme::TrainForContext(
+Result<MultiCoupledModel> LrfCsvmScheme::TrainForContext(
     const FeedbackContext& ctx) const {
   if (ctx.labeled_ids.empty()) {
     return Status::InvalidArgument("LRF-CSVM requires labeled samples");
@@ -70,10 +65,10 @@ Result<CoupledModel> LrfCsvmScheme::TrainForContext(
       double sim_pos = 0.0, sim_neg = 0.0;
       for (size_t j = 0; j < nl; ++j) {
         const double sim =
-            svm::EvalKernelRow(options_.csvm.visual_kernel, train_visual, j,
+            svm::EvalKernelRow(scheme_options_.visual_kernel, train_visual, j,
                                x) +
             options_.selection_log_weight *
-                svm::EvalKernelRow(options_.csvm.log_kernel, train_log, j, r);
+                svm::EvalKernelRow(scheme_options_.log_kernel, train_log, j, r);
         (ctx.labels[j] > 0 ? sim_pos : sim_neg) += sim;
       }
       inputs.similarity_to_positives.push_back(sim_pos);
@@ -82,16 +77,16 @@ Result<CoupledModel> LrfCsvmScheme::TrainForContext(
   } else {
     // Fig. 1 literal: combined decision values of the two labeled-only SVMs.
     svm::TrainOptions visual_options;
-    visual_options.kernel = options_.csvm.visual_kernel;
-    visual_options.c = options_.csvm.c_visual;
+    visual_options.kernel = scheme_options_.visual_kernel;
+    visual_options.c = scheme_options_.c_visual;
     visual_options.smo = options_.csvm.smo;
     svm::SvmTrainer visual_trainer(visual_options);
     CBIR_ASSIGN_OR_RETURN(svm::TrainOutput visual0,
                           visual_trainer.Train(train_visual, ctx.labels));
 
     svm::TrainOptions log_options;
-    log_options.kernel = options_.csvm.log_kernel;
-    log_options.c = options_.csvm.c_log;
+    log_options.kernel = scheme_options_.log_kernel;
+    log_options.c = scheme_options_.c_log;
     log_options.smo = options_.csvm.smo;
     svm::SvmTrainer log_trainer(log_options);
     CBIR_ASSIGN_OR_RETURN(svm::TrainOutput log0,
@@ -145,34 +140,35 @@ Result<CoupledModel> LrfCsvmScheme::TrainForContext(
     }
   }
 
-  CsvmTrainView view;
-  view.labels = &ctx.labels;
-  view.initial_unlabeled_labels = &selection.initial_labels;
-  view.initial_visual_alpha = &initial_visual_alpha;
-  view.initial_log_alpha = &initial_log_alpha;
-  if (state != nullptr && cross_round_kernel_cache_) {
+  std::vector<ModalityView> views(2);
+  views[0].kernel = scheme_options_.visual_kernel;
+  views[0].c = scheme_options_.c_visual;
+  views[0].initial_alpha = &initial_visual_alpha;
+  views[1].kernel = scheme_options_.log_kernel;
+  views[1].c = scheme_options_.c_log;
+  views[1].initial_alpha = &initial_log_alpha;
+  if (state != nullptr && scheme_options_.cross_round_kernel_cache) {
     // Cross-round path: the session state takes ownership of the gathered
     // matrices so the per-modality kernel caches bound to them survive
     // between rounds. Rows of carried-over images keep their cached kernel
     // entries (remapped by image id); only pairs involving new images cost
     // kernel evaluations.
-    view.visual_cache =
+    views[0].shared_cache =
         state->visual_rows.Bind(row_ids, std::move(train_visual_all),
-                                options_.csvm.visual_kernel,
+                                scheme_options_.visual_kernel,
                                 options_.csvm.smo.cache_rows);
-    view.log_cache = state->log_rows.Bind(std::move(row_ids),
-                                          std::move(train_log_all),
-                                          options_.csvm.log_kernel,
-                                          options_.csvm.smo.cache_rows);
-    view.visual = &state->visual_rows.data();
-    view.log = &state->log_rows.data();
+    views[1].shared_cache = state->log_rows.Bind(
+        std::move(row_ids), std::move(train_log_all),
+        scheme_options_.log_kernel, options_.csvm.smo.cache_rows);
+    views[0].data = &state->visual_rows.data();
+    views[1].data = &state->log_rows.data();
   } else {
-    view.visual = &train_visual_all;
-    view.log = &train_log_all;
+    views[0].data = &train_visual_all;
+    views[1].data = &train_log_all;
   }
 
-  CoupledSvm csvm(options_.csvm);
-  auto model = csvm.TrainView(view);
+  auto model = MultiCoupledSvm(options_.csvm)
+                   .TrainViews(views, ctx.labels, selection.initial_labels);
 
   if (model.ok()) {
     util::MutexLock lock(diagnostics_mu_);
@@ -186,20 +182,21 @@ Result<CoupledModel> LrfCsvmScheme::TrainForContext(
     for (size_t i = 0; i < nl + nu; ++i) {
       const int id = i < nl ? ctx.labeled_ids[i]
                             : selection.ids[i - nl];
-      state->visual_alpha[id] = model->visual_alpha[i];
-      state->log_alpha[id] = model->log_alpha[i];
+      state->visual_alpha[id] = model->alphas[0][i];
+      state->log_alpha[id] = model->alphas[1][i];
     }
   }
   return model;
 }
 
 Result<std::vector<int>> LrfCsvmScheme::Rank(const FeedbackContext& ctx) const {
-  CBIR_ASSIGN_OR_RETURN(CoupledModel model, TrainForContext(ctx));
+  CBIR_ASSIGN_OR_RETURN(MultiCoupledModel model, TrainForContext(ctx));
 
   // --- Fig. 1 step 3: rank by CSVM_Dist -------------------------------------
-  std::vector<double> scores = model.visual.DecisionBatch(ctx.ScanFeatures());
+  std::vector<double> scores =
+      model.models[0].DecisionBatch(ctx.ScanFeatures());
   const std::vector<double> log_scores =
-      model.log.DecisionBatch(*ctx.ScanLogFeatures());
+      model.models[1].DecisionBatch(*ctx.ScanLogFeatures());
   for (size_t i = 0; i < scores.size(); ++i) scores[i] += log_scores[i];
   return FinalizeRanking(ctx, scores);
 }

@@ -1,8 +1,8 @@
 #ifndef CBIR_CORE_LRF_CSVM_SCHEME_H_
 #define CBIR_CORE_LRF_CSVM_SCHEME_H_
 
-#include "core/coupled_svm.h"
 #include "core/feedback_scheme.h"
+#include "core/multi_coupled_svm.h"
 #include "core/unlabeled_selection.h"
 #include "util/sync.h"
 
@@ -20,7 +20,10 @@ struct LrfCsvmOptions {
   /// (co-marked) candidates, whose pseudo-labels are the most precise
   /// information the feedback log offers.
   double selection_log_weight = 2.0;
-  CsvmOptions csvm;
+  /// Coupled-SVM hyper-parameters. Its `smo` is replaced by the scheme
+  /// options' solver settings, which also supply each modality's C and
+  /// kernel.
+  MultiCsvmOptions csvm;
   /// Seed for stochastic selection strategies (kRandom).
   uint64_t selection_seed = 1;
 };
@@ -45,8 +48,9 @@ class LrfCsvmScheme : public FeedbackScheme {
   Result<std::vector<int>> Rank(const FeedbackContext& ctx) const override;
 
   /// Exposes the trained coupled model for the given context (used by tests
-  /// and the feedback_session example to inspect diagnostics).
-  Result<CoupledModel> TrainForContext(const FeedbackContext& ctx) const;
+  /// and the feedback_session example to inspect diagnostics). models[0] and
+  /// alphas[0] are the visual modality, models[1] and alphas[1] the log.
+  Result<MultiCoupledModel> TrainForContext(const FeedbackContext& ctx) const;
 
   /// Diagnostics summed over every coupled training this scheme instance
   /// ran (all queries, all rounds) — counters sum, cache stats aggregate
@@ -55,8 +59,8 @@ class LrfCsvmScheme : public FeedbackScheme {
   CsvmDiagnostics AggregatedDiagnostics() const;
 
  private:
+  SchemeOptions scheme_options_;
   LrfCsvmOptions options_;
-  bool cross_round_kernel_cache_ = true;
 
   mutable util::Mutex diagnostics_mu_{util::LockRank::kScheme,
                                       "lrf_csvm_diagnostics"};

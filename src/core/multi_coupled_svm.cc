@@ -26,49 +26,37 @@ MultiCoupledSvm::MultiCoupledSvm(const MultiCsvmOptions& options)
   CBIR_CHECK_GT(options_.max_inner_iterations, 0);
 }
 
-Result<MultiCoupledModel> MultiCoupledSvm::Train(
-    const std::vector<Modality>& modalities, const std::vector<double>& labels,
-    const std::vector<double>& initial_unlabeled_labels) const {
-  std::vector<ModalityView> views;
-  views.reserve(modalities.size());
-  for (const Modality& m : modalities) {
-    views.push_back(ModalityView{&m.data, m.kernel, m.c, &m.initial_alpha,
-                                 m.shared_cache});
-  }
-  return TrainViews(views, labels, initial_unlabeled_labels);
-}
-
 Result<MultiCoupledModel> MultiCoupledSvm::TrainViews(
     const std::vector<ModalityView>& modalities,
     const std::vector<double>& labels,
     const std::vector<double>& initial_unlabeled_labels) const {
   if (modalities.empty()) {
-    return Status::InvalidArgument("multi coupled SVM: no modalities");
+    return Status::InvalidArgument("coupled SVM: no modalities");
   }
   const size_t nl = labels.size();
   const size_t nu = initial_unlabeled_labels.size();
   const size_t n = nl + nu;
   if (nl == 0) {
-    return Status::InvalidArgument("multi coupled SVM: no labeled samples");
+    return Status::InvalidArgument("coupled SVM: no labeled samples");
   }
   for (size_t k = 0; k < modalities.size(); ++k) {
     if (modalities[k].data == nullptr) {
-      return Status::InvalidArgument("multi coupled SVM: modality " +
+      return Status::InvalidArgument("coupled SVM: modality " +
                                      std::to_string(k) + " has no data");
     }
     if (modalities[k].data->rows() != n) {
       return Status::InvalidArgument(
-          "multi coupled SVM: modality " + std::to_string(k) +
+          "coupled SVM: modality " + std::to_string(k) +
           " must have N_l + N' rows");
     }
     if (modalities[k].c <= 0.0) {
-      return Status::InvalidArgument("multi coupled SVM: non-positive C");
+      return Status::InvalidArgument("coupled SVM: non-positive C");
     }
     const std::vector<double>* warm_start = modalities[k].initial_alpha;
     if (warm_start != nullptr && !warm_start->empty() &&
         warm_start->size() != n) {
       return Status::InvalidArgument(
-          "multi coupled SVM: modality " + std::to_string(k) +
+          "coupled SVM: modality " + std::to_string(k) +
           " initial_alpha size must equal N_l + N'");
     }
   }

@@ -3,57 +3,49 @@
 
 #include <vector>
 
-#include "core/coupled_svm.h"
 #include "la/matrix.h"
 #include "svm/kernel.h"
 #include "svm/model.h"
+#include "svm/smo_solver.h"
 #include "util/result.h"
 
 namespace cbir::core {
 
-/// \brief One information modality in a multi-modal coupled problem.
-struct Modality {
-  /// (N_l + N') x dims sample matrix; labeled rows first, in the shared
-  /// sample order used by every modality.
-  la::Matrix data;
-  svm::KernelParams kernel = svm::KernelParams::Rbf(1.0);
-  /// Per-modality regularization C (the paper's C_w / C_u generalized).
-  double c = 10.0;
-  /// Optional warm start (empty or N_l + N' entries): this modality's dual
-  /// variables from a previous round's model, zero for rows new this round.
-  std::vector<double> initial_alpha;
-  /// Optional caller-owned kernel cache for this modality, reused by every
-  /// QP of the annealing/label-correction chain (and, when the caller keeps
-  /// it across rounds, by future chains over overlapping data after a
-  /// RebindRemapped). Must be bound to this modality's `data` matrix object
-  /// with `kernel`-equal params and must outlive Train; see
-  /// svm::SmoOptions::shared_cache for the aliasing/lifetime rules. Null
-  /// lets the trainer build one chain-local cache per modality (see
-  /// MultiCsvmOptions::reuse_chain_cache).
-  svm::KernelCache* shared_cache = nullptr;
-};
-
-/// \brief Non-owning Modality: borrows the sample matrix (and warm start)
-/// instead of copying them. For callers that already hold the matrices —
-/// CoupledSvm hands its CsvmTrainData through this so the per-round
-/// delegation copies nothing.
-struct ModalityView {
-  const la::Matrix* data = nullptr;          ///< required, caller-owned
-  svm::KernelParams kernel = svm::KernelParams::Rbf(1.0);
-  double c = 10.0;
-  const std::vector<double>* initial_alpha = nullptr;  ///< null = cold start
-  /// Same contract as Modality::shared_cache (bound to *data, outlives the
-  /// call, not shared with concurrent solves).
-  svm::KernelCache* shared_cache = nullptr;
-};
-
-/// \brief Hyper-parameters shared across modalities; semantics match
-/// CsvmOptions (rho annealing, Delta-gated balanced label correction).
+/// \brief Hyper-parameters of the coupled SVM (paper Eq. 1 and Fig. 1),
+/// shared across modalities. Each modality's C and kernel live in its
+/// ModalityView.
 struct MultiCsvmOptions {
+  /// Final regularization weight for unlabeled samples (their box bound is
+  /// rho * C). The annealing starts at rho_init = 1e-4 (per Fig. 1) and
+  /// doubles per outer iteration, mirroring transductive SVM scheduling.
+  /// The paper leaves the final value open ("whether existing an optimal
+  /// parameter ... is still an open question", Section 6.5); 0.08 is the
+  /// value selected by the rho ablation bench across both dataset sizes —
+  /// pseudo-labels are only ~2/3 accurate, so they get a fraction of a real
+  /// label's authority.
   double rho = 0.08;
   double rho_init = 1e-4;
-  double delta = 2.0;  ///< threshold on the *sum* of per-modality slacks
+  /// Slack-sum threshold Delta: an unlabeled pseudo-label flips only when
+  /// every modality penalizes it (xi' > 0 and eta' > 0 for K = 2) and the
+  /// joint violation exceeds Delta. Controls "the degree of error" (Fig. 1).
+  ///
+  /// Default 2.0: for slacks in (0, 2), flipping changes the sample's joint
+  /// hinge loss from xi + eta to (2 - xi) + (2 - eta), so a flip reduces the
+  /// Section 4.2 objective exactly when xi + eta > 2. Delta = 2 therefore
+  /// makes Fig. 1's rule coincide with the exact integer-program label
+  /// update; smaller values admit loss-increasing flips that oscillate.
+  double delta = 2.0;
+  /// Cap on label-correction retraining rounds per outer iteration; Fig. 1's
+  /// inner WHILE has no termination proof (the paper lists convergence as an
+  /// open problem), so we bound it.
   int max_inner_iterations = 20;
+  /// Keep the pseudo-label class ratio fixed during label correction by
+  /// flipping violators in +/- pairs (strongest violations first), exactly
+  /// as transductive SVM does (Joachims ICML'99 — the paper's reference
+  /// [18], which Section 4.2 says the annealing imitates). Without this
+  /// guard, a nearly-single-class labeled set lets the correction step
+  /// relabel the entire pseudo-negative half positive and the decision
+  /// function collapses. false = the literal Fig. 1 rule.
   bool enforce_class_balance = true;
   /// Share one kernel cache per modality across every QP of the
   /// annealing/label-correction chain (valid because only labels, C bounds
@@ -66,34 +58,102 @@ struct MultiCsvmOptions {
   svm::SmoOptions smo;
 };
 
+/// \brief Convergence/behaviour report from one coupled training run.
+struct CsvmDiagnostics {
+  int outer_iterations = 0;     ///< rho-annealing steps
+  int inner_iterations = 0;     ///< label-correction retraining rounds
+  int total_flips = 0;          ///< pseudo-label flips across all rounds
+  bool inner_cap_hit = false;   ///< true if any inner loop hit the cap
+  double visual_objective = 0.0;
+  double log_objective = 0.0;
+  /// SMO iterations summed across every QP solve of the alternating
+  /// optimization (all modalities); the cost driver warm-starting attacks.
+  long total_smo_iterations = 0;
+  /// Kernel-cache counters aggregated across all solves.
+  svm::CacheStats cache_stats;
+  /// The same counters split per modality (LRF-CSVM: [0] = visual,
+  /// [1] = log), so shared-cache reuse is observable per kernel.
+  std::vector<svm::CacheStats> modality_cache_stats;
+
+  /// Folds another run's diagnostics in (counters sum, objectives keep the
+  /// other run's values); used to aggregate across many queries/rounds.
+  void Accumulate(const CsvmDiagnostics& other) {
+    outer_iterations += other.outer_iterations;
+    inner_iterations += other.inner_iterations;
+    total_flips += other.total_flips;
+    inner_cap_hit = inner_cap_hit || other.inner_cap_hit;
+    visual_objective = other.visual_objective;
+    log_objective = other.log_objective;
+    total_smo_iterations += other.total_smo_iterations;
+    cache_stats.Accumulate(other.cache_stats);
+    if (modality_cache_stats.size() < other.modality_cache_stats.size()) {
+      modality_cache_stats.resize(other.modality_cache_stats.size());
+    }
+    for (size_t k = 0; k < other.modality_cache_stats.size(); ++k) {
+      modality_cache_stats[k].Accumulate(other.modality_cache_stats[k]);
+    }
+  }
+};
+
+/// \brief One information modality in a multi-modal coupled problem. Borrows
+/// the sample matrix, warm start and cache, which must outlive the
+/// TrainViews call.
+struct ModalityView {
+  /// Required. (N_l + N') x dims sample matrix; labeled rows first, in the
+  /// shared sample order used by every modality.
+  const la::Matrix* data = nullptr;
+  svm::KernelParams kernel = svm::KernelParams::Rbf(1.0);
+  /// Per-modality regularization C (the paper's C_w / C_u generalized).
+  double c = 10.0;
+  /// Optional warm start (null or empty = cold start, otherwise N_l + N'
+  /// entries): this modality's dual variables from a previous round's
+  /// model, zero for rows new this round.
+  const std::vector<double>* initial_alpha = nullptr;
+  /// Optional caller-owned kernel cache for this modality, reused by every
+  /// QP of the annealing/label-correction chain (and, when the caller keeps
+  /// it across rounds, by future chains over overlapping data after a
+  /// RebindRemapped). Must be bound to *data with `kernel`-equal params and
+  /// must not be shared with concurrent solves; see
+  /// svm::SmoOptions::shared_cache for the aliasing/lifetime rules. Null
+  /// lets the trainer build one chain-local cache per modality (see
+  /// MultiCsvmOptions::reuse_chain_cache).
+  svm::KernelCache* shared_cache = nullptr;
+};
+
 /// \brief Trained multi-modal coupled model: one SVM per modality plus the
 /// final pseudo-labels. The coupled decision is the sum over modalities.
 struct MultiCoupledModel {
   std::vector<svm::SvmModel> models;  ///< parallel to the input modalities
+  /// Final pseudo-labels of the unlabeled samples (post label correction).
   std::vector<double> unlabeled_labels;
   /// Final dual variables of each modality's QP, in training-row order
   /// (parallel to the input modalities). Feed them back through
-  /// Modality::initial_alpha to warm-start the next feedback round.
+  /// ModalityView::initial_alpha (aligned by image, zero for new rows) to
+  /// warm-start the next feedback round.
   std::vector<std::vector<double>> alphas;
   CsvmDiagnostics diagnostics;
 
   /// Sum of per-modality decision values; `samples[k]` is the test sample's
-  /// representation in modality k.
+  /// representation in modality k. For LRF-CSVM (K = 2) this is the paper's
+  /// CSVM_Dist: f_w(x) + f_u(r).
   double Decision(const std::vector<la::Vec>& samples) const;
 };
 
-/// \brief The paper's Section 4.1 generalization: coupled SVM for learning
-/// on data with K types of information.
-///
-/// The two-modality CoupledSvm is the K = 2 special case (verified by a
-/// property test); the alternating optimization is identical:
+/// \brief The coupled SVM for learning on data with K types of information
+/// (paper Section 4.1); LRF-CSVM is the K = 2 case (visual features and
+/// user-feedback log). Trains by the alternating optimization of
+/// Section 4.2:
 ///
 /// 1. With pseudo-labels fixed, solve the K weighted SVM QPs (labeled
 ///    samples bounded by c_k, unlabeled by rho* c_k).
-/// 2. With the models fixed, flip pseudo-labels that every modality rejects
-///    (all slacks > 0) with joint violation above Delta, in class-balanced
-///    pairs by default.
+/// 2. With the models fixed, update the pseudo-labels by Fig. 1's flip rule:
+///    flip those that every modality rejects (all slacks > 0) with joint
+///    violation above Delta, in class-balanced pairs by default.
 /// 3. Anneal rho* <- min(2 rho*, rho); repeat until rho* reaches rho.
+///
+/// Deviation from Fig. 1: we run the final train/correct round at
+/// rho* == rho inclusive, matching transductive-SVM practice; the literal
+/// pseudo-code exits before ever training at rho.
 class MultiCoupledSvm {
  public:
   explicit MultiCoupledSvm(const MultiCsvmOptions& options);
@@ -101,16 +161,9 @@ class MultiCoupledSvm {
   const MultiCsvmOptions& options() const { return options_; }
 
   /// `labels` are the N_l user labels; `initial_unlabeled_labels` the N'
-  /// starting pseudo-labels. Every modality must have N_l + N' rows.
-  Result<MultiCoupledModel> Train(
-      const std::vector<Modality>& modalities,
-      const std::vector<double>& labels,
-      const std::vector<double>& initial_unlabeled_labels) const;
-
-  /// Same optimization over borrowed modality data (no matrix copies); the
-  /// referenced matrices/vectors must stay alive for the duration of the
-  /// call. (Named rather than overloaded: `Train({}, ...)` stays
-  /// unambiguous.)
+  /// starting pseudo-labels. Every modality must have N_l + N' rows and a
+  /// positive C; violations return InvalidArgument. The referenced
+  /// matrices/vectors must stay alive for the duration of the call.
   Result<MultiCoupledModel> TrainViews(
       const std::vector<ModalityView>& modalities,
       const std::vector<double>& labels,

@@ -1,82 +1,52 @@
-#include "core/coupled_svm.h"
-
+// The paper's two-modality coupled SVM (LRF-CSVM): MultiCoupledSvm with
+// K = 2, modality 0 visual and modality 1 log.
 #include <gtest/gtest.h>
 
-#include "util/rng.h"
+#include "core/multi_coupled_svm.h"
+#include "two_modality_problem.h"
 
 namespace cbir::core {
 namespace {
 
-// Builds a two-modality problem where both views carry the class signal:
-// visual = 2-D Gaussians at +-visual_gap, log = 1-D at +-log_gap.
-CsvmTrainData TwoModalityProblem(size_t nl_per_class, size_t nu,
-                                 double visual_gap, double log_gap,
-                                 uint64_t seed) {
-  Rng rng(seed);
-  const size_t nl = 2 * nl_per_class;
-  CsvmTrainData data;
-  data.visual = la::Matrix(nl + nu, 2);
-  data.log = la::Matrix(nl + nu, 1);
-  for (size_t i = 0; i < nl; ++i) {
-    const double y = (i < nl_per_class) ? 1.0 : -1.0;
-    data.labels.push_back(y);
-    data.visual.At(i, 0) = rng.Gaussian() + visual_gap * y;
-    data.visual.At(i, 1) = rng.Gaussian();
-    data.log.At(i, 0) = rng.Gaussian() * 0.3 + log_gap * y;
-  }
-  for (size_t j = 0; j < nu; ++j) {
-    const double y = (j % 2 == 0) ? 1.0 : -1.0;
-    data.visual.At(nl + j, 0) = rng.Gaussian() + visual_gap * y;
-    data.visual.At(nl + j, 1) = rng.Gaussian();
-    data.log.At(nl + j, 0) = rng.Gaussian() * 0.3 + log_gap * y;
-    data.initial_unlabeled_labels.push_back(y);
-  }
-  return data;
-}
-
-CsvmOptions TestOptions() {
-  CsvmOptions options;
-  options.c_visual = 10.0;
-  options.c_log = 10.0;
-  options.rho = 0.5;
-  options.visual_kernel = svm::KernelParams::Rbf(0.5);
-  options.log_kernel = svm::KernelParams::Rbf(0.5);
-  return options;
-}
+using testutil::Decision;
+using testutil::TestOptions;
+using testutil::Train;
+using testutil::TwoModalityData;
+using testutil::TwoModalityProblem;
 
 TEST(CoupledSvmTest, TrainsOnCleanTwoModalityData) {
-  const CsvmTrainData data = TwoModalityProblem(8, 6, 3.0, 2.0, 1);
-  CoupledSvm csvm(TestOptions());
-  auto model = csvm.Train(data);
+  const TwoModalityData data = TwoModalityProblem(8, 6, 3.0, 2.0, 1);
+  MultiCoupledSvm csvm(TestOptions());
+  auto model = Train(csvm, data);
   ASSERT_TRUE(model.ok()) << model.status();
   EXPECT_GT(model->diagnostics.outer_iterations, 1);
   // Labeled points classified correctly by the coupled decision.
   for (size_t i = 0; i < data.labels.size(); ++i) {
-    const double f =
-        model->Decision(data.visual.Row(i), data.log.Row(i));
+    const double f = Decision(*model, data, i);
     EXPECT_GT(data.labels[i] * f, 0.0) << "labeled sample " << i;
   }
 }
 
 TEST(CoupledSvmTest, DecisionIsSumOfModalities) {
-  const CsvmTrainData data = TwoModalityProblem(6, 4, 2.0, 2.0, 3);
-  CoupledSvm csvm(TestOptions());
-  auto model = csvm.Train(data);
+  const TwoModalityData data = TwoModalityProblem(6, 4, 2.0, 2.0, 3);
+  MultiCoupledSvm csvm(TestOptions());
+  auto model = Train(csvm, data);
   ASSERT_TRUE(model.ok());
   const la::Vec x = data.visual.Row(0);
   const la::Vec r = data.log.Row(0);
-  EXPECT_NEAR(model->Decision(x, r),
-              model->visual.Decision(x) + model->log.Decision(r), 1e-12);
+  EXPECT_NEAR(model->Decision({x, r}),
+              model->models[0].Decision(x) + model->models[1].Decision(r),
+              1e-12);
 }
 
 TEST(CoupledSvmTest, CorrectsMislabeledUnlabeledSample) {
   // The unlabeled sample sits deep in positive territory in BOTH modalities
   // but is pseudo-labeled -1: the Delta-gated flip must correct it.
-  CsvmTrainData data = TwoModalityProblem(8, 0, 3.0, 2.0, 5);
+  TwoModalityData data = TwoModalityProblem(8, 0, 3.0, 2.0, 5);
   data.visual = la::Matrix(17, 2);
   data.log = la::Matrix(17, 1);
   {
-    const CsvmTrainData base = TwoModalityProblem(8, 0, 3.0, 2.0, 5);
+    const TwoModalityData base = TwoModalityProblem(8, 0, 3.0, 2.0, 5);
     for (size_t i = 0; i < 16; ++i) {
       data.visual.SetRow(i, base.visual.Row(i));
       data.log.SetRow(i, base.log.Row(i));
@@ -89,10 +59,10 @@ TEST(CoupledSvmTest, CorrectsMislabeledUnlabeledSample) {
 
   // A lone violator has no opposite-class partner, so this exercises the
   // literal Fig. 1 rule (balance guard off).
-  CsvmOptions options = TestOptions();
+  MultiCsvmOptions options = TestOptions();
   options.enforce_class_balance = false;
-  CoupledSvm csvm(options);
-  auto model = csvm.Train(data);
+  MultiCoupledSvm csvm(options);
+  auto model = Train(csvm, data);
   ASSERT_TRUE(model.ok()) << model.status();
   ASSERT_EQ(model->unlabeled_labels.size(), 1u);
   EXPECT_DOUBLE_EQ(model->unlabeled_labels[0], 1.0);
@@ -100,9 +70,9 @@ TEST(CoupledSvmTest, CorrectsMislabeledUnlabeledSample) {
 }
 
 TEST(CoupledSvmTest, HugeDeltaPreventsFlips) {
-  CsvmTrainData data = TwoModalityProblem(8, 0, 3.0, 2.0, 5);
+  TwoModalityData data = TwoModalityProblem(8, 0, 3.0, 2.0, 5);
   // Same mislabeled construction as above.
-  CsvmTrainData extended;
+  TwoModalityData extended;
   extended.visual = la::Matrix(17, 2);
   extended.log = la::Matrix(17, 1);
   for (size_t i = 0; i < 16; ++i) {
@@ -114,11 +84,11 @@ TEST(CoupledSvmTest, HugeDeltaPreventsFlips) {
   extended.log.SetRow(16, {2.0});
   extended.initial_unlabeled_labels = {-1.0};
 
-  CsvmOptions options = TestOptions();
+  MultiCsvmOptions options = TestOptions();
   options.enforce_class_balance = false;
   options.delta = 1e6;  // flips disabled
-  CoupledSvm csvm(options);
-  auto model = csvm.Train(extended);
+  MultiCoupledSvm csvm(options);
+  auto model = Train(csvm, extended);
   ASSERT_TRUE(model.ok());
   EXPECT_DOUBLE_EQ(model->unlabeled_labels[0], -1.0);
   EXPECT_EQ(model->diagnostics.total_flips, 0);
@@ -128,8 +98,8 @@ TEST(CoupledSvmTest, BalancedCorrectionSwapsOpposedViolators) {
   // Two unlabeled samples with SWAPPED pseudo-labels: one deep positive
   // labeled -1, one deep negative labeled +1. The balance-preserving
   // correction must swap both in one round.
-  const CsvmTrainData base = TwoModalityProblem(8, 0, 3.0, 2.0, 21);
-  CsvmTrainData data;
+  const TwoModalityData base = TwoModalityProblem(8, 0, 3.0, 2.0, 21);
+  TwoModalityData data;
   data.visual = la::Matrix(18, 2);
   data.log = la::Matrix(18, 1);
   for (size_t i = 0; i < 16; ++i) {
@@ -143,8 +113,8 @@ TEST(CoupledSvmTest, BalancedCorrectionSwapsOpposedViolators) {
   data.log.SetRow(17, {-2.0});
   data.initial_unlabeled_labels = {-1.0, 1.0};  // both wrong
 
-  CoupledSvm csvm(TestOptions());  // balance guard on by default
-  auto model = csvm.Train(data);
+  MultiCoupledSvm csvm(TestOptions());  // balance guard on by default
+  auto model = Train(csvm, data);
   ASSERT_TRUE(model.ok()) << model.status();
   EXPECT_DOUBLE_EQ(model->unlabeled_labels[0], 1.0);
   EXPECT_DOUBLE_EQ(model->unlabeled_labels[1], -1.0);
@@ -154,8 +124,8 @@ TEST(CoupledSvmTest, BalanceGuardBlocksOneSidedCollapse) {
   // All unlabeled pseudo-negatives sit in positive territory. The literal
   // Fig. 1 rule would flip them all (losing every pseudo-negative); the
   // balanced correction must keep the ratio intact.
-  const CsvmTrainData base = TwoModalityProblem(8, 0, 3.0, 2.0, 23);
-  CsvmTrainData data;
+  const TwoModalityData base = TwoModalityProblem(8, 0, 3.0, 2.0, 23);
+  TwoModalityData data;
   data.visual = la::Matrix(20, 2);
   data.log = la::Matrix(20, 1);
   for (size_t i = 0; i < 16; ++i) {
@@ -169,8 +139,8 @@ TEST(CoupledSvmTest, BalanceGuardBlocksOneSidedCollapse) {
     data.initial_unlabeled_labels.push_back(-1.0);
   }
 
-  CoupledSvm csvm(TestOptions());
-  auto model = csvm.Train(data);
+  MultiCoupledSvm csvm(TestOptions());
+  auto model = Train(csvm, data);
   ASSERT_TRUE(model.ok());
   int negatives = 0;
   for (double yj : model->unlabeled_labels) {
@@ -181,9 +151,9 @@ TEST(CoupledSvmTest, BalanceGuardBlocksOneSidedCollapse) {
 }
 
 TEST(CoupledSvmTest, NoUnlabeledReducesToSupervised) {
-  const CsvmTrainData data = TwoModalityProblem(10, 0, 3.0, 2.0, 7);
-  CoupledSvm csvm(TestOptions());
-  auto model = csvm.Train(data);
+  const TwoModalityData data = TwoModalityProblem(10, 0, 3.0, 2.0, 7);
+  MultiCoupledSvm csvm(TestOptions());
+  auto model = Train(csvm, data);
   ASSERT_TRUE(model.ok());
   EXPECT_TRUE(model->unlabeled_labels.empty());
   // With no unlabeled data the rho annealing collapses to a single solve.
@@ -192,41 +162,41 @@ TEST(CoupledSvmTest, NoUnlabeledReducesToSupervised) {
 }
 
 TEST(CoupledSvmTest, RhoInitEqualToRhoRunsOneOuterIteration) {
-  CsvmOptions options = TestOptions();
+  MultiCsvmOptions options = TestOptions();
   options.rho_init = options.rho;
-  const CsvmTrainData data = TwoModalityProblem(6, 4, 3.0, 2.0, 9);
-  CoupledSvm csvm(options);
-  auto model = csvm.Train(data);
+  const TwoModalityData data = TwoModalityProblem(6, 4, 3.0, 2.0, 9);
+  MultiCoupledSvm csvm(options);
+  auto model = Train(csvm, data);
   ASSERT_TRUE(model.ok());
   EXPECT_EQ(model->diagnostics.outer_iterations, 1);
 }
 
 TEST(CoupledSvmTest, AnnealingStepsAreLogarithmicInRhoRatio) {
-  CsvmOptions options = TestOptions();
+  MultiCsvmOptions options = TestOptions();
   options.rho_init = 1e-4;
   options.rho = 0.5;
-  const CsvmTrainData data = TwoModalityProblem(6, 4, 3.0, 2.0, 11);
-  CoupledSvm csvm(options);
-  auto model = csvm.Train(data);
+  const TwoModalityData data = TwoModalityProblem(6, 4, 3.0, 2.0, 11);
+  MultiCoupledSvm csvm(options);
+  auto model = Train(csvm, data);
   ASSERT_TRUE(model.ok());
   // ceil(log2(0.5 / 1e-4)) = 13 doublings + the initial solve.
   EXPECT_EQ(model->diagnostics.outer_iterations, 14);
 }
 
 TEST(CoupledSvmTest, RejectsBadInput) {
-  CoupledSvm csvm(TestOptions());
-  CsvmTrainData empty;
-  EXPECT_FALSE(csvm.Train(empty).ok());
+  MultiCoupledSvm csvm(TestOptions());
+  TwoModalityData empty;
+  EXPECT_FALSE(Train(csvm, empty).ok());
 
-  CsvmTrainData mismatched = TwoModalityProblem(4, 2, 2.0, 2.0, 13);
+  TwoModalityData mismatched = TwoModalityProblem(4, 2, 2.0, 2.0, 13);
   mismatched.initial_unlabeled_labels.push_back(1.0);  // rows now disagree
-  EXPECT_FALSE(csvm.Train(mismatched).ok());
+  EXPECT_FALSE(Train(csvm, mismatched).ok());
 }
 
 TEST(CoupledSvmTest, DiagnosticsObjectivesPopulated) {
-  const CsvmTrainData data = TwoModalityProblem(8, 4, 3.0, 2.0, 15);
-  CoupledSvm csvm(TestOptions());
-  auto model = csvm.Train(data);
+  const TwoModalityData data = TwoModalityProblem(8, 4, 3.0, 2.0, 15);
+  MultiCoupledSvm csvm(TestOptions());
+  auto model = Train(csvm, data);
   ASSERT_TRUE(model.ok());
   EXPECT_LE(model->diagnostics.visual_objective, 1e-9);
   EXPECT_LE(model->diagnostics.log_objective, 1e-9);
@@ -235,23 +205,22 @@ TEST(CoupledSvmTest, DiagnosticsObjectivesPopulated) {
 TEST(CoupledSvmTest, WarmStartAcrossRoundsMatchesColdTraining) {
   // Round t+1 warm-started from round t's duals must produce the same model
   // as a cold solve (warm starting is an accelerator, not an approximation).
-  const CsvmTrainData data = TwoModalityProblem(8, 6, 2.0, 1.5, 21);
-  CoupledSvm csvm(TestOptions());
-  auto cold = csvm.Train(data);
+  const TwoModalityData data = TwoModalityProblem(8, 6, 2.0, 1.5, 21);
+  MultiCoupledSvm csvm(TestOptions());
+  auto cold = Train(csvm, data);
   ASSERT_TRUE(cold.ok());
-  ASSERT_EQ(cold->visual_alpha.size(), data.visual.rows());
-  ASSERT_EQ(cold->log_alpha.size(), data.log.rows());
+  ASSERT_EQ(cold->alphas[0].size(), data.visual.rows());
+  ASSERT_EQ(cold->alphas[1].size(), data.log.rows());
 
-  CsvmTrainData warm_data = data;
-  warm_data.initial_visual_alpha = cold->visual_alpha;
-  warm_data.initial_log_alpha = cold->log_alpha;
-  auto warm = csvm.Train(warm_data);
+  TwoModalityData warm_data = data;
+  warm_data.initial_visual_alpha = cold->alphas[0];
+  warm_data.initial_log_alpha = cold->alphas[1];
+  auto warm = Train(csvm, warm_data);
   ASSERT_TRUE(warm.ok());
 
   EXPECT_EQ(warm->unlabeled_labels, cold->unlabeled_labels);
   for (size_t i = 0; i < data.visual.rows(); ++i) {
-    EXPECT_NEAR(warm->Decision(data.visual.Row(i), data.log.Row(i)),
-                cold->Decision(data.visual.Row(i), data.log.Row(i)), 5e-3)
+    EXPECT_NEAR(Decision(*warm, data, i), Decision(*cold, data, i), 5e-3)
         << i;
   }
   // Both runs warm-start internally across the annealing chain, so the
@@ -263,19 +232,16 @@ TEST(CoupledSvmTest, WarmStartAcrossRoundsMatchesColdTraining) {
 }
 
 TEST(CoupledSvmTest, RejectsMismatchedWarmStart) {
-  CsvmTrainData data = TwoModalityProblem(4, 2, 2.0, 2.0, 23);
+  TwoModalityData data = TwoModalityProblem(4, 2, 2.0, 2.0, 23);
   data.initial_visual_alpha = {0.1};  // wrong size
-  CoupledSvm csvm(TestOptions());
-  EXPECT_FALSE(csvm.Train(data).ok());
+  MultiCoupledSvm csvm(TestOptions());
+  EXPECT_FALSE(Train(csvm, data).ok());
 }
 
 TEST(CoupledSvmDeathTest, InvalidOptions) {
-  CsvmOptions bad = TestOptions();
+  MultiCsvmOptions bad = TestOptions();
   bad.rho_init = 2.0;  // > rho
-  EXPECT_DEATH(CoupledSvm{bad}, "Check failed");
-  CsvmOptions bad2 = TestOptions();
-  bad2.c_visual = 0.0;
-  EXPECT_DEATH(CoupledSvm{bad2}, "Check failed");
+  EXPECT_DEATH(MultiCoupledSvm{bad}, "Check failed");
 }
 
 }  // namespace

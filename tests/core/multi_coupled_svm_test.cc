@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/coupled_svm.h"
 #include "util/rng.h"
 
 namespace cbir::core {
@@ -10,9 +9,20 @@ namespace {
 
 // K Gaussian modalities, each carrying the class signal with its own gap.
 struct MultiProblem {
-  std::vector<Modality> modalities;
+  std::vector<la::Matrix> data;  ///< one sample matrix per modality
   std::vector<double> labels;
   std::vector<double> initial_unlabeled;
+
+  /// Every modality with C = 10 and an RBF(0.5) kernel.
+  std::vector<ModalityView> Views() const {
+    std::vector<ModalityView> views(data.size());
+    for (size_t k = 0; k < data.size(); ++k) {
+      views[k].data = &data[k];
+      views[k].kernel = svm::KernelParams::Rbf(0.5);
+      views[k].c = 10.0;
+    }
+    return views;
+  }
 };
 
 MultiProblem MakeProblem(size_t num_modalities, size_t nl_per_class,
@@ -26,17 +36,14 @@ MultiProblem MakeProblem(size_t num_modalities, size_t nl_per_class,
     truth[i] = (i % 2 == 0) ? 1.0 : -1.0;
   }
   for (size_t k = 0; k < num_modalities; ++k) {
-    Modality m;
-    m.data = la::Matrix(n, 2 + k);
-    m.kernel = svm::KernelParams::Rbf(0.5);
-    m.c = 10.0;
+    la::Matrix m(n, 2 + k);
     const double gap = 2.0 + 0.5 * static_cast<double>(k);
     for (size_t i = 0; i < n; ++i) {
-      for (size_t d = 0; d < m.data.cols(); ++d) {
-        m.data.At(i, d) = rng.Gaussian() + (d == 0 ? gap * truth[i] : 0.0);
+      for (size_t d = 0; d < m.cols(); ++d) {
+        m.At(i, d) = rng.Gaussian() + (d == 0 ? gap * truth[i] : 0.0);
       }
     }
-    p.modalities.push_back(std::move(m));
+    p.data.push_back(std::move(m));
   }
   p.labels.assign(truth.begin(), truth.begin() + static_cast<long>(nl));
   p.initial_unlabeled.assign(truth.begin() + static_cast<long>(nl),
@@ -53,57 +60,21 @@ MultiCsvmOptions TestOptions() {
 TEST(MultiCoupledSvmTest, TrainsOnThreeModalities) {
   const MultiProblem p = MakeProblem(3, 8, 6, 1);
   MultiCoupledSvm csvm(TestOptions());
-  auto model = csvm.Train(p.modalities, p.labels, p.initial_unlabeled);
+  auto model = csvm.TrainViews(p.Views(), p.labels, p.initial_unlabeled);
   ASSERT_TRUE(model.ok()) << model.status();
   ASSERT_EQ(model->models.size(), 3u);
   // All labeled samples classified correctly by the summed decision.
   for (size_t i = 0; i < p.labels.size(); ++i) {
     std::vector<la::Vec> sample;
-    for (const Modality& m : p.modalities) sample.push_back(m.data.Row(i));
+    for (const la::Matrix& m : p.data) sample.push_back(m.Row(i));
     EXPECT_GT(p.labels[i] * model->Decision(sample), 0.0) << "sample " << i;
-  }
-}
-
-TEST(MultiCoupledSvmTest, TwoModalityCaseMatchesCoupledSvm) {
-  // The K = 2 instantiation must reproduce CoupledSvm exactly (same QPs,
-  // same correction rule, same schedule).
-  const MultiProblem p = MakeProblem(2, 8, 6, 3);
-
-  MultiCsvmOptions multi_options = TestOptions();
-  MultiCoupledSvm multi(multi_options);
-  auto m = multi.Train(p.modalities, p.labels, p.initial_unlabeled);
-  ASSERT_TRUE(m.ok());
-
-  CsvmOptions pair_options;
-  pair_options.rho = multi_options.rho;
-  pair_options.c_visual = p.modalities[0].c;
-  pair_options.c_log = p.modalities[1].c;
-  pair_options.visual_kernel = p.modalities[0].kernel;
-  pair_options.log_kernel = p.modalities[1].kernel;
-  CsvmTrainData data;
-  data.visual = p.modalities[0].data;
-  data.log = p.modalities[1].data;
-  data.labels = p.labels;
-  data.initial_unlabeled_labels = p.initial_unlabeled;
-  CoupledSvm pair(pair_options);
-  auto c = pair.Train(data);
-  ASSERT_TRUE(c.ok());
-
-  EXPECT_EQ(m->unlabeled_labels, c->unlabeled_labels);
-  EXPECT_EQ(m->diagnostics.outer_iterations, c->diagnostics.outer_iterations);
-  EXPECT_EQ(m->diagnostics.total_flips, c->diagnostics.total_flips);
-  // Decision functions agree everywhere (spot-check on training rows).
-  for (size_t i = 0; i < p.modalities[0].data.rows(); ++i) {
-    const la::Vec x = p.modalities[0].data.Row(i);
-    const la::Vec r = p.modalities[1].data.Row(i);
-    EXPECT_NEAR(m->Decision({x, r}), c->Decision(x, r), 1e-9) << i;
   }
 }
 
 TEST(MultiCoupledSvmTest, SingleModalityDegeneratesToWeightedSvm) {
   const MultiProblem p = MakeProblem(1, 10, 4, 5);
   MultiCoupledSvm csvm(TestOptions());
-  auto model = csvm.Train(p.modalities, p.labels, p.initial_unlabeled);
+  auto model = csvm.TrainViews(p.Views(), p.labels, p.initial_unlabeled);
   ASSERT_TRUE(model.ok());
   EXPECT_EQ(model->models.size(), 1u);
   EXPECT_EQ(model->unlabeled_labels.size(), 4u);
@@ -115,28 +86,28 @@ TEST(MultiCoupledSvmTest, FlipRequiresUnanimousRejection) {
   MultiProblem p = MakeProblem(2, 8, 0, 7);
   const size_t n = p.labels.size() + 1;
   for (size_t k = 0; k < 2; ++k) {
-    la::Matrix extended(n, p.modalities[k].data.cols());
+    la::Matrix extended(n, p.data[k].cols());
     for (size_t i = 0; i + 1 < n; ++i) {
-      extended.SetRow(i, p.modalities[k].data.Row(i));
+      extended.SetRow(i, p.data[k].Row(i));
     }
-    p.modalities[k].data = std::move(extended);
+    p.data[k] = std::move(extended);
   }
   // Pseudo-label -1. Modality 0 places it deep positive (rejects the
   // label); modality 1 places it deep negative (confirms the label).
   {
-    la::Vec row0(p.modalities[0].data.cols(), 0.0);
+    la::Vec row0(p.data[0].cols(), 0.0);
     row0[0] = 3.0;
-    p.modalities[0].data.SetRow(n - 1, row0);
-    la::Vec row1(p.modalities[1].data.cols(), 0.0);
+    p.data[0].SetRow(n - 1, row0);
+    la::Vec row1(p.data[1].cols(), 0.0);
     row1[0] = -3.0;
-    p.modalities[1].data.SetRow(n - 1, row1);
+    p.data[1].SetRow(n - 1, row1);
   }
   p.initial_unlabeled = {-1.0};
 
   MultiCsvmOptions options = TestOptions();
   options.enforce_class_balance = false;  // isolate the unanimity gate
   MultiCoupledSvm csvm(options);
-  auto model = csvm.Train(p.modalities, p.labels, p.initial_unlabeled);
+  auto model = csvm.TrainViews(p.Views(), p.labels, p.initial_unlabeled);
   ASSERT_TRUE(model.ok());
   EXPECT_DOUBLE_EQ(model->unlabeled_labels[0], -1.0);
   EXPECT_EQ(model->diagnostics.total_flips, 0);
@@ -144,21 +115,29 @@ TEST(MultiCoupledSvmTest, FlipRequiresUnanimousRejection) {
 
 TEST(MultiCoupledSvmTest, RejectsBadInput) {
   MultiCoupledSvm csvm(TestOptions());
-  EXPECT_FALSE(csvm.Train({}, {1.0}, {}).ok());
+  EXPECT_FALSE(csvm.TrainViews({}, {1.0}, {}).ok());
 
   MultiProblem p = MakeProblem(2, 4, 2, 9);
-  EXPECT_FALSE(csvm.Train(p.modalities, {}, p.initial_unlabeled).ok());
+  EXPECT_FALSE(csvm.TrainViews(p.Views(), {}, p.initial_unlabeled).ok());
 
-  p.modalities[1].data = la::Matrix(3, 2);  // row mismatch
+  for (double c : {0.0, -1.0}) {
+    std::vector<ModalityView> views = p.Views();
+    views[0].c = c;
+    auto model = csvm.TrainViews(views, p.labels, p.initial_unlabeled);
+    ASSERT_FALSE(model.ok()) << "C = " << c;
+    EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument);
+  }
+
+  p.data[1] = la::Matrix(3, 2);  // row mismatch
   EXPECT_FALSE(
-      csvm.Train(p.modalities, p.labels, p.initial_unlabeled).ok());
+      csvm.TrainViews(p.Views(), p.labels, p.initial_unlabeled).ok());
 }
 
 TEST(MultiCoupledSvmDeathTest, DecisionArityChecked) {
   const MultiProblem p = MakeProblem(2, 4, 0, 11);
   MultiCoupledSvm csvm(TestOptions());
-  auto model = csvm.Train(p.modalities, p.labels, {}).value();
-  EXPECT_DEATH((void)model.Decision({p.modalities[0].data.Row(0)}),
+  auto model = csvm.TrainViews(p.Views(), p.labels, {}).value();
+  EXPECT_DEATH((void)model.Decision({p.data[0].Row(0)}),
                "Check failed");
 }
 

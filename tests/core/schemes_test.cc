@@ -206,8 +206,9 @@ TEST_F(SchemesTest, LrfCsvmSelectionStrategiesDiffer) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   // Different selections almost surely yield different support-vector sets.
-  EXPECT_NE(a->visual.num_support_vectors() + a->log.num_support_vectors(),
-            b->visual.num_support_vectors() + b->log.num_support_vectors());
+  EXPECT_NE(
+      a->models[0].num_support_vectors() + a->models[1].num_support_vectors(),
+      b->models[0].num_support_vectors() + b->models[1].num_support_vectors());
 }
 
 TEST_F(SchemesTest, LrfCsvmZeroNPrimeStillWorks) {

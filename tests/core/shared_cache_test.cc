@@ -1,14 +1,13 @@
 // Equivalence gates for kernel-cache sharing across the coupled-SVM solve
 // chain and across feedback rounds: shared-cache training must reproduce
 // per-solve-cache models and rankings (within solver tolerance) for
-// CoupledSvm, MultiCoupledSvm and RunFeedbackSession — including after label
-// flips, labeled-set growth across rounds, and under eviction pressure.
+// MultiCoupledSvm and RunFeedbackSession — including after label flips,
+// labeled-set growth across rounds, and under eviction pressure.
 #include <gtest/gtest.h>
 
 #include <utility>
 #include <vector>
 
-#include "core/coupled_svm.h"
 #include "core/feedback_loop.h"
 #include "core/lrf_csvm_scheme.h"
 #include "core/multi_coupled_svm.h"
@@ -16,70 +15,46 @@
 #include "core/session_cache.h"
 #include "logdb/log_store.h"
 #include "logdb/simulated_user.h"
-#include "util/rng.h"
+#include "two_modality_problem.h"
 
 namespace cbir::core {
 namespace {
 
-// Two-modality problem with class overlap so chains iterate and labels flip.
-CsvmTrainData TwoModalityProblem(size_t nl_per_class, size_t nu,
-                                 double visual_gap, double log_gap,
-                                 uint64_t seed) {
-  Rng rng(seed);
-  const size_t nl = 2 * nl_per_class;
-  CsvmTrainData data;
-  data.visual = la::Matrix(nl + nu, 2);
-  data.log = la::Matrix(nl + nu, 1);
-  for (size_t i = 0; i < nl; ++i) {
-    const double y = (i < nl_per_class) ? 1.0 : -1.0;
-    data.labels.push_back(y);
-    data.visual.At(i, 0) = rng.Gaussian() + visual_gap * y;
-    data.visual.At(i, 1) = rng.Gaussian();
-    data.log.At(i, 0) = rng.Gaussian() * 0.3 + log_gap * y;
-  }
-  for (size_t j = 0; j < nu; ++j) {
-    const double y = (j % 2 == 0) ? 1.0 : -1.0;
-    data.visual.At(nl + j, 0) = rng.Gaussian() + visual_gap * y;
-    data.visual.At(nl + j, 1) = rng.Gaussian();
-    data.log.At(nl + j, 0) = rng.Gaussian() * 0.3 + log_gap * y;
-    data.initial_unlabeled_labels.push_back(y);
-  }
-  return data;
-}
+using testutil::Decision;
+using testutil::TestOptions;
+using testutil::Train;
+using testutil::TwoModalityData;
+using testutil::TwoModalityProblem;
+using testutil::Views;
 
-CsvmOptions TestOptions() {
-  CsvmOptions options;
-  options.c_visual = 10.0;
-  options.c_log = 10.0;
-  options.rho = 0.5;
-  options.visual_kernel = svm::KernelParams::Rbf(0.5);
-  options.log_kernel = svm::KernelParams::Rbf(0.5);
-  return options;
-}
-
-TEST(CsvmSharedCacheTest, ChainSharingReproducesPerSolveCaches) {
-  // Overlapping classes (gap 1.0) force label-correction flips, so the chain
-  // re-solves with changed labels over the shared rows.
-  const CsvmTrainData data = TwoModalityProblem(8, 10, 1.0, 0.8, 31);
-
-  CsvmOptions per_solve = TestOptions();
+// Trains `views` with per-solve caches and with one cache per modality shared
+// across the solve chain, and checks that sharing changes nothing but the
+// cache traffic.
+void ExpectChainSharingMatchesPerSolve(const TwoModalityData& data,
+                                       const std::vector<ModalityView>& views) {
+  MultiCsvmOptions per_solve = TestOptions();
   per_solve.reuse_chain_cache = false;
-  auto cold = CoupledSvm(per_solve).Train(data);
+  auto cold = MultiCoupledSvm(per_solve).TrainViews(
+      views, data.labels, data.initial_unlabeled_labels);
   ASSERT_TRUE(cold.ok()) << cold.status();
 
-  CsvmOptions shared = TestOptions();
+  MultiCsvmOptions shared = TestOptions();
   shared.reuse_chain_cache = true;
-  auto hot = CoupledSvm(shared).Train(data);
+  auto hot = MultiCoupledSvm(shared).TrainViews(views, data.labels,
+                                                data.initial_unlabeled_labels);
   ASSERT_TRUE(hot.ok());
 
   // Kernel entries are identical whichever fill path produced them, so the
   // chains solve literally the same QPs: labels, duals and decisions match.
   EXPECT_EQ(hot->unlabeled_labels, cold->unlabeled_labels);
-  EXPECT_EQ(hot->visual_alpha, cold->visual_alpha);
-  EXPECT_EQ(hot->log_alpha, cold->log_alpha);
+  ASSERT_EQ(hot->alphas.size(), views.size());
+  EXPECT_EQ(hot->alphas, cold->alphas);
   for (size_t i = 0; i < data.visual.rows(); ++i) {
-    EXPECT_NEAR(hot->Decision(data.visual.Row(i), data.log.Row(i)),
-                cold->Decision(data.visual.Row(i), data.log.Row(i)), 1e-9);
+    std::vector<la::Vec> sample;
+    for (const ModalityView& view : views) {
+      sample.push_back(view.data->Row(i));
+    }
+    EXPECT_NEAR(hot->Decision(sample), cold->Decision(sample), 1e-9);
   }
   // The whole point: one cache per modality turns the chain's repeated row
   // computations into hits.
@@ -87,74 +62,58 @@ TEST(CsvmSharedCacheTest, ChainSharingReproducesPerSolveCaches) {
             cold->diagnostics.cache_stats.hit_rate());
   EXPECT_LT(hot->diagnostics.cache_stats.misses,
             cold->diagnostics.cache_stats.misses);
-  // Per-modality split is populated ([0] visual, [1] log) and sums to the
-  // aggregate.
-  ASSERT_EQ(hot->diagnostics.modality_cache_stats.size(), 2u);
-  EXPECT_EQ(hot->diagnostics.modality_cache_stats[0].hits +
-                hot->diagnostics.modality_cache_stats[1].hits,
-            hot->diagnostics.cache_stats.hits);
+  // The per-modality split is populated and sums to the aggregate.
+  ASSERT_EQ(hot->diagnostics.modality_cache_stats.size(), views.size());
+  size_t modality_hits = 0;
+  for (const svm::CacheStats& stats : hot->diagnostics.modality_cache_stats) {
+    modality_hits += stats.hits;
+  }
+  EXPECT_EQ(modality_hits, hot->diagnostics.cache_stats.hits);
+}
+
+TEST(CsvmSharedCacheTest, ChainSharingReproducesPerSolveCaches) {
+  // Overlapping classes force label-correction flips, so the chain re-solves
+  // with changed labels over the shared rows.
+  const TwoModalityData data = TwoModalityProblem(8, 10, 1.0, 0.8, 31);
+  ExpectChainSharingMatchesPerSolve(data, Views(data));
+}
+
+TEST(MultiCsvmSharedCacheTest, ThreeModalitySharingMatchesPerSolve) {
+  // K = 3: the visual matrix serves again as a "shape" modality with its own
+  // kernel.
+  const TwoModalityData data = TwoModalityProblem(6, 8, 1.2, 0.8, 35);
+  std::vector<ModalityView> views = Views(data);
+  views.push_back(views[0]);
+  views[2].kernel = svm::KernelParams::Rbf(0.25);
+  ExpectChainSharingMatchesPerSolve(data, views);
 }
 
 TEST(CsvmSharedCacheTest, TinyCacheBudgetStaysCorrect) {
-  const CsvmTrainData data = TwoModalityProblem(8, 8, 1.0, 0.8, 33);
-  CsvmOptions roomy = TestOptions();
-  auto reference = CoupledSvm(roomy).Train(data);
+  const TwoModalityData data = TwoModalityProblem(8, 8, 1.0, 0.8, 33);
+  MultiCsvmOptions roomy = TestOptions();
+  auto reference = Train(MultiCoupledSvm(roomy), data);
   ASSERT_TRUE(reference.ok());
 
-  CsvmOptions squeezed = TestOptions();
+  MultiCsvmOptions squeezed = TestOptions();
   squeezed.smo.cache_rows = 2;  // minimum budget: constant eviction churn
-  auto model = CoupledSvm(squeezed).Train(data);
+  auto model = Train(MultiCoupledSvm(squeezed), data);
   ASSERT_TRUE(model.ok());
   EXPECT_GT(model->diagnostics.cache_stats.evictions, 0u);
   EXPECT_EQ(model->unlabeled_labels, reference->unlabeled_labels);
   for (size_t i = 0; i < data.visual.rows(); ++i) {
-    EXPECT_NEAR(model->Decision(data.visual.Row(i), data.log.Row(i)),
-                reference->Decision(data.visual.Row(i), data.log.Row(i)),
+    EXPECT_NEAR(Decision(*model, data, i), Decision(*reference, data, i),
                 1e-9);
   }
-}
-
-TEST(MultiCsvmSharedCacheTest, ThreeModalitySharingMatchesPerSolve) {
-  // K = 3: the same matrix serves as a third "shape" modality.
-  const CsvmTrainData base = TwoModalityProblem(6, 8, 1.2, 0.8, 35);
-  std::vector<Modality> modalities(3);
-  modalities[0].data = base.visual;
-  modalities[0].kernel = svm::KernelParams::Rbf(0.5);
-  modalities[1].data = base.log;
-  modalities[1].kernel = svm::KernelParams::Rbf(0.5);
-  modalities[2].data = base.visual;
-  modalities[2].kernel = svm::KernelParams::Rbf(0.25);
-
-  MultiCsvmOptions per_solve;
-  per_solve.rho = 0.5;
-  per_solve.reuse_chain_cache = false;
-  auto cold = MultiCoupledSvm(per_solve).Train(modalities, base.labels,
-                                               base.initial_unlabeled_labels);
-  ASSERT_TRUE(cold.ok()) << cold.status();
-
-  MultiCsvmOptions shared = per_solve;
-  shared.reuse_chain_cache = true;
-  auto hot = MultiCoupledSvm(shared).Train(modalities, base.labels,
-                                           base.initial_unlabeled_labels);
-  ASSERT_TRUE(hot.ok());
-
-  EXPECT_EQ(hot->unlabeled_labels, cold->unlabeled_labels);
-  ASSERT_EQ(hot->alphas.size(), 3u);
-  EXPECT_EQ(hot->alphas, cold->alphas);
-  ASSERT_EQ(hot->diagnostics.modality_cache_stats.size(), 3u);
-  EXPECT_LT(hot->diagnostics.cache_stats.misses,
-            cold->diagnostics.cache_stats.misses);
 }
 
 TEST(CsvmSharedCacheTest, InjectedSessionCachesAcrossGrowingRounds) {
   // The cross-round serving pattern, driven directly: round 2 grows the
   // labeled set; the session caches remap by id and the trained model must
   // match a cache-free training of the same round-2 problem.
-  const CsvmTrainData full = TwoModalityProblem(10, 8, 1.0, 0.8, 37);
+  const TwoModalityData full = TwoModalityProblem(10, 8, 1.0, 0.8, 37);
   const size_t nl_full = 20;
   const size_t nu = 8;
-  const CsvmOptions options = TestOptions();
-  const CoupledSvm csvm(options);
+  const MultiCoupledSvm csvm(TestOptions());
 
   SessionKernelCache visual_rows, log_rows;
   // Interleave the classes so the round-1 prefix is balanced: labeled slot t
@@ -162,7 +121,7 @@ TEST(CsvmSharedCacheTest, InjectedSessionCachesAcrossGrowingRounds) {
   const auto labeled_id = [&](size_t t) {
     return static_cast<int>(t % 2 == 0 ? t / 2 : nl_full / 2 + t / 2);
   };
-  auto run_round = [&](size_t nl) -> Result<CoupledModel> {
+  auto run_round = [&](size_t nl) -> Result<MultiCoupledModel> {
     std::vector<int> ids;
     la::Matrix visual(nl + nu, full.visual.cols());
     la::Matrix log(nl + nu, full.log.cols());
@@ -179,16 +138,14 @@ TEST(CsvmSharedCacheTest, InjectedSessionCachesAcrossGrowingRounds) {
       visual.SetRow(nl + j, full.visual.Row(nl_full + j));
       log.SetRow(nl + j, full.log.Row(nl_full + j));
     }
-    CsvmTrainView view;
-    view.labels = &labels;
-    view.initial_unlabeled_labels = &full.initial_unlabeled_labels;
-    view.visual_cache = visual_rows.Bind(ids, std::move(visual),
-                                         options.visual_kernel, 0);
-    view.log_cache =
-        log_rows.Bind(std::move(ids), std::move(log), options.log_kernel, 0);
-    view.visual = &visual_rows.data();
-    view.log = &log_rows.data();
-    return csvm.TrainView(view);
+    std::vector<ModalityView> views = Views(full);
+    views[0].shared_cache =
+        visual_rows.Bind(ids, std::move(visual), views[0].kernel, 0);
+    views[1].shared_cache =
+        log_rows.Bind(std::move(ids), std::move(log), views[1].kernel, 0);
+    views[0].data = &visual_rows.data();
+    views[1].data = &log_rows.data();
+    return csvm.TrainViews(views, labels, full.initial_unlabeled_labels);
   };
 
   ASSERT_TRUE(run_round(10).ok());
@@ -197,7 +154,7 @@ TEST(CsvmSharedCacheTest, InjectedSessionCachesAcrossGrowingRounds) {
 
   // Reference: the identical round-2 problem (same interleaved row order),
   // trained without any carried caches.
-  CsvmTrainData round2;
+  TwoModalityData round2;
   round2.visual = la::Matrix(nl_full + nu, full.visual.cols());
   round2.log = la::Matrix(nl_full + nu, full.log.cols());
   round2.initial_unlabeled_labels = full.initial_unlabeled_labels;
@@ -211,12 +168,11 @@ TEST(CsvmSharedCacheTest, InjectedSessionCachesAcrossGrowingRounds) {
     round2.visual.SetRow(nl_full + j, full.visual.Row(nl_full + j));
     round2.log.SetRow(nl_full + j, full.log.Row(nl_full + j));
   }
-  auto reference = csvm.Train(round2);
+  auto reference = Train(csvm, round2);
   ASSERT_TRUE(reference.ok());
 
   EXPECT_EQ(carried->unlabeled_labels, reference->unlabeled_labels);
-  EXPECT_EQ(carried->visual_alpha, reference->visual_alpha);
-  EXPECT_EQ(carried->log_alpha, reference->log_alpha);
+  EXPECT_EQ(carried->alphas, reference->alphas);
   // Round 2 recomputed kernel rows only against the 10 new labeled images:
   // strictly fewer misses than the cache-free training.
   EXPECT_LT(carried->diagnostics.cache_stats.misses,

@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include "kernel_case.h"
 #include "util/rng.h"
 
 namespace cbir::svm {
 namespace {
+
+using testutil::KernelCase;
 
 TEST(KernelTest, LinearIsDotProduct) {
   const KernelParams k = KernelParams::Linear();
@@ -76,7 +79,7 @@ TEST(KernelTest, SymmetryProperty) {
 
 // Mercer property: random Gram matrices must be positive semidefinite.
 // Checked via z'Kz >= 0 for random z (sufficient statistical evidence).
-class KernelPsdTest : public ::testing::TestWithParam<KernelParams> {};
+class KernelPsdTest : public ::testing::TestWithParam<KernelCase> {};
 
 TEST_P(KernelPsdTest, GramMatrixIsPsd) {
   Rng rng(11);
@@ -88,7 +91,7 @@ TEST_P(KernelPsdTest, GramMatrixIsPsd) {
   la::Matrix gram(n, n);
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = 0; j < n; ++j) {
-      gram.At(i, j) = EvalKernel(GetParam(), xs[i], xs[j]);
+      gram.At(i, j) = EvalKernel(GetParam().kernel, xs[i], xs[j]);
     }
   }
   for (int trial = 0; trial < 50; ++trial) {
@@ -101,10 +104,12 @@ TEST_P(KernelPsdTest, GramMatrixIsPsd) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllKernels, KernelPsdTest,
-    ::testing::Values(KernelParams::Linear(), KernelParams::Rbf(0.1),
-                      KernelParams::Rbf(1.0), KernelParams::Rbf(10.0),
-                      KernelParams::Polynomial(1.0, 1.0, 2),
-                      KernelParams::Polynomial(0.5, 1.0, 4)));
+    ::testing::Values(KernelCase{KernelParams::Linear()},
+                      KernelCase{KernelParams::Rbf(0.1)},
+                      KernelCase{KernelParams::Rbf(1.0)},
+                      KernelCase{KernelParams::Rbf(10.0)},
+                      KernelCase{KernelParams::Polynomial(1.0, 1.0, 2)},
+                      KernelCase{KernelParams::Polynomial(0.5, 1.0, 4)}));
 
 TEST(DefaultGammaTest, MatchesLibsvmFormula) {
   la::Matrix data(2, 2);

@@ -6,12 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include "kernel_case.h"
 #include "svm/smo_solver.h"
 #include "svm/trainer.h"
 #include "util/rng.h"
 
 namespace cbir::svm {
 namespace {
+
+using testutil::KernelCase;
 
 struct ProblemConfig {
   double c;
@@ -132,7 +135,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Property: the trainer's model agrees with a brute-force decision function
 // built from the raw solution, across kernels.
-class TrainerKernelTest : public ::testing::TestWithParam<KernelParams> {};
+class TrainerKernelTest : public ::testing::TestWithParam<KernelCase> {};
 
 TEST_P(TrainerKernelTest, ModelMatchesRawSolution) {
   Rng rng(211);
@@ -145,7 +148,7 @@ TEST_P(TrainerKernelTest, ModelMatchesRawSolution) {
     data.At(i, 1) = rng.Gaussian();
   }
   TrainOptions options;
-  options.kernel = GetParam();
+  options.kernel = GetParam().kernel;
   options.c = 5.0;
   SvmTrainer trainer(options);
   auto out = trainer.Train(data, y);
@@ -159,10 +162,11 @@ TEST_P(TrainerKernelTest, ModelMatchesRawSolution) {
 
 INSTANTIATE_TEST_SUITE_P(
     Kernels, TrainerKernelTest,
-    ::testing::Values(KernelParams::Linear(), KernelParams::Rbf(0.25),
-                      KernelParams::Rbf(4.0),
-                      KernelParams::Polynomial(0.5, 1.0, 2),
-                      KernelParams::Polynomial(1.0, 0.0, 3)));
+    ::testing::Values(KernelCase{KernelParams::Linear()},
+                      KernelCase{KernelParams::Rbf(0.25)},
+                      KernelCase{KernelParams::Rbf(4.0)},
+                      KernelCase{KernelParams::Polynomial(0.5, 1.0, 2)},
+                      KernelCase{KernelParams::Polynomial(1.0, 0.0, 3)}));
 
 }  // namespace
 }  // namespace cbir::svm
