@@ -118,6 +118,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   router::ShardRouter shard_router(&pool, router::RouterOptions{});
+  // The router counts into its own registry; exporters read Default().
+  obs::MetricsRegistry::Default().Include(&shard_router.metrics());
 
   net::TcpServerOptions server_options;
   server_options.host = flags.GetString("host", "127.0.0.1");

@@ -19,6 +19,7 @@
 #include <chrono>
 #include <iostream>
 #include <memory>
+#include <string_view>
 #include <thread>
 
 #include "api/dispatcher.h"
@@ -64,10 +65,10 @@ constexpr const char* kHelp =
                         default for a path-less peer), /healthz (200 while
                         serving, 503 while draining), /statusz (uptime,
                         build, flags, sessions, SLO state), /flightz (flight
-                        recorder dump), /slowz (recent slow-request trees)
-  --slow-request-ms=N   dump the per-stage span tree of any request whose
-                        server-side time reaches N ms (default 0 = off);
-                        also the flight recorder's always-capture threshold
+                        recorder dump), /slowz (the recorder's slow requests)
+  --slow-request-ms=N   the flight recorder always captures, with its
+                        per-stage span tree, any request whose server-side
+                        time reaches N ms (default 0 = off); /slowz lists them
   --flight-capacity=N   flight recorder ring size, records (default 256;
                         0 disables the recorder)
   --flight-sample=N     capture 1 of every N healthy requests (default 64;
@@ -262,6 +263,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   api::Dispatcher dispatcher(service_or.value().get());
+  // The service counts into its own registry; exporters read Default().
+  obs::MetricsRegistry::Default().Include(&service_or.value()->metrics());
 
   // Pull-style gauges: every Snapshot() (wire MetricsResponse or a
   // --metrics-port scrape) refreshes these from the live service first.
@@ -276,8 +279,6 @@ int main(int argc, char** argv) {
         const serve::ServiceStats s = service->stats();
         r.GetGauge("cbir_serve_active_sessions")
             ->Set(static_cast<int64_t>(s.active_sessions));
-        r.GetGauge("cbir_serve_session_kernel_cache_bytes")
-            ->Set(static_cast<int64_t>(s.session_kernel_cache_bytes));
         r.GetGauge("cbir_serve_uptime_seconds")
             ->Set(static_cast<int64_t>(s.elapsed_seconds));
         r.GetGauge("cbir_serve_cache_hit_rate_permille")
@@ -308,7 +309,6 @@ int main(int argc, char** argv) {
   server_options.port = flags.GetInt("port", 7345);
   server_options.idle_timeout_ms = flags.GetInt("idle-timeout-ms", 0);
   server_options.drain_timeout_ms = flags.GetInt("drain-timeout-ms", 1000);
-  server_options.slow_request_ms = flags.GetInt("slow-request-ms", 0);
   server_options.flight_recorder = flight.get();
   server_options.connection_observer = [&slog](const char* event,
                                                uint64_t connection_id) {
@@ -390,12 +390,17 @@ int main(int argc, char** argv) {
       return flight != nullptr ? flight->Dump()
                                : std::string("flight recorder disabled\n");
     });
-    metrics_server->SetHandler("/slowz", [&server] {
-      const std::vector<std::string> recent = server.slow_log().Recent();
-      if (recent.empty()) return std::string("no slow requests logged\n");
+    metrics_server->SetHandler("/slowz", [&flight] {
       std::string out;
-      for (const std::string& entry : recent) out += entry + "\n";
-      return out;
+      if (flight != nullptr) {
+        for (const obs::FlightRecord& record : flight->Snapshot()) {
+          if (std::string_view(record.reason) != "slow") continue;
+          out += obs::FormatSpanTree(record.trace_id, record.total_us,
+                                     record.spans, record.counters) +
+                 "\n";
+        }
+      }
+      return out.empty() ? std::string("no slow requests recorded\n") : out;
     });
     if (Status s = metrics_server->Start(); !s.ok()) {
       std::cerr << s << "\n";

@@ -647,11 +647,9 @@ int main(int argc, char** argv) {
         ", \"latency_p99_us\": " + FormatDouble(stats.latency.p99_us, 1) +
         ", \"cache_hit_rate\": " + FormatDouble(stats.cache_hit_rate, 4) +
         "},\n";
-    // The in-process service records into the process-global registry, so
-    // the per-stage attribution comes from the same series a remote run
-    // reads over the wire.
-    const obs::MetricsSnapshot snap =
-        obs::MetricsRegistry::Default().Snapshot();
+    // The service's own registry holds the same stage series a remote run
+    // reads over the wire (where the server has included it).
+    const obs::MetricsSnapshot snap = service->metrics().Snapshot();
     for (const obs::HistogramSample& h : snap.histograms) {
       if (h.name != "cbir_request_stage_us") continue;
       if (!json_stages.empty()) json_stages += ",\n";

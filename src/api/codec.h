@@ -33,7 +33,7 @@ namespace cbir::api {
 ///                           the service apply a retried Feedback at most
 ///                           once and replay the cached response
 ///   0x04  u64 trace_id      client-chosen trace id; the server stamps the
-///                           request's span tree and slow-request log with
+///                           request's span tree and flight record with
 ///                           it so a client-side outlier can be matched to
 ///                           the server-side stage breakdown
 ///   0x08  (no payload)      EXPLAIN: asks the server to attach a profile

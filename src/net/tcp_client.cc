@@ -77,7 +77,7 @@ api::RequestEnvelope TcpClient::BaseEnvelope() {
   if (tracing_) {
     // Client-chosen ids: a counter mixed through the splitmix64 finalizer,
     // so concurrent clients rarely collide and the id is greppable in the
-    // server's slow-request log.
+    // server's flight recorder.
     static std::atomic<uint64_t> next{1};
     uint64_t x = next.fetch_add(1, std::memory_order_relaxed);
     x += 0x9e3779b97f4a7c15ull;

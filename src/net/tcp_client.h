@@ -53,8 +53,8 @@ class TcpClient {
 
   /// Opt-in tracing: every subsequent typed RPC stamps its envelope with a
   /// fresh trace id (0x04 flag), and trace_id() returns the one used last —
-  /// the handle for matching a client-side outlier to the server's
-  /// slow-request log. Off by default, so untraced traffic stays
+  /// the handle for matching a client-side outlier to the server's flight
+  /// recorder (/slowz, /flightz). Off by default, so untraced traffic stays
   /// byte-identical to what a v1 client sends.
   void EnableTracing(bool on = true) { tracing_ = on; }
   uint64_t last_trace_id() const { return last_trace_id_; }

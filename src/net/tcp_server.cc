@@ -7,6 +7,7 @@
 
 #include "api/codec.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/stopwatch.h"
 
 namespace cbir::net {
@@ -90,8 +91,7 @@ uint64_t GenerateTraceId() {
 
 TcpServer::TcpServer(api::RequestHandler* handler, TcpServerOptions options)
     : handler_(handler),
-      options_(std::move(options)),
-      slow_log_(options_.slow_request_ms, options_.slow_request_sink) {}
+      options_(std::move(options)) {}
 
 TcpServer::~TcpServer() { Stop(); }
 
@@ -355,7 +355,6 @@ void TcpServer::ServeConnection(Connection* connection) {
     Metrics().requests->Increment();
     if (status_code != 0) Metrics().responses_error->Increment();
     Metrics().request_us->Record(static_cast<double>(total_us));
-    slow_log_.MaybeLog(trace, total_us);
     if (options_.flight_recorder != nullptr) {
       options_.flight_recorder->Record(
           trace, static_cast<uint8_t>(api::TypeOf(request.value())),

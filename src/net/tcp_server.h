@@ -12,7 +12,6 @@
 #include "api/handler.h"
 #include "net/socket.h"
 #include "obs/flight_recorder.h"
-#include "obs/trace.h"
 #include "util/result.h"
 #include "util/sync.h"
 
@@ -36,14 +35,10 @@ struct TcpServerOptions {
   /// socket is shut down. Idle connections (between frames) are shut down
   /// immediately. 0 = no drain, the old hard stop.
   int drain_timeout_ms = 1000;
-  /// Requests whose end-to-end server time (decode through socket write)
-  /// reaches this threshold get their full span tree dumped through the
-  /// slow-request log (exactly at threshold triggers; 0 disables).
-  int slow_request_ms = 0;
-  /// Where slow-request span trees go; null = stderr.
-  obs::SlowRequestLog::Sink slow_request_sink;
   /// Every completed request (including decode errors) is offered to this
-  /// recorder — errors and sheds always captured, healthy traffic sampled.
+  /// recorder — errors, sheds and slow requests (its slow_threshold_ms,
+  /// measured decode through socket write) always captured, healthy traffic
+  /// sampled.
   /// Caller-owned, must outlive the server; null = off.
   obs::FlightRecorder* flight_recorder = nullptr;
   /// Invoked on connection lifecycle events ("accepted", "closed",
@@ -107,9 +102,6 @@ class TcpServer {
   int port() const { return port_; }
   bool running() const { return running_.load(std::memory_order_acquire); }
 
-  /// The server's slow-request log — /slowz serves its Recent() lines.
-  const obs::SlowRequestLog& slow_log() const { return slow_log_; }
-
   TcpServerStats stats() const;
 
  private:
@@ -149,8 +141,6 @@ class TcpServer {
   std::atomic<uint64_t> connections_reaped_idle_{0};
   std::atomic<uint64_t> requests_served_{0};
   std::atomic<uint64_t> decode_errors_{0};
-
-  obs::SlowRequestLog slow_log_;
 };
 
 }  // namespace cbir::net

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <iterator>
 #include <sstream>
+#include <tuple>
 
 #include "util/string_util.h"
 
@@ -117,13 +119,6 @@ uint64_t LatencyHistogram::CountAtOrAbove(const Counts& counts,
   return over;
 }
 
-void LatencyHistogram::Reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  total_us_.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  saturated_.store(0, std::memory_order_relaxed);
-}
-
 Counter* MetricsRegistry::GetCounter(const std::string& name,
                                      const std::string& label_key,
                                      const std::string& label_value) {
@@ -162,15 +157,46 @@ void MetricsRegistry::OnGather(std::function<void()> fn) {
   gather_callbacks_.push_back(std::move(fn));
 }
 
+void MetricsRegistry::Include(MetricsRegistry* child) {
+  util::WriterLock lock(mu_);
+  children_.push_back(child);
+}
+
+namespace {
+
+/// Appends `from` to `into` and restores the (name, label) order renderers
+/// rely on to announce each name once.
+template <typename Sample>
+void MergeSorted(std::vector<Sample>* into, std::vector<Sample>* from) {
+  into->insert(into->end(), std::make_move_iterator(from->begin()),
+               std::make_move_iterator(from->end()));
+  std::stable_sort(into->begin(), into->end(),
+                   [](const Sample& a, const Sample& b) {
+                     return std::tie(a.name, a.label_key, a.label_value) <
+                            std::tie(b.name, b.label_key, b.label_value);
+                   });
+}
+
+}  // namespace
+
 MetricsSnapshot MetricsRegistry::Snapshot() {
   // Callbacks run outside the lock: they typically Set() gauges, which
-  // re-enters the registry through GetGauge.
+  // re-enters the registry through GetGauge. Children are snapshotted
+  // outside it too — their lock has this one's rank, and the rank checker
+  // forbids nesting equal ranks.
   std::vector<std::function<void()>> callbacks;
+  std::vector<MetricsRegistry*> children;
   {
     util::ReaderLock lock(mu_);
     callbacks = gather_callbacks_;
+    children = children_;
   }
   for (const auto& fn : callbacks) fn();
+  std::vector<MetricsSnapshot> included;
+  included.reserve(children.size());
+  for (MetricsRegistry* child : children) {
+    included.push_back(child->Snapshot());
+  }
 
   MetricsSnapshot snapshot;
   util::ReaderLock lock(mu_);
@@ -190,6 +216,12 @@ MetricsSnapshot MetricsRegistry::Snapshot() {
         {key.name, key.label_key, key.label_value, histogram->Summarize()});
   }
   snapshot.help = help_;
+  for (MetricsSnapshot& child : included) {
+    MergeSorted(&snapshot.counters, &child.counters);
+    MergeSorted(&snapshot.gauges, &child.gauges);
+    MergeSorted(&snapshot.histograms, &child.histograms);
+    snapshot.help.insert(child.help.begin(), child.help.end());
+  }
   return snapshot;
 }
 

@@ -86,9 +86,6 @@ class LatencyHistogram {
   /// direction for a burn rate.
   static uint64_t CountAtOrAbove(const Counts& counts, uint64_t threshold_us);
 
-  /// Zeroes all buckets (not atomic with respect to concurrent Record()).
-  void Reset();
-
   /// Bucket index for a microsecond value; exposed for tests.
   static int BucketIndex(uint64_t us);
   /// Exclusive upper bound (in us) of the given bucket; exposed for tests.
@@ -153,7 +150,7 @@ struct MetricsSnapshot {
 /// \brief Registry of named counters, gauges, and latency histograms.
 ///
 /// Get*() registers on first use and returns a stable pointer: callers look
-/// a metric up once (typically into a function-local static) and then
+/// a metric up once (into a function-local static or a member) and then
 /// increment wait-free forever — registration takes the mutex, updates never
 /// do. Metrics support one optional label dimension; the same name with
 /// different label values yields distinct series (the per-stage latency
@@ -188,7 +185,17 @@ class MetricsRegistry {
   /// stay valid for the registry's lifetime.
   void OnGather(std::function<void()> fn);
 
-  /// Runs the gather callbacks, then copies every metric. Wait-free writers
+  /// Merges `child`'s series (and # HELP texts) into every Snapshot() and
+  /// RenderExposition() of this registry; the child's own gather callbacks
+  /// and includes run as part of that. This is how a per-instance registry
+  /// (a RetrievalService's, a ShardRouter's) reaches a process-wide
+  /// exporter. Series names should not repeat across the two: duplicates
+  /// are kept side by side, not summed. `child` must outlive every
+  /// Snapshot() of this registry, like an OnGather callback.
+  void Include(MetricsRegistry* child);
+
+  /// Runs the gather callbacks, then copies every metric, included
+  /// registries' merged in (ordered by name and label). Wait-free writers
   /// are never blocked; the snapshot is consistent per metric, not across
   /// metrics.
   MetricsSnapshot Snapshot();
@@ -200,9 +207,10 @@ class MetricsRegistry {
   /// when SetHelp was called for it, a `# HELP` line.
   std::string RenderExposition();
 
-  /// The process-wide registry every built-in instrumentation point writes
-  /// to. Libraries record here; exporters (the wire MetricsResponse, the
-  /// --metrics-port listener) read here.
+  /// The process-wide registry. Library-level instrumentation (net, svm,
+  /// logdb) records here; each RetrievalService and ShardRouter records into
+  /// its own registry, which a binary Include()s here. Exporters (the wire
+  /// MetricsResponse, the --metrics-port listener) read here.
   static MetricsRegistry& Default();
 
  private:
@@ -227,6 +235,7 @@ class MetricsRegistry {
       CBIR_GUARDED_BY(mu_);
   std::map<std::string, std::string> help_ CBIR_GUARDED_BY(mu_);
   std::vector<std::function<void()>> gather_callbacks_ CBIR_GUARDED_BY(mu_);
+  std::vector<MetricsRegistry*> children_ CBIR_GUARDED_BY(mu_);
 };
 
 /// Renders one snapshot as exposition text (exposed for tests; the member

@@ -1,7 +1,5 @@
 #include "obs/trace.h"
 
-#include <iostream>
-#include <mutex>
 #include <sstream>
 
 namespace cbir::obs {
@@ -62,47 +60,6 @@ std::string FormatSpanTree(uint64_t trace_id, uint64_t total_us,
 std::string FormatTrace(const RequestTrace& trace, uint64_t total_us) {
   return FormatSpanTree(trace.trace_id(), total_us, trace.spans(),
                         trace.counters());
-}
-
-SlowRequestLog::SlowRequestLog(int threshold_ms, Sink sink)
-    : threshold_ms_(threshold_ms), sink_(std::move(sink)) {
-  if (sink_ == nullptr) {
-    sink_ = [](const std::string& line) { std::cerr << line << "\n"; };
-  }
-}
-
-bool SlowRequestLog::MaybeLog(const RequestTrace& trace, uint64_t total_us) {
-  if (threshold_ms_ <= 0) return false;
-  if (total_us < static_cast<uint64_t>(threshold_ms_) * 1000) return false;
-  logged_.fetch_add(1, std::memory_order_relaxed);
-  const std::string line =
-      "slow request (>=" + std::to_string(threshold_ms_) + "ms): " +
-      FormatTrace(trace, total_us);
-  util::MutexLock lock(mu_);
-  if (recent_.size() < kRecentCapacity) {
-    recent_.push_back(line);
-  } else {
-    recent_[recent_next_] = line;
-    recent_next_ = (recent_next_ + 1) % kRecentCapacity;
-  }
-  sink_(line);
-  return true;
-}
-
-std::vector<std::string> SlowRequestLog::Recent() const {
-  util::MutexLock lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(recent_.size());
-  // Before the ring wraps, recent_next_ is 0 and the vector is already in
-  // arrival order; after, recent_[recent_next_] is the oldest entry.
-  for (size_t i = 0; i < recent_.size(); ++i) {
-    out.push_back(recent_[(recent_next_ + i) % recent_.size()]);
-  }
-  return out;
-}
-
-uint64_t SlowRequestLog::logged() const {
-  return logged_.load(std::memory_order_relaxed);
 }
 
 }  // namespace cbir::obs

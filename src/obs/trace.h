@@ -1,15 +1,12 @@
 #ifndef CBIR_OBS_TRACE_H_
 #define CBIR_OBS_TRACE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "util/stopwatch.h"
-#include "util/sync.h"
 
 namespace cbir::obs {
 
@@ -138,42 +135,6 @@ std::string FormatTrace(const RequestTrace& trace, uint64_t total_us);
 std::string FormatSpanTree(uint64_t trace_id, uint64_t total_us,
                            const std::vector<TraceSpan>& spans,
                            const std::vector<TraceCounter>& counters);
-
-/// \brief Structured log of requests slower than a threshold: each outlier
-/// is rendered as its full span tree, so a p99 spike comes with the stage
-/// that caused it attached.
-class SlowRequestLog {
- public:
-  using Sink = std::function<void(const std::string&)>;
-
-  /// Requests taking >= `threshold_ms` (exactly at threshold triggers) are
-  /// logged through `sink`; a null sink writes to stderr. `threshold_ms <=
-  /// 0` disables the log.
-  explicit SlowRequestLog(int threshold_ms, Sink sink = nullptr);
-
-  /// Logs the trace when `total_us` meets the threshold; returns whether it
-  /// was logged. Thread-safe (the sink is invoked under a mutex so lines
-  /// from concurrent connections never interleave).
-  bool MaybeLog(const RequestTrace& trace, uint64_t total_us);
-
-  /// The most recent logged entries, oldest first (bounded ring of
-  /// `kRecentCapacity`) — what the /slowz debug endpoint serves, so the
-  /// last outliers are inspectable after the fact without stderr access.
-  std::vector<std::string> Recent() const;
-
-  static constexpr size_t kRecentCapacity = 32;
-
-  uint64_t logged() const;
-
- private:
-  int threshold_ms_;
-  Sink sink_;
-  mutable util::Mutex mu_{util::LockRank::kSlowLog, "slow_request_log"};
-  /// ring, recent_[next_] is the oldest
-  std::vector<std::string> recent_ CBIR_GUARDED_BY(mu_);
-  size_t recent_next_ CBIR_GUARDED_BY(mu_) = 0;
-  std::atomic<uint64_t> logged_{0};
-};
 
 }  // namespace cbir::obs
 

@@ -27,12 +27,15 @@ ShardRouter::ShardRouter(BackendPool* pool, RouterOptions options)
     : pool_(pool),
       options_(options),
       ring_(pool->num_backends(), options.vnodes_per_backend) {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-  scatter_counter_ = registry.GetCounter("cbir_router_scatter_total");
-  degraded_counter_ = registry.GetCounter("cbir_router_degraded_total");
-  failfast_counter_ = registry.GetCounter("cbir_router_failfast_total");
-  active_sessions_gauge_ = registry.GetGauge("cbir_router_active_sessions");
-  registry.SetHelp("cbir_router_degraded_total",
+  sessions_started_ = metrics_.GetCounter("cbir_router_sessions_started_total");
+  sessions_ended_ = metrics_.GetCounter("cbir_router_sessions_ended_total");
+  scatter_queries_ = metrics_.GetCounter("cbir_router_scatter_total");
+  degraded_responses_ = metrics_.GetCounter("cbir_router_degraded_total");
+  feedbacks_forwarded_ =
+      metrics_.GetCounter("cbir_router_feedbacks_forwarded_total");
+  failfast_unavailable_ = metrics_.GetCounter("cbir_router_failfast_total");
+  active_sessions_ = metrics_.GetGauge("cbir_router_active_sessions");
+  metrics_.SetHelp("cbir_router_degraded_total",
                    "Responses merged from fewer shards than configured.");
 }
 
@@ -85,8 +88,7 @@ api::Response ShardRouter::Handle(const api::StartSessionRequest& request) {
   const int backend = ring_.Pick(
       router_sid, [this](int b) { return pool_->healthy(b); });
   if (backend < 0) {
-    failfast_unavailable_.fetch_add(1, std::memory_order_relaxed);
-    failfast_counter_->Increment();
+    failfast_unavailable_->Increment();
     response.status = api::ToWireStatus(
         Status::Unavailable("router: no healthy backends"));
     return response;
@@ -109,23 +111,21 @@ api::Response ShardRouter::Handle(const api::StartSessionRequest& request) {
     pin.backend_session_id = backend_sid.value();
     pin.query = request.query;
     sessions_.emplace(router_sid, std::move(pin));
-    active_sessions_gauge_->Set(static_cast<int64_t>(sessions_.size()));
+    active_sessions_->Set(static_cast<int64_t>(sessions_.size()));
   }
-  sessions_started_.fetch_add(1, std::memory_order_relaxed);
+  sessions_started_->Increment();
   response.session_id = router_sid;
   return response;
 }
 
 Result<std::vector<api::Candidate>> ShardRouter::ScatterCandidates(
     const api::QuerySpec& query, int k, bool* degraded) {
-  scatter_queries_.fetch_add(1, std::memory_order_relaxed);
-  scatter_counter_->Increment();
+  scatter_queries_->Increment();
   const std::vector<int> healthy = pool_->HealthyBackends();
   const int total = pool_->num_backends();
   if (healthy.empty()) {
     *degraded = true;
-    degraded_responses_.fetch_add(1, std::memory_order_relaxed);
-    degraded_counter_->Increment();
+    degraded_responses_->Increment();
     return Status::Unavailable("router: no healthy backends to scatter to");
   }
   const int want = k > 0 ? k : pool_->describe().default_k;
@@ -160,8 +160,7 @@ Result<std::vector<api::Candidate>> ShardRouter::ScatterCandidates(
   }
   *degraded = static_cast<int>(contributions.size()) < total;
   if (*degraded) {
-    degraded_responses_.fetch_add(1, std::memory_order_relaxed);
-    degraded_counter_->Increment();
+    degraded_responses_->Increment();
   }
   if (contributions.empty()) {
     return Status::Unavailable(
@@ -204,8 +203,7 @@ api::Response ShardRouter::Handle(const api::QueryRequest& request,
   }
   // Post-feedback, only the pinned shard holds the SVM ranking.
   if (!pool_->healthy(pin.backend)) {
-    failfast_unavailable_.fetch_add(1, std::memory_order_relaxed);
-    failfast_counter_->Increment();
+    failfast_unavailable_->Increment();
     response.status = api::ToWireStatus(
         PinnedUnavailable(pool_->endpoint(pin.backend).Label()));
     return response;
@@ -249,8 +247,7 @@ api::Response ShardRouter::Handle(const api::FeedbackRequest& request,
     pin = it->second;
   }
   if (!pool_->healthy(pin.backend)) {
-    failfast_unavailable_.fetch_add(1, std::memory_order_relaxed);
-    failfast_counter_->Increment();
+    failfast_unavailable_->Increment();
     response.status = api::ToWireStatus(
         PinnedUnavailable(pool_->endpoint(pin.backend).Label()));
     return response;
@@ -268,7 +265,7 @@ api::Response ShardRouter::Handle(const api::FeedbackRequest& request,
     response.status = api::ToWireStatus(ranking.status());
     return response;
   }
-  feedbacks_forwarded_.fetch_add(1, std::memory_order_relaxed);
+  feedbacks_forwarded_->Increment();
   {
     util::MutexLock lock(sessions_mu_);
     auto it = sessions_.find(request.session_id);
@@ -292,9 +289,9 @@ api::Response ShardRouter::Handle(const api::EndSessionRequest& request) {
     }
     pin = it->second;
     sessions_.erase(it);
-    active_sessions_gauge_->Set(static_cast<int64_t>(sessions_.size()));
+    active_sessions_->Set(static_cast<int64_t>(sessions_.size()));
   }
-  sessions_ended_.fetch_add(1, std::memory_order_relaxed);
+  sessions_ended_->Increment();
   // Best-effort backend cleanup: if the shard is gone, its session table
   // TTL-evicts the orphan on its own — the router's contract (the pin is
   // released) is already satisfied.
@@ -338,18 +335,13 @@ api::StatsResponse ShardRouter::BuildStats() const {
 
 RouterStats ShardRouter::stats() const {
   RouterStats s;
-  s.sessions_started = sessions_started_.load(std::memory_order_relaxed);
-  s.sessions_ended = sessions_ended_.load(std::memory_order_relaxed);
-  s.scatter_queries = scatter_queries_.load(std::memory_order_relaxed);
-  s.degraded_responses = degraded_responses_.load(std::memory_order_relaxed);
-  s.feedbacks_forwarded =
-      feedbacks_forwarded_.load(std::memory_order_relaxed);
-  s.failfast_unavailable =
-      failfast_unavailable_.load(std::memory_order_relaxed);
-  {
-    util::MutexLock lock(sessions_mu_);
-    s.active_sessions = sessions_.size();
-  }
+  s.sessions_started = sessions_started_->value();
+  s.sessions_ended = sessions_ended_->value();
+  s.active_sessions = static_cast<uint64_t>(active_sessions_->value());
+  s.scatter_queries = scatter_queries_->value();
+  s.degraded_responses = degraded_responses_->value();
+  s.feedbacks_forwarded = feedbacks_forwarded_->value();
+  s.failfast_unavailable = failfast_unavailable_->value();
   return s;
 }
 

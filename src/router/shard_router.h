@@ -69,7 +69,13 @@ class ShardRouter : public api::RequestHandler {
                               int64_t elapsed_ms,
                               api::ResponseContext* context) override;
 
+  /// Reads the router's own registry: every RouterStats field is one of its
+  /// series.
   RouterStats stats() const;
+
+  /// The router's metrics registry (the `cbir_router_*` series). A router
+  /// binary Include()s it into MetricsRegistry::Default() to export it.
+  obs::MetricsRegistry& metrics() { return metrics_; }
 
   /// The backend index a live router session is pinned to (tests).
   Result<int> SessionBackend(uint64_t router_session_id) const;
@@ -119,17 +125,16 @@ class ShardRouter : public api::RequestHandler {
   std::unordered_map<uint64_t, PinnedSession> sessions_
       CBIR_GUARDED_BY(sessions_mu_);
 
-  std::atomic<uint64_t> sessions_started_{0};
-  std::atomic<uint64_t> sessions_ended_{0};
-  std::atomic<uint64_t> scatter_queries_{0};
-  std::atomic<uint64_t> degraded_responses_{0};
-  std::atomic<uint64_t> feedbacks_forwarded_{0};
-  std::atomic<uint64_t> failfast_unavailable_{0};
-
-  obs::Counter* scatter_counter_;
-  obs::Counter* degraded_counter_;
-  obs::Counter* failfast_counter_;
-  obs::Gauge* active_sessions_gauge_;
+  // Each routing event is counted once, in metrics_; the handles are
+  // looked up in the constructor and stats() reads them back.
+  obs::MetricsRegistry metrics_;
+  obs::Counter* sessions_started_ = nullptr;
+  obs::Counter* sessions_ended_ = nullptr;
+  obs::Counter* scatter_queries_ = nullptr;
+  obs::Counter* degraded_responses_ = nullptr;
+  obs::Counter* feedbacks_forwarded_ = nullptr;
+  obs::Counter* failfast_unavailable_ = nullptr;
+  obs::Gauge* active_sessions_ = nullptr;  ///< set under sessions_mu_
 };
 
 }  // namespace cbir::router

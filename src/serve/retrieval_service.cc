@@ -17,45 +17,6 @@ namespace cbir::serve {
 
 namespace {
 
-/// Registry series the service writes (cached once; see obs::MetricsRegistry).
-/// The stage histograms share the net layer's `cbir_request_stage_us` family,
-/// so one metric name tells the whole per-request story across layers.
-struct ServeMetrics {
-  obs::Counter* queries;
-  obs::Counter* feedbacks;
-  obs::Counter* shed_overload;
-  obs::Counter* shed_deadline;
-  obs::Counter* feedback_replays;
-  obs::Counter* log_sessions_appended;
-  obs::LatencyHistogram* stage_admission;
-  obs::LatencyHistogram* stage_queue_wait;
-  obs::LatencyHistogram* stage_index_scan;
-  obs::LatencyHistogram* stage_solve;
-};
-
-const ServeMetrics& Metrics() {
-  static const ServeMetrics metrics = [] {
-    obs::MetricsRegistry& r = obs::MetricsRegistry::Default();
-    ServeMetrics m;
-    m.queries = r.GetCounter("cbir_serve_queries_total");
-    m.feedbacks = r.GetCounter("cbir_serve_feedbacks_total");
-    m.shed_overload = r.GetCounter("cbir_serve_shed_overload_total");
-    m.shed_deadline = r.GetCounter("cbir_serve_shed_deadline_total");
-    m.feedback_replays = r.GetCounter("cbir_serve_feedback_replays_total");
-    m.log_sessions_appended =
-        r.GetCounter("cbir_serve_log_sessions_appended_total");
-    m.stage_admission =
-        r.GetHistogram("cbir_request_stage_us", "stage", "admission");
-    m.stage_queue_wait =
-        r.GetHistogram("cbir_request_stage_us", "stage", "queue_wait");
-    m.stage_index_scan =
-        r.GetHistogram("cbir_request_stage_us", "stage", "index_scan");
-    m.stage_solve = r.GetHistogram("cbir_request_stage_us", "stage", "solve");
-    return m;
-  }();
-  return metrics;
-}
-
 /// Hashes the parts of the retrieval configuration a cached first-round
 /// ranking depends on, so rankings computed against a differently-built
 /// index can never alias in the cache.
@@ -125,9 +86,36 @@ RetrievalService::RetrievalService(
       scheme_(std::move(scheme)),
       options_(options),
       cache_(options.cache),
-      config_fingerprint_(ConfigFingerprint(*db)) {
-  next_session_id_.store(options_.first_session_id,
-                         std::memory_order_relaxed);
+      config_fingerprint_(ConfigFingerprint(*db)),
+      next_session_id_(options.first_session_id) {
+  queries_ = metrics_.GetCounter("cbir_serve_queries_total");
+  candidate_queries_ =
+      metrics_.GetCounter("cbir_serve_candidate_queries_total");
+  feedbacks_ = metrics_.GetCounter("cbir_serve_feedbacks_total");
+  log_sessions_appended_ =
+      metrics_.GetCounter("cbir_serve_log_sessions_appended_total");
+  shed_overload_ = metrics_.GetCounter("cbir_serve_shed_overload_total");
+  shed_deadline_ = metrics_.GetCounter("cbir_serve_shed_deadline_total");
+  feedback_replays_ = metrics_.GetCounter("cbir_serve_feedback_replays_total");
+  session_kernel_bytes_ =
+      metrics_.GetGauge("cbir_serve_session_kernel_cache_bytes");
+  request_us_ = metrics_.GetHistogram("cbir_serve_request_us");
+  // The stage histograms share the net layer's `cbir_request_stage_us`
+  // family, so one metric name tells the whole per-request story.
+  const auto stage = [this](const char* name) {
+    return metrics_.GetHistogram("cbir_request_stage_us", "stage", name);
+  };
+  stage_admission_ = stage("admission");
+  stage_queue_wait_ = stage("queue_wait");
+  stage_index_scan_ = stage("index_scan");
+  stage_solve_ = stage("solve");
+  metrics_.SetHelp("cbir_serve_queries_total",
+                   "Session Query() calls answered (not candidate calls).");
+  metrics_.SetHelp("cbir_serve_candidate_queries_total",
+                   "Sessionless first-round candidate calls answered.");
+  metrics_.SetHelp("cbir_serve_request_us",
+                   "Service-side latency of Query, Feedback and candidate "
+                   "calls.");
   sessions_ = std::make_unique<SessionManager>(
       options_.sessions,
       [this](ServeSession& session) {
@@ -268,7 +256,7 @@ void RetrievalService::EnsureFirstRoundLocked(ServeSession& session) {
 Result<std::vector<ScoredCandidate>> RetrievalService::FirstRoundCandidates(
     const la::Vec& query_feature, int k, int exclude_id) {
   Stopwatch watch;
-  obs::ScopedSpan admission_span("admission", Metrics().stage_admission);
+  obs::ScopedSpan admission_span("admission", stage_admission_);
   AdmissionSlot slot(this);
   if (!slot.admitted()) return ShedOverload();
   admission_span.End();
@@ -286,7 +274,7 @@ Result<std::vector<ScoredCandidate>> RetrievalService::FirstRoundCandidates(
   }
   std::vector<int> ranking;
   {
-    obs::ScopedSpan scan_span("index_scan", Metrics().stage_index_scan);
+    obs::ScopedSpan scan_span("index_scan", stage_index_scan_);
     ranking = FirstRoundRanking(query_feature);
   }
   if (exclude_id >= 0) {
@@ -307,9 +295,8 @@ Result<std::vector<ScoredCandidate>> RetrievalService::FirstRoundCandidates(
         query_feature.data(), features.RowPtr(static_cast<size_t>(ranking[i])),
         features.cols()));
   }
-  candidate_queries_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().queries->Increment();
-  latency_.Record(watch.ElapsedSeconds() * 1e6);
+  candidate_queries_->Increment();
+  request_us_->Record(watch.ElapsedSeconds() * 1e6);
   return out;
 }
 
@@ -344,11 +331,10 @@ RetrievalService::AdmissionSlot::~AdmissionSlot() {
 }
 
 Status RetrievalService::ShedOverload() {
-  shed_overload_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().shed_overload->Increment();
+  shed_overload_->Increment();
   // The hint is a rough p50 of recent requests: by then a slot has likely
   // freed up. Clients without better information back off around it.
-  const double p50_us = latency_.Summarize().p50_us;
+  const double p50_us = request_us_->Summarize().p50_us;
   const int retry_ms =
       std::max(1, static_cast<int>(p50_us / 1000.0));
   return Status::Unavailable(
@@ -359,17 +345,16 @@ Status RetrievalService::ShedOverload() {
 }
 
 void RetrievalService::RecordDeadlineShed() {
-  shed_deadline_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().shed_deadline->Increment();
+  shed_deadline_->Increment();
 }
 
 Result<std::vector<int>> RetrievalService::Query(uint64_t session_id, int k) {
   Stopwatch watch;
-  obs::ScopedSpan admission_span("admission", Metrics().stage_admission);
+  obs::ScopedSpan admission_span("admission", stage_admission_);
   AdmissionSlot slot(this);
   if (!slot.admitted()) return ShedOverload();
   admission_span.End();
-  obs::ScopedSpan queue_span("queue_wait", Metrics().stage_queue_wait);
+  obs::ScopedSpan queue_span("queue_wait", stage_queue_wait_);
   std::shared_ptr<ServeSession> session = sessions_->Acquire(session_id);
   if (session == nullptr) {
     return Status::NotFound("retrieval service: unknown session");
@@ -380,13 +365,12 @@ Result<std::vector<int>> RetrievalService::Query(uint64_t session_id, int k) {
     return Status::NotFound("retrieval service: session already ended");
   }
   if (!session->has_ranking) {
-    obs::ScopedSpan scan_span("index_scan", Metrics().stage_index_scan);
+    obs::ScopedSpan scan_span("index_scan", stage_index_scan_);
     EnsureFirstRoundLocked(*session);
   }
   Result<std::vector<int>> out = TopKOfRanking(*session, k);
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().queries->Increment();
-  latency_.Record(watch.ElapsedSeconds() * 1e6);
+  queries_->Increment();
+  request_us_->Record(watch.ElapsedSeconds() * 1e6);
   return out;
 }
 
@@ -394,7 +378,7 @@ Result<std::vector<int>> RetrievalService::Feedback(
     uint64_t session_id, const std::vector<logdb::LogEntry>& round, int k,
     uint32_t seq) {
   Stopwatch watch;
-  obs::ScopedSpan admission_span("admission", Metrics().stage_admission);
+  obs::ScopedSpan admission_span("admission", stage_admission_);
   AdmissionSlot slot(this);
   if (!slot.admitted()) return ShedOverload();
   admission_span.End();
@@ -408,7 +392,7 @@ Result<std::vector<int>> RetrievalService::Feedback(
           "retrieval service: judgment must be +-1");
     }
   }
-  obs::ScopedSpan queue_span("queue_wait", Metrics().stage_queue_wait);
+  obs::ScopedSpan queue_span("queue_wait", stage_queue_wait_);
   std::shared_ptr<ServeSession> session = sessions_->Acquire(session_id);
   if (session == nullptr) {
     return Status::NotFound("retrieval service: unknown session");
@@ -422,8 +406,7 @@ Result<std::vector<int>> RetrievalService::Feedback(
     if (seq == session->last_feedback_seq) {
       // A retry of the round already applied (the reply got lost, not the
       // request): answer from the cache, apply nothing a second time.
-      feedback_replays_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().feedback_replays->Increment();
+      feedback_replays_->Increment();
       return session->last_feedback_response;
     }
     if (seq < session->last_feedback_seq) {
@@ -458,7 +441,7 @@ Result<std::vector<int>> RetrievalService::Feedback(
   }
 
   {
-    obs::ScopedSpan solve_span("solve", Metrics().stage_solve);
+    obs::ScopedSpan solve_span("solve", stage_solve_);
     CBIR_ASSIGN_OR_RETURN(session->ranking, scheme_->Rank(session->ctx));
   }
   // Recorded only after the round actually ranked: a failed round must not
@@ -470,10 +453,9 @@ Result<std::vector<int>> RetrievalService::Feedback(
   // counter (the round may have grown the caches' slabs or, on the first
   // round, created them).
   const size_t kernel_bytes = session->warm_start.AllocatedKernelBytes();
-  session_kernel_bytes_.fetch_add(
+  session_kernel_bytes_->Add(
       static_cast<int64_t>(kernel_bytes) -
-          static_cast<int64_t>(session->accounted_kernel_bytes),
-      std::memory_order_relaxed);
+      static_cast<int64_t>(session->accounted_kernel_bytes));
   session->accounted_kernel_bytes = kernel_bytes;
   session->has_ranking = true;
   ++session->rounds;
@@ -482,9 +464,8 @@ Result<std::vector<int>> RetrievalService::Feedback(
     session->last_feedback_seq = seq;
     session->last_feedback_response = out.value();
   }
-  feedbacks_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().feedbacks->Increment();
-  latency_.Record(watch.ElapsedSeconds() * 1e6);
+  feedbacks_->Increment();
+  request_us_->Record(watch.ElapsedSeconds() * 1e6);
   return out;
 }
 
@@ -513,8 +494,7 @@ void RetrievalService::FlushSessionLocked(ServeSession& session) {
   if (log_store_ != nullptr) {
     for (logdb::LogSession& record : session.pending_log) {
       log_store_->Append(std::move(record));
-      log_sessions_appended_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().log_sessions_appended->Increment();
+      log_sessions_appended_->Increment();
     }
   }
   session.pending_log.clear();
@@ -523,9 +503,8 @@ void RetrievalService::FlushSessionLocked(ServeSession& session) {
   // bound memory — and refund the accounted bytes.
   session.warm_start.Clear();
   if (session.accounted_kernel_bytes != 0) {
-    session_kernel_bytes_.fetch_sub(
-        static_cast<int64_t>(session.accounted_kernel_bytes),
-        std::memory_order_relaxed);
+    session_kernel_bytes_->Add(
+        -static_cast<int64_t>(session.accounted_kernel_bytes));
     session.accounted_kernel_bytes = 0;
   }
 }
@@ -534,9 +513,9 @@ void RetrievalService::InvalidateCache() { cache_.Invalidate(); }
 
 ServiceStats RetrievalService::stats() const {
   ServiceStats s;
-  s.queries = queries_.load(std::memory_order_relaxed);
-  s.feedbacks = feedbacks_.load(std::memory_order_relaxed);
-  s.candidate_queries = candidate_queries_.load(std::memory_order_relaxed);
+  s.queries = queries_->value();
+  s.feedbacks = feedbacks_->value();
+  s.candidate_queries = candidate_queries_->value();
   s.requests = s.queries + s.feedbacks + s.candidate_queries;
 
   const SessionManagerStats sm = sessions_->stats();
@@ -553,26 +532,18 @@ ServiceStats RetrievalService::stats() const {
   s.cache_invalidations = qc.invalidations;
   s.cache_hit_rate = qc.hit_rate();
 
-  s.log_sessions_appended =
-      log_sessions_appended_.load(std::memory_order_relaxed);
-  s.requests_shed_overload = shed_overload_.load(std::memory_order_relaxed);
-  s.requests_shed_deadline = shed_deadline_.load(std::memory_order_relaxed);
-  s.feedback_replays = feedback_replays_.load(std::memory_order_relaxed);
-  s.session_kernel_cache_bytes = static_cast<uint64_t>(std::max<int64_t>(
-      session_kernel_bytes_.load(std::memory_order_relaxed), 0));
+  s.log_sessions_appended = log_sessions_appended_->value();
+  s.requests_shed_overload = shed_overload_->value();
+  s.requests_shed_deadline = shed_deadline_->value();
+  s.feedback_replays = feedback_replays_->value();
+  s.session_kernel_cache_bytes = static_cast<uint64_t>(
+      std::max<int64_t>(session_kernel_bytes_->value(), 0));
   s.elapsed_seconds = uptime_.ElapsedSeconds();
   s.qps = s.elapsed_seconds > 0.0
               ? static_cast<double>(s.requests) / s.elapsed_seconds
               : 0.0;
-  s.latency = latency_.Summarize();
+  s.latency = request_us_->Summarize();
   return s;
-}
-
-void RetrievalService::ResetStats() {
-  queries_.store(0, std::memory_order_relaxed);
-  feedbacks_.store(0, std::memory_order_relaxed);
-  latency_.Reset();
-  uptime_.Restart();
 }
 
 }  // namespace cbir::serve

@@ -9,6 +9,7 @@
 
 #include "core/scheme_factory.h"
 #include "logdb/log_store.h"
+#include "obs/metrics.h"
 #include "retrieval/image_database.h"
 #include "serve/query_cache.h"
 #include "serve/service_stats.h"
@@ -156,8 +157,14 @@ class RetrievalService {
   /// dispatcher decides; the service only owns the counter).
   void RecordDeadlineShed();
 
+  /// Reads the service's own registry: every counter and histogram in
+  /// ServiceStats is one of its series.
   ServiceStats stats() const;
-  void ResetStats();
+
+  /// The service's metrics registry (the `cbir_serve_*` series and the
+  /// admission/queue_wait/index_scan/solve stage histograms). A server
+  /// binary Include()s it into MetricsRegistry::Default() to export it.
+  obs::MetricsRegistry& metrics() { return metrics_; }
 
   const ServiceOptions& options() const { return options_; }
   const retrieval::ImageDatabase& db() const { return *db_; }
@@ -227,21 +234,30 @@ class RetrievalService {
   QueryCache cache_;
   uint64_t config_fingerprint_ = 0;
 
-  LatencyHistogram latency_;
   Stopwatch uptime_;
   std::atomic<uint64_t> next_session_id_{1};
-  std::atomic<uint64_t> queries_{0};
-  std::atomic<uint64_t> candidate_queries_{0};
-  std::atomic<uint64_t> feedbacks_{0};
-  std::atomic<uint64_t> log_sessions_appended_{0};
   std::atomic<uint64_t> inflight_{0};
-  std::atomic<uint64_t> shed_overload_{0};
-  std::atomic<uint64_t> shed_deadline_{0};
-  std::atomic<uint64_t> feedback_replays_{0};
+
+  // Each serving event is counted once, in metrics_; the handles are looked
+  // up in the constructor and stats() reads them back.
+  obs::MetricsRegistry metrics_;
+  obs::Counter* queries_ = nullptr;
+  obs::Counter* candidate_queries_ = nullptr;
+  obs::Counter* feedbacks_ = nullptr;
+  obs::Counter* log_sessions_appended_ = nullptr;
+  obs::Counter* shed_overload_ = nullptr;
+  obs::Counter* shed_deadline_ = nullptr;
+  obs::Counter* feedback_replays_ = nullptr;
   /// Sum over live sessions of their accounted_kernel_bytes (cross-round
   /// kernel-cache memory); updated after each feedback round and settled to
   /// zero per session on end/eviction.
-  std::atomic<int64_t> session_kernel_bytes_{0};
+  obs::Gauge* session_kernel_bytes_ = nullptr;
+  /// Latency of every Query, Feedback and candidate call.
+  obs::LatencyHistogram* request_us_ = nullptr;
+  obs::LatencyHistogram* stage_admission_ = nullptr;
+  obs::LatencyHistogram* stage_queue_wait_ = nullptr;
+  obs::LatencyHistogram* stage_index_scan_ = nullptr;
+  obs::LatencyHistogram* stage_solve_ = nullptr;
 };
 
 }  // namespace cbir::serve

@@ -50,13 +50,13 @@ struct ServiceStats {
   // with feedback rounds, returns to zero as sessions end or are evicted.
   uint64_t session_kernel_cache_bytes = 0;
 
-  double elapsed_seconds = 0.0;  ///< since service start (or ResetStats)
+  double elapsed_seconds = 0.0;  ///< since service start
   /// requests / elapsed_seconds (0 when no time has passed).
   double qps = 0.0;
   /// cache_hits / (cache_hits + cache_misses), 1.0 when no lookups ran.
   double cache_hit_rate = 1.0;
 
-  LatencySummary latency;  ///< over all Query + Feedback requests
+  LatencySummary latency;  ///< over all Query, Feedback, candidate calls
 };
 
 /// One-line human-readable rendering, in the "index stats:" key=value style

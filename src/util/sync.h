@@ -102,7 +102,6 @@ enum class LockRank : int {
   kSlo = 80,              ///< obs::SloTracker ring + state
   kLifecycle = 85,        ///< start/stop latches (e.g. SloTracker stop)
   kFlightRecorder = 90,   ///< obs::FlightRecorder per-slot record
-  kSlowLog = 95,          ///< obs::SlowRequestLog ring
   kFaultInjector = 98,    ///< net::FaultInjector rng + stats
   kMetrics = 100,         ///< obs::MetricsRegistry instrument tables
   kStructuredLog = 110,   ///< obs::StructuredLog event ring (leaf)

@@ -57,6 +57,15 @@ TEST(FlightRecorderTest, SlowThresholdCapturesAtExactlyThreshold) {
   ASSERT_EQ(records.size(), 1u);
   EXPECT_STREQ(records[0].reason, "slow");
   EXPECT_EQ(records[0].total_us, 2000u);
+
+  // A non-positive threshold turns the slow criterion off entirely.
+  for (int threshold_ms : {0, -3}) {
+    options.slow_threshold_ms = threshold_ms;
+    FlightRecorder off(options);
+    off.Record(trace, 3, 0, uint64_t{1} << 30);
+    EXPECT_EQ(off.captured_slow(), 0u) << threshold_ms;
+    EXPECT_TRUE(off.Snapshot().empty()) << threshold_ms;
+  }
 }
 
 TEST(FlightRecorderTest, SamplingIsDeterministicAndStartsAtFirstRequest) {

@@ -93,16 +93,6 @@ TEST(LatencyHistogramTest, SaturationCountsClampedSamples) {
   EXPECT_EQ(s.saturated, 2u);
 }
 
-TEST(LatencyHistogramTest, ResetZeroesEverything) {
-  LatencyHistogram h;
-  h.Record(10.0);
-  h.Record(1e12);  // saturates
-  h.Reset();
-  const LatencySummary s = h.Summarize();
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_EQ(s.saturated, 0u);
-}
-
 // --------------------------------------------------------------- registry --
 
 TEST(MetricsRegistryTest, GetReturnsStablePointerPerSeries) {
@@ -157,6 +147,71 @@ TEST(MetricsRegistryTest, OnGatherRunsBeforeSnapshot) {
   EXPECT_EQ(snap.gauges[0].value, 1);
   snap = r.Snapshot();
   EXPECT_EQ(snap.gauges[0].value, 2);
+}
+
+TEST(MetricsRegistryTest, IncludeMergesChildSeriesInOrder) {
+  MetricsRegistry parent;
+  MetricsRegistry child;
+  parent.GetCounter("b_total")->Increment(1);
+  parent.GetCounter("d_total")->Increment(2);
+  parent.GetHistogram("stage_us", "stage", "decode")->Record(5.0);
+  child.GetCounter("a_total")->Increment(3);
+  child.GetCounter("c_total")->Increment(4);
+  child.GetGauge("level")->Set(-2);
+  child.GetHistogram("stage_us", "stage", "solve")->Record(7.0);
+  child.GetHistogram("stage_us", "stage", "admission")->Record(1.0);
+  parent.Include(&child);
+
+  const MetricsSnapshot snap = parent.Snapshot();
+  std::vector<std::string> counters;
+  for (const CounterSample& c : snap.counters) counters.push_back(c.name);
+  EXPECT_EQ(counters, (std::vector<std::string>{"a_total", "b_total",
+                                                "c_total", "d_total"}));
+  ASSERT_EQ(snap.gauges.size(), 1u);
+  EXPECT_EQ(snap.gauges[0].value, -2);
+  std::vector<std::string> stages;
+  for (const HistogramSample& h : snap.histograms) {
+    stages.push_back(h.label_value);
+  }
+  EXPECT_EQ(stages,
+            (std::vector<std::string>{"admission", "decode", "solve"}));
+
+  // One family announced once even though its series come from two
+  // registries; the child's writes show up live, not as a copy.
+  child.GetCounter("a_total")->Increment();
+  const std::string text = parent.RenderExposition();
+  EXPECT_NE(text.find("a_total 4\n"), std::string::npos) << text;
+  const std::string type_line = "# TYPE stage_us summary\n";
+  const size_t first = text.find(type_line);
+  ASSERT_NE(first, std::string::npos) << text;
+  EXPECT_EQ(text.find(type_line, first + 1), std::string::npos) << text;
+}
+
+TEST(MetricsRegistryTest, IncludeCarriesHelpAndRunsChildGather) {
+  MetricsRegistry parent;
+  MetricsRegistry child;
+  MetricsRegistry grandchild;
+  child.SetHelp("pulled", "Set by the child's gather callback.");
+  int gathers = 0;
+  child.OnGather([&] { child.GetGauge("pulled")->Set(++gathers); });
+  grandchild.GetCounter("deep_total")->Increment(9);
+  child.Include(&grandchild);
+  parent.Include(&child);
+
+  const MetricsSnapshot snap = parent.Snapshot();
+  EXPECT_EQ(gathers, 1);
+  ASSERT_EQ(snap.gauges.size(), 1u);
+  EXPECT_EQ(snap.gauges[0].name, "pulled");
+  EXPECT_EQ(snap.gauges[0].value, 1);
+  ASSERT_EQ(snap.counters.size(), 1u);
+  EXPECT_EQ(snap.counters[0].value, 9u);
+
+  const std::string text = parent.RenderExposition();
+  EXPECT_EQ(gathers, 2);
+  EXPECT_NE(text.find("# HELP pulled Set by the child's gather callback.\n"
+                      "# TYPE pulled gauge\npulled 2\n"),
+            std::string::npos)
+      << text;
 }
 
 TEST(MetricsRegistryTest, DefaultIsProcessWideSingleton) {

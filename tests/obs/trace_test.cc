@@ -150,79 +150,5 @@ TEST(FormatTraceTest, SpanTreeRenderingMatchesDetachedVectors) {
             FormatSpanTree(0x77, 500, trace.spans(), trace.counters()));
 }
 
-// ------------------------------------------------------- slow request log --
-
-TEST(SlowRequestLogTest, TriggersExactlyAtThreshold) {
-  std::vector<std::string> lines;
-  SlowRequestLog log(5, [&lines](const std::string& l) {
-    lines.push_back(l);
-  });
-  RequestTrace trace(9);
-  trace.AddSpan("solve", 0, 4999, 0);
-  EXPECT_FALSE(log.MaybeLog(trace, 4999));  // one microsecond under
-  EXPECT_TRUE(log.MaybeLog(trace, 5000));   // exactly at 5ms: logged
-  EXPECT_TRUE(log.MaybeLog(trace, 5001));
-  EXPECT_EQ(log.logged(), 2u);
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_NE(lines[0].find("slow request (>=5ms)"), std::string::npos)
-      << lines[0];
-  EXPECT_NE(lines[0].find("trace 0x9 total=5000us"), std::string::npos)
-      << lines[0];
-  EXPECT_NE(lines[0].find("solve 4999us @0us"), std::string::npos)
-      << lines[0];
-}
-
-TEST(SlowRequestLogTest, NonPositiveThresholdDisables) {
-  int calls = 0;
-  SlowRequestLog zero(0, [&calls](const std::string&) { ++calls; });
-  SlowRequestLog negative(-3, [&calls](const std::string&) { ++calls; });
-  RequestTrace trace(1);
-  EXPECT_FALSE(zero.MaybeLog(trace, 1u << 30));
-  EXPECT_FALSE(negative.MaybeLog(trace, 1u << 30));
-  EXPECT_EQ(calls, 0);
-  EXPECT_EQ(zero.logged(), 0u);
-}
-
-TEST(SlowRequestLogTest, ConcurrentLoggingCountsEveryHit) {
-  std::vector<std::string> lines;
-  SlowRequestLog log(1, [&lines](const std::string& l) {
-    lines.push_back(l);  // sink runs under the log's mutex
-  });
-  constexpr int kThreads = 8;
-  constexpr int kIters = 200;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&log] {
-      RequestTrace trace(42);
-      for (int i = 0; i < kIters; ++i) log.MaybeLog(trace, 1000);
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(log.logged(), uint64_t{kThreads} * kIters);
-  EXPECT_EQ(lines.size(), size_t{kThreads} * kIters);
-}
-
-TEST(SlowRequestLogTest, RecentIsABoundedRingOldestFirst) {
-  SlowRequestLog log(1, [](const std::string&) {});  // swallow the sink
-  EXPECT_TRUE(log.Recent().empty());
-
-  RequestTrace trace(0xA);
-  // Overfill the ring by three: entries 1..3 are evicted.
-  const size_t total = SlowRequestLog::kRecentCapacity + 3;
-  for (size_t i = 1; i <= total; ++i) {
-    log.MaybeLog(trace, 1000 + i);  // distinct total_us tags each entry
-  }
-  const std::vector<std::string> recent = log.Recent();
-  ASSERT_EQ(recent.size(), SlowRequestLog::kRecentCapacity);
-  // Oldest survivor is entry 4 (total_us=1004); newest is the last logged.
-  EXPECT_NE(recent.front().find("total=1004us"), std::string::npos)
-      << recent.front();
-  EXPECT_NE(recent.back().find("total=" + std::to_string(1000 + total) +
-                               "us"),
-            std::string::npos)
-      << recent.back();
-}
-
 }  // namespace
 }  // namespace cbir::obs

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <memory>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -338,6 +339,51 @@ TEST_F(RouterChaosTest, PinnedSessionsFailFastTypedAndRecoverAfterRestart) {
     client.EndSession(sid.value());
     return full.ok() && !client.last_degraded();
   }));
+}
+
+TEST_F(RouterChaosTest, TwoRoutersCountIntoTheirOwnRegistries) {
+  StartCluster();
+  // A second router over the same pool, driven in process: each router's
+  // counters and active-sessions gauge must stay its own.
+  ShardRouter second(pool_.get(), RouterOptions{});
+  const auto start = [](ShardRouter& router, int query) {
+    api::StartSessionRequest request;
+    request.query = api::QuerySpec::ById(query);
+    const api::Response response = router.HandleRequest(
+        api::Request(request), api::RequestEnvelope{}, 0, nullptr);
+    const auto& started = std::get<api::StartSessionResponse>(response);
+    EXPECT_EQ(started.status.code, 0u);
+    return started.session_id;
+  };
+  const auto query = [](ShardRouter& router, uint64_t session_id) {
+    api::QueryRequest request;
+    request.session_id = session_id;
+    request.k = 10;
+    router.HandleRequest(api::Request(request), api::RequestEnvelope{}, 0,
+                         nullptr);
+  };
+  query(*router_, start(*router_, 1));
+  start(*router_, 2);
+  start(*router_, 3);
+  query(second, start(second, 4));
+
+  const RouterStats first_stats = router_->stats();
+  const RouterStats second_stats = second.stats();
+  EXPECT_EQ(first_stats.sessions_started, 3u);
+  EXPECT_EQ(first_stats.active_sessions, 3u);
+  EXPECT_EQ(first_stats.scatter_queries, 1u);
+  EXPECT_EQ(second_stats.sessions_started, 1u);
+  EXPECT_EQ(second_stats.active_sessions, 1u);
+  EXPECT_EQ(second_stats.scatter_queries, 1u);
+
+  const auto gauge = [](ShardRouter& router) {
+    for (const obs::GaugeSample& g : router.metrics().Snapshot().gauges) {
+      if (g.name == "cbir_router_active_sessions") return g.value;
+    }
+    return int64_t{-1};
+  };
+  EXPECT_EQ(gauge(*router_), 3);
+  EXPECT_EQ(gauge(second), 1);
 }
 
 TEST_F(RouterChaosTest, AllBackendsDownIsTypedUnavailable) {

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -732,6 +733,84 @@ TEST_F(RetrievalServiceTest, DeadlineShedsAreCounted) {
   EXPECT_EQ(service->stats().requests_shed_deadline, 2u);
   const std::string formatted = FormatServiceStats(service->stats());
   EXPECT_NE(formatted.find("deadline=2"), std::string::npos) << formatted;
+}
+
+/// Every `cbir_serve_*` counter and gauge plus every stage histogram's
+/// count in `snapshot`, keyed by "name{label}".
+std::map<std::string, int64_t> ServeSeries(const obs::MetricsSnapshot& snap) {
+  std::map<std::string, int64_t> out;
+  const auto key = [](const auto& sample) {
+    return sample.name + "{" + sample.label_value + "}";
+  };
+  for (const obs::CounterSample& c : snap.counters) {
+    if (c.name.rfind("cbir_serve_", 0) == 0) {
+      out[key(c)] = static_cast<int64_t>(c.value);
+    }
+  }
+  for (const obs::GaugeSample& g : snap.gauges) {
+    if (g.name.rfind("cbir_serve_", 0) == 0) out[key(g)] = g.value;
+  }
+  for (const obs::HistogramSample& h : snap.histograms) {
+    if (h.name.rfind("cbir_serve_", 0) == 0 ||
+        h.name == "cbir_request_stage_us") {
+      out[key(h)] = static_cast<int64_t>(h.summary.count);
+    }
+  }
+  return out;
+}
+
+TEST_F(RetrievalServiceTest, CountsEachEventOnceInItsOwnRegistry) {
+  const std::map<std::string, int64_t> default_before =
+      ServeSeries(obs::MetricsRegistry::Default().Snapshot());
+  logdb::LogStore store;
+  ServiceOptions options;
+  options.scheme = "RF-SVM";
+  auto service = MakeService(&store, options);
+
+  auto sid = service->StartSession(3);
+  ASSERT_TRUE(sid.ok());
+  auto first = service->Query(sid.value(), 10);
+  ASSERT_TRUE(first.ok());
+  const std::vector<logdb::LogEntry> round = {{(*first)[0], 1},
+                                              {(*first)[1], -1}};
+  ASSERT_TRUE(service->Feedback(sid.value(), round, 10).ok());
+  ASSERT_TRUE(service->FirstRoundCandidates(db_->feature(5), 10, 5).ok());
+  ASSERT_TRUE(service->EndSession(sid.value()).ok());
+
+  // Nothing the service did landed in the process-wide registry.
+  EXPECT_EQ(ServeSeries(obs::MetricsRegistry::Default().Snapshot()),
+            default_before);
+
+  // The candidate call is a candidate query, not a session query.
+  const ServiceStats stats = service->stats();
+  EXPECT_EQ(stats.queries, 1u);
+  EXPECT_EQ(stats.candidate_queries, 1u);
+  EXPECT_EQ(stats.feedbacks, 1u);
+  EXPECT_EQ(stats.requests, 3u);
+  EXPECT_EQ(stats.log_sessions_appended, 1u);
+
+  // stats() is a view of the registry: every series equals its field.
+  std::map<std::string, int64_t> series =
+      ServeSeries(service->metrics().Snapshot());
+  const auto field = [](uint64_t v) { return static_cast<int64_t>(v); };
+  EXPECT_EQ(series["cbir_serve_queries_total{}"], field(stats.queries));
+  EXPECT_EQ(series["cbir_serve_candidate_queries_total{}"],
+            field(stats.candidate_queries));
+  EXPECT_EQ(series["cbir_serve_feedbacks_total{}"], field(stats.feedbacks));
+  EXPECT_EQ(series["cbir_serve_log_sessions_appended_total{}"],
+            field(stats.log_sessions_appended));
+  EXPECT_EQ(series["cbir_serve_shed_overload_total{}"],
+            field(stats.requests_shed_overload));
+  EXPECT_EQ(series["cbir_serve_shed_deadline_total{}"],
+            field(stats.requests_shed_deadline));
+  EXPECT_EQ(series["cbir_serve_feedback_replays_total{}"],
+            field(stats.feedback_replays));
+  EXPECT_EQ(series["cbir_serve_session_kernel_cache_bytes{}"],
+            field(stats.session_kernel_cache_bytes));
+  EXPECT_EQ(series["cbir_serve_request_us{}"], field(stats.latency.count));
+  EXPECT_EQ(stats.latency.count, 3u);
+  EXPECT_EQ(series["cbir_request_stage_us{admission}"], 3);
+  EXPECT_EQ(series["cbir_request_stage_us{solve}"], 1);
 }
 
 }  // namespace

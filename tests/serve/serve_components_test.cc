@@ -105,8 +105,6 @@ TEST(LatencyHistogramTest, PercentilesAndMean) {
   EXPECT_LE(s.p99_us, 1125.0);
   EXPECT_GE(s.max_us, 10000.0);
   EXPECT_NEAR(s.mean_us, (98 * 100.0 + 1000.0 + 10000.0) / 100.0, 1.0);
-  h.Reset();
-  EXPECT_EQ(h.Summarize().count, 0u);
 }
 
 TEST(ServiceStatsTest, FormatMentionsTheHeadlines) {
