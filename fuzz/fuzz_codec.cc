@@ -28,8 +28,9 @@ namespace {
 
 using namespace cbir::api;  // NOLINT(google-build-using-namespace)
 
-/// Valid frames of every shape the protocol knows (v1, v2 envelope
-/// combinations, profiled responses) plus a few canonical hostile headers.
+/// Valid frames of every shape the protocol knows (every message type, v2
+/// envelope combinations, profiled, checksummed and degraded responses)
+/// plus a few canonical hostile headers.
 /// Mirrors the hand-built corpus in tests/api/codec_test.cc; the fuzzer
 /// mutates outward from here.
 std::vector<std::vector<uint8_t>> BuildSeedCorpus() {
@@ -58,6 +59,11 @@ std::vector<std::vector<uint8_t>> BuildSeedCorpus() {
   seeds.push_back(EncodeRequest(Request(end)));
   seeds.push_back(EncodeRequest(Request(StatsRequest{})));
   seeds.push_back(EncodeRequest(Request(MetricsRequest{})));
+  seeds.push_back(EncodeRequest(Request(DescribeRequest{})));
+  CandidateRequest candidates;
+  candidates.query = QuerySpec::ByFeature({0.5, -1.25});
+  candidates.k = 50;
+  seeds.push_back(EncodeRequest(Request(candidates)));
 
   // v2 envelopes: every flag, then all of them at once.
   seeds.push_back(
@@ -66,6 +72,8 @@ std::vector<std::vector<uint8_t>> BuildSeedCorpus() {
       EncodeRequest(Request(query), RequestEnvelope::WithTraceId(0x1234)));
   seeds.push_back(
       EncodeRequest(Request(query), RequestEnvelope::WithProfile()));
+  seeds.push_back(
+      EncodeRequest(Request(query), RequestEnvelope::WithChecksum()));
   RequestEnvelope everything;
   everything.has_deadline = true;
   everything.deadline_ms = 1000;
@@ -76,16 +84,43 @@ std::vector<std::vector<uint8_t>> BuildSeedCorpus() {
   everything.has_profile = true;
   seeds.push_back(EncodeRequest(Request(feedback), everything));
 
-  // Responses, plain and profiled.
+  // Responses: every message, then profiled, checksummed and degraded.
   QueryResponse response;
   response.ranking = {3, 1, 4, 1, 5};
   seeds.push_back(EncodeResponse(Response(response)));
+  StatsResponse stats;
+  stats.requests = 9;
+  stats.qps = 12.5;
+  seeds.push_back(EncodeResponse(Response(stats)));
+  MetricsResponse metrics;
+  metrics.counters.push_back(MetricCounterSample{"requests", "", "", 9});
+  metrics.gauges.push_back(MetricGaugeSample{"active", "shard", "0", -2});
+  MetricHistogramSample histogram;
+  histogram.name = "latency_us";
+  histogram.count = 3;
+  metrics.histograms.push_back(histogram);
+  seeds.push_back(EncodeResponse(Response(metrics)));
+  DescribeResponse describe;
+  describe.corpus_size = 2000;
+  describe.scheme = "LRF-CSVM";
+  describe.index = "exact";
+  seeds.push_back(EncodeResponse(Response(describe)));
+  CandidateResponse candidate_page;
+  candidate_page.candidates = {Candidate{5, 0.25}, Candidate{9, 1.5}};
+  seeds.push_back(EncodeResponse(Response(candidate_page)));
+  seeds.push_back(EncodeResponse(Response(ErrorResponse{
+      ToWireStatus(cbir::Status::InvalidArgument("bad frame"))})));
   ResponseProfile profile;
   profile.trace_id = 0xABCD;
   profile.total_us = 4321;
   profile.spans.push_back(ProfileSpan{});
   profile.counters.push_back(ProfileCounter{"smo_iterations", 142});
-  seeds.push_back(EncodeResponse(Response(response), &profile));
+  seeds.push_back(EncodeResponse(Response(response),
+                                 ResponseFrameOptions{.profile = &profile}));
+  seeds.push_back(EncodeResponse(Response(response),
+                                 ResponseFrameOptions{.checksum = true}));
+  seeds.push_back(EncodeResponse(Response(candidate_page),
+                                 ResponseFrameOptions{.degraded = true}));
 
   // Canonical hostility: bad magic, absurd length prefix, unknown type.
   seeds.push_back({0xDE, 0xAD, 0xBE, 0xEF, 0, 1, 3, 0, 0, 0, 0, 0});

@@ -1,138 +1,129 @@
 #include "api/codec.h"
 
-#include <cstring>
+#include <algorithm>
+#include <iterator>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "logdb/wal.h"
+#include "util/byte_io.h"
 
 namespace cbir::api {
 
 namespace {
 
-// ------------------------------------------------------------------ writer --
+// ----------------------------------------------------------------- visitors --
+//
+// Every wire layout below is one field list, `Fields(IO&, M&)`, that names
+// the fields of M in wire order. Running it with a Writer encodes and with a
+// Reader decodes, so encode and decode cannot disagree about a byte. Fields
+// are typed: integers travel at their own width, doubles as IEEE-754 bits,
+// enums as their underlying integer, strings as a u32 length plus bytes,
+// and vectors as a u32 count plus that many elements. Anything else is a
+// struct with a field list of its own.
 
-/// Appends little-endian primitives to a byte buffer. Encoding writes bytes
-/// explicitly (no reinterpret_cast of multi-byte values), so the format is
-/// identical on any host endianness.
+template <typename T>
+constexpr bool kIsVector = false;
+template <typename T>
+constexpr bool kIsVector<std::vector<T>> = true;
+
+/// What ByteWriter and ByteReader encode directly.
+template <typename T>
+constexpr bool kIsPrimitive = std::is_integral_v<T> ||
+                              std::is_same_v<T, double> ||
+                              std::is_same_v<T, std::string>;
+
+/// Encodes fields by appending their little-endian bytes.
 class Writer {
  public:
-  explicit Writer(std::vector<uint8_t>* out) : out_(out) {}
+  explicit Writer(std::vector<uint8_t>* out) : bytes_(out) {}
 
-  void PutU8(uint8_t v) { out_->push_back(v); }
-  void PutU16(uint16_t v) {
-    for (int i = 0; i < 2; ++i) out_->push_back(uint8_t(v >> (8 * i)));
+  template <typename... T>
+  void operator()(const T&... fields) {
+    (Put(fields), ...);
   }
-  void PutU32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) out_->push_back(uint8_t(v >> (8 * i)));
-  }
-  void PutU64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) out_->push_back(uint8_t(v >> (8 * i)));
-  }
-  void PutI8(int8_t v) { PutU8(static_cast<uint8_t>(v)); }
-  void PutI32(int32_t v) { PutU32(static_cast<uint32_t>(v)); }
-  void PutF64(double v) {
-    uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    PutU64(bits);
-  }
-  void PutString(const std::string& s) {
-    PutU32(static_cast<uint32_t>(s.size()));
-    out_->insert(out_->end(), s.begin(), s.end());
-  }
+  void Fail() {}
 
  private:
-  std::vector<uint8_t>* out_;
+  template <typename T>
+  void Put(const T& v) {
+    if constexpr (std::is_enum_v<T>) {
+      bytes_.Put(static_cast<std::underlying_type_t<T>>(v));
+    } else if constexpr (kIsPrimitive<T>) {
+      bytes_.Put(v);
+    } else if constexpr (kIsVector<T>) {
+      bytes_.Put(static_cast<uint32_t>(v.size()));
+      for (const auto& element : v) Put(element);
+    } else {
+      // Field lists take M& so one function serves both directions; the
+      // writer only ever reads through it.
+      Fields(*this, const_cast<T&>(v));
+    }
+  }
+
+  ByteWriter bytes_;
 };
 
-// ------------------------------------------------------------------ reader --
+/// The minimum encoded size of one vector element, derived from its field
+/// list: a default element has every string and vector empty, so it encodes
+/// to the fewest bytes any element can. That is i32 4, f64 8, LogEntry 5,
+/// Candidate 12, counter and gauge samples 20, histogram sample 68, profile
+/// span 21, profile counter 12.
+template <typename T>
+size_t MinEncodedSize() {
+  static const size_t bytes = [] {
+    std::vector<uint8_t> out;
+    Writer w(&out);
+    w(T{});
+    return out.size();
+  }();
+  return bytes;
+}
 
-/// Bounds-checked little-endian reader over one frame body. Every Read*
-/// returns false instead of touching out-of-range memory; decoders translate
-/// that into a typed error. Length-prefixed containers verify the prefix
-/// against the bytes actually remaining *before* allocating, so a hostile
-/// length cannot trigger a huge allocation.
+/// Decodes fields, bounds-checked. The first short read (or Fail()) latches
+/// the reader into failure; every later field is skipped, so decoders check
+/// ok() once at the end. A vector's count is verified against the bytes
+/// remaining, at the element's minimum encoded size, before the vector is
+/// sized, so a hostile count cannot trigger a huge allocation.
 class Reader {
  public:
-  Reader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
+  Reader(const uint8_t* data, size_t size) : bytes_(data, size) {}
 
-  size_t remaining() const { return size_ - pos_; }
-
-  bool ReadU8(uint8_t* v) {
-    if (remaining() < 1) return false;
-    *v = data_[pos_++];
-    return true;
+  template <typename... T>
+  void operator()(T&... fields) {
+    (Get(fields), ...);
   }
-  bool ReadU16(uint16_t* v) {
-    if (remaining() < 2) return false;
-    *v = 0;
-    for (int i = 0; i < 2; ++i) *v |= uint16_t(data_[pos_++]) << (8 * i);
-    return true;
-  }
-  bool ReadU32(uint32_t* v) {
-    if (remaining() < 4) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) *v |= uint32_t(data_[pos_++]) << (8 * i);
-    return true;
-  }
-  bool ReadU64(uint64_t* v) {
-    if (remaining() < 8) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) *v |= uint64_t(data_[pos_++]) << (8 * i);
-    return true;
-  }
-  bool ReadI8(int8_t* v) {
-    uint8_t raw;
-    if (!ReadU8(&raw)) return false;
-    *v = static_cast<int8_t>(raw);
-    return true;
-  }
-  bool ReadI32(int32_t* v) {
-    uint32_t raw;
-    if (!ReadU32(&raw)) return false;
-    *v = static_cast<int32_t>(raw);
-    return true;
-  }
-  bool ReadF64(double* v) {
-    uint64_t bits;
-    if (!ReadU64(&bits)) return false;
-    std::memcpy(v, &bits, sizeof(*v));
-    return true;
-  }
-  bool ReadString(std::string* s) {
-    uint32_t len;
-    if (!ReadU32(&len)) return false;
-    if (len > remaining()) return false;
-    s->assign(reinterpret_cast<const char*>(data_ + pos_), len);
-    pos_ += len;
-    return true;
-  }
-  bool ReadVecF64(std::vector<double>* v) {
-    uint32_t n;
-    if (!ReadU32(&n)) return false;
-    if (static_cast<size_t>(n) * 8 > remaining()) return false;
-    v->resize(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      if (!ReadF64(&(*v)[i])) return false;
-    }
-    return true;
-  }
-  bool ReadVecI32(std::vector<int32_t>* v) {
-    uint32_t n;
-    if (!ReadU32(&n)) return false;
-    if (static_cast<size_t>(n) * 4 > remaining()) return false;
-    v->resize(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      if (!ReadI32(&(*v)[i])) return false;
-    }
-    return true;
-  }
+  void Fail() { ok_ = false; }
+  bool ok() const { return ok_; }
+  size_t remaining() const { return bytes_.remaining(); }
 
  private:
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
+  template <typename T>
+  void Get(T& v) {
+    if (!ok_) return;
+    if constexpr (std::is_enum_v<T>) {
+      std::underlying_type_t<T> raw{};
+      ok_ = bytes_.Read(&raw);
+      v = static_cast<T>(raw);
+    } else if constexpr (kIsPrimitive<T>) {
+      ok_ = bytes_.Read(&v);
+    } else if constexpr (kIsVector<T>) {
+      uint32_t n = 0;
+      ok_ = bytes_.Read(&n) &&
+            static_cast<size_t>(n) *
+                    MinEncodedSize<typename T::value_type>() <=
+                remaining();
+      if (!ok_) return;
+      v.resize(n);
+      for (auto& element : v) Get(element);
+    } else {
+      Fields(*this, v);
+    }
+  }
+
+  ByteReader bytes_;
+  bool ok_ = true;
 };
 
 Status Malformed(const char* what) {
@@ -140,329 +131,242 @@ Status Malformed(const char* what) {
                                  what + ")");
 }
 
-// ------------------------------------------------------- field (en|de)code --
+// -------------------------------------------------------------- field lists --
 
-void PutQuerySpec(Writer& w, const QuerySpec& spec) {
-  w.PutU8(static_cast<uint8_t>(spec.kind));
-  if (spec.kind == QuerySpec::Kind::kCorpusId) {
-    w.PutI32(spec.corpus_id);
+/// u32 magic precedes it on the wire; the decoder checks magic first.
+template <class IO>
+void Fields(IO& io, FrameHeader& m) {
+  io(m.version, m.type, m.flags, m.body_size);
+}
+
+/// The v2 request envelope, in flag-bit order; only flagged fields travel.
+template <class IO>
+void Fields(IO& io, RequestEnvelope& m) {
+  if (m.has_deadline) io(m.deadline_ms);
+  if (m.has_seq) io(m.seq);
+  if (m.has_trace_id) io(m.trace_id);
+}
+
+template <class IO>
+void Fields(IO& io, QuerySpec& m) {
+  io(m.kind);
+  if (m.kind == QuerySpec::Kind::kCorpusId) {
+    io(m.corpus_id);
+  } else if (m.kind == QuerySpec::Kind::kFeature) {
+    io(m.feature);
   } else {
-    w.PutU32(static_cast<uint32_t>(spec.feature.size()));
-    for (double v : spec.feature) w.PutF64(v);
+    io.Fail();  // unknown QuerySpec kind
   }
 }
 
-bool ReadQuerySpec(Reader& r, QuerySpec* spec) {
-  uint8_t kind;
-  if (!r.ReadU8(&kind)) return false;
-  switch (kind) {
-    case static_cast<uint8_t>(QuerySpec::Kind::kCorpusId):
-      spec->kind = QuerySpec::Kind::kCorpusId;
-      return r.ReadI32(&spec->corpus_id);
-    case static_cast<uint8_t>(QuerySpec::Kind::kFeature):
-      spec->kind = QuerySpec::Kind::kFeature;
-      return r.ReadVecF64(&spec->feature);
-    default:
-      return false;  // unknown QuerySpec kind
-  }
+template <class IO>
+void Fields(IO& io, WireStatus& m) {
+  io(m.code, m.message);
 }
 
-void PutWireStatus(Writer& w, const WireStatus& status) {
-  w.PutU32(status.code);
-  w.PutString(status.message);
+template <class IO>
+void Fields(IO& io, logdb::LogEntry& m) {
+  io(m.image_id, m.judgment);
 }
 
-bool ReadWireStatus(Reader& r, WireStatus* status) {
-  return r.ReadU32(&status->code) && r.ReadString(&status->message);
+template <class IO>
+void Fields(IO& io, Candidate& m) {
+  io(m.id, m.distance);
 }
 
-/// The 0x08 profile block, between a v2 response header and its body:
-///   u64 trace_id, u64 total_us,
-///   u32 span_count,    { string name, u64 start_us, u64 duration_us,
-///                        u8 depth } each,
-///   u32 counter_count, { string name, u64 value (two's complement) } each.
-void PutProfile(Writer& w, const ResponseProfile& profile) {
-  w.PutU64(profile.trace_id);
-  w.PutU64(profile.total_us);
-  w.PutU32(static_cast<uint32_t>(profile.spans.size()));
-  for (const ProfileSpan& span : profile.spans) {
-    w.PutString(span.name);
-    w.PutU64(span.start_us);
-    w.PutU64(span.duration_us);
-    w.PutU8(span.depth);
-  }
-  w.PutU32(static_cast<uint32_t>(profile.counters.size()));
-  for (const ProfileCounter& counter : profile.counters) {
-    w.PutString(counter.name);
-    w.PutU64(static_cast<uint64_t>(counter.value));
-  }
+template <class IO>
+void Fields(IO& io, MetricCounterSample& m) {
+  io(m.name, m.label_key, m.label_value, m.value);
 }
 
-bool ReadProfile(Reader& r, ResponseProfile* profile) {
-  if (!r.ReadU64(&profile->trace_id) || !r.ReadU64(&profile->total_us)) {
-    return false;
-  }
-  uint32_t n;
-  // Counts verified against the bytes remaining at minimum encoded size
-  // before sizing the vector, like every other container in this codec.
-  if (!r.ReadU32(&n)) return false;
-  if (static_cast<size_t>(n) * 21 > r.remaining()) return false;
-  profile->spans.resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    ProfileSpan& span = profile->spans[i];
-    if (!r.ReadString(&span.name) || !r.ReadU64(&span.start_us) ||
-        !r.ReadU64(&span.duration_us) || !r.ReadU8(&span.depth)) {
-      return false;
-    }
-  }
-  if (!r.ReadU32(&n)) return false;
-  if (static_cast<size_t>(n) * 12 > r.remaining()) return false;
-  profile->counters.resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    ProfileCounter& counter = profile->counters[i];
-    uint64_t raw;
-    if (!r.ReadString(&counter.name) || !r.ReadU64(&raw)) return false;
-    counter.value = static_cast<int64_t>(raw);
-  }
-  return true;
+template <class IO>
+void Fields(IO& io, MetricGaugeSample& m) {
+  io(m.name, m.label_key, m.label_value, m.value);
 }
 
-// ----------------------------------------------------------- message bodies --
-
-void PutBody(Writer& w, const StartSessionRequest& m) {
-  PutQuerySpec(w, m.query);
-}
-void PutBody(Writer& w, const QueryRequest& m) {
-  w.PutU64(m.session_id);
-  w.PutI32(m.k);
-}
-void PutBody(Writer& w, const FeedbackRequest& m) {
-  w.PutU64(m.session_id);
-  w.PutI32(m.k);
-  w.PutU32(static_cast<uint32_t>(m.round.size()));
-  for (const logdb::LogEntry& e : m.round) {
-    w.PutI32(e.image_id);
-    w.PutI8(e.judgment);
-  }
-}
-void PutBody(Writer& w, const EndSessionRequest& m) { w.PutU64(m.session_id); }
-void PutBody(Writer&, const StatsRequest&) {}
-void PutBody(Writer&, const MetricsRequest&) {}
-void PutBody(Writer&, const DescribeRequest&) {}
-void PutBody(Writer& w, const CandidateRequest& m) {
-  PutQuerySpec(w, m.query);
-  w.PutI32(m.k);
+template <class IO>
+void Fields(IO& io, MetricHistogramSample& m) {
+  io(m.name, m.label_key, m.label_value, m.count, m.saturated, m.mean_us,
+     m.p50_us, m.p95_us, m.p99_us, m.max_us);
 }
 
-void PutBody(Writer& w, const StartSessionResponse& m) {
-  PutWireStatus(w, m.status);
-  w.PutU64(m.session_id);
-}
-void PutBody(Writer& w, const QueryResponse& m) {
-  PutWireStatus(w, m.status);
-  w.PutU32(static_cast<uint32_t>(m.ranking.size()));
-  for (int32_t id : m.ranking) w.PutI32(id);
-}
-void PutBody(Writer& w, const FeedbackResponse& m) {
-  PutWireStatus(w, m.status);
-  w.PutU32(static_cast<uint32_t>(m.ranking.size()));
-  for (int32_t id : m.ranking) w.PutI32(id);
-}
-void PutBody(Writer& w, const EndSessionResponse& m) {
-  PutWireStatus(w, m.status);
-}
-void PutBody(Writer& w, const StatsResponse& m) {
-  PutWireStatus(w, m.status);
-  w.PutU64(m.requests);
-  w.PutU64(m.queries);
-  w.PutU64(m.feedbacks);
-  w.PutU64(m.sessions_started);
-  w.PutU64(m.sessions_ended);
-  w.PutU64(m.active_sessions);
-  w.PutU64(m.log_sessions_appended);
-  w.PutF64(m.cache_hit_rate);
-  w.PutF64(m.qps);
-  w.PutF64(m.latency_p50_us);
-  w.PutF64(m.latency_p95_us);
-  w.PutF64(m.latency_p99_us);
-}
-void PutBody(Writer& w, const MetricsResponse& m) {
-  PutWireStatus(w, m.status);
-  w.PutU32(static_cast<uint32_t>(m.counters.size()));
-  for (const MetricCounterSample& c : m.counters) {
-    w.PutString(c.name);
-    w.PutString(c.label_key);
-    w.PutString(c.label_value);
-    w.PutU64(c.value);
-  }
-  w.PutU32(static_cast<uint32_t>(m.gauges.size()));
-  for (const MetricGaugeSample& g : m.gauges) {
-    w.PutString(g.name);
-    w.PutString(g.label_key);
-    w.PutString(g.label_value);
-    w.PutU64(static_cast<uint64_t>(g.value));
-  }
-  w.PutU32(static_cast<uint32_t>(m.histograms.size()));
-  for (const MetricHistogramSample& h : m.histograms) {
-    w.PutString(h.name);
-    w.PutString(h.label_key);
-    w.PutString(h.label_value);
-    w.PutU64(h.count);
-    w.PutU64(h.saturated);
-    w.PutF64(h.mean_us);
-    w.PutF64(h.p50_us);
-    w.PutF64(h.p95_us);
-    w.PutF64(h.p99_us);
-    w.PutF64(h.max_us);
-  }
-}
-void PutBody(Writer& w, const DescribeResponse& m) {
-  PutWireStatus(w, m.status);
-  w.PutU64(m.corpus_size);
-  w.PutU32(m.dims);
-  w.PutU32(m.num_categories);
-  w.PutI32(m.candidate_depth);
-  w.PutI32(m.default_k);
-  w.PutString(m.scheme);
-  w.PutString(m.index);
-}
-void PutBody(Writer& w, const CandidateResponse& m) {
-  PutWireStatus(w, m.status);
-  w.PutU32(static_cast<uint32_t>(m.candidates.size()));
-  for (const Candidate& c : m.candidates) {
-    w.PutI32(c.id);
-    w.PutF64(c.distance);
-  }
-}
-void PutBody(Writer& w, const ErrorResponse& m) { PutWireStatus(w, m.status); }
-
-bool ReadBody(Reader& r, StartSessionRequest* m) {
-  return ReadQuerySpec(r, &m->query);
-}
-bool ReadBody(Reader& r, QueryRequest* m) {
-  return r.ReadU64(&m->session_id) && r.ReadI32(&m->k);
-}
-bool ReadBody(Reader& r, FeedbackRequest* m) {
-  if (!r.ReadU64(&m->session_id) || !r.ReadI32(&m->k)) return false;
-  uint32_t n;
-  if (!r.ReadU32(&n)) return false;
-  if (static_cast<size_t>(n) * 5 > r.remaining()) return false;
-  m->round.resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    if (!r.ReadI32(&m->round[i].image_id) ||
-        !r.ReadI8(&m->round[i].judgment)) {
-      return false;
-    }
-  }
-  return true;
-}
-bool ReadBody(Reader& r, EndSessionRequest* m) {
-  return r.ReadU64(&m->session_id);
-}
-bool ReadBody(Reader&, StatsRequest*) { return true; }
-bool ReadBody(Reader&, MetricsRequest*) { return true; }
-bool ReadBody(Reader&, DescribeRequest*) { return true; }
-bool ReadBody(Reader& r, CandidateRequest* m) {
-  return ReadQuerySpec(r, &m->query) && r.ReadI32(&m->k);
+template <class IO>
+void Fields(IO& io, ProfileSpan& m) {
+  io(m.name, m.start_us, m.duration_us, m.depth);
 }
 
-bool ReadBody(Reader& r, StartSessionResponse* m) {
-  return ReadWireStatus(r, &m->status) && r.ReadU64(&m->session_id);
+template <class IO>
+void Fields(IO& io, ProfileCounter& m) {
+  io(m.name, m.value);
 }
-bool ReadBody(Reader& r, QueryResponse* m) {
-  return ReadWireStatus(r, &m->status) && r.ReadVecI32(&m->ranking);
+
+/// The 0x08 profile block, between a v2 response header and its body.
+template <class IO>
+void Fields(IO& io, ResponseProfile& m) {
+  io(m.trace_id, m.total_us, m.spans, m.counters);
 }
-bool ReadBody(Reader& r, FeedbackResponse* m) {
-  return ReadWireStatus(r, &m->status) && r.ReadVecI32(&m->ranking);
+
+template <class IO>
+void Fields(IO& io, StartSessionRequest& m) {
+  io(m.query);
 }
-bool ReadBody(Reader& r, EndSessionResponse* m) {
-  return ReadWireStatus(r, &m->status);
+
+template <class IO>
+void Fields(IO& io, QueryRequest& m) {
+  io(m.session_id, m.k);
 }
-bool ReadBody(Reader& r, StatsResponse* m) {
-  return ReadWireStatus(r, &m->status) && r.ReadU64(&m->requests) &&
-         r.ReadU64(&m->queries) && r.ReadU64(&m->feedbacks) &&
-         r.ReadU64(&m->sessions_started) && r.ReadU64(&m->sessions_ended) &&
-         r.ReadU64(&m->active_sessions) &&
-         r.ReadU64(&m->log_sessions_appended) &&
-         r.ReadF64(&m->cache_hit_rate) && r.ReadF64(&m->qps) &&
-         r.ReadF64(&m->latency_p50_us) && r.ReadF64(&m->latency_p95_us) &&
-         r.ReadF64(&m->latency_p99_us);
+
+template <class IO>
+void Fields(IO& io, FeedbackRequest& m) {
+  io(m.session_id, m.k, m.round);
 }
-bool ReadBody(Reader& r, MetricsResponse* m) {
-  if (!ReadWireStatus(r, &m->status)) return false;
-  uint32_t n;
-  // Each count is verified against the bytes actually remaining (at the
-  // sample's minimum encoded size) before the vector is sized, so a hostile
-  // count cannot trigger a huge allocation.
-  if (!r.ReadU32(&n)) return false;
-  if (static_cast<size_t>(n) * 20 > r.remaining()) return false;
-  m->counters.resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    MetricCounterSample& c = m->counters[i];
-    if (!r.ReadString(&c.name) || !r.ReadString(&c.label_key) ||
-        !r.ReadString(&c.label_value) || !r.ReadU64(&c.value)) {
-      return false;
-    }
-  }
-  if (!r.ReadU32(&n)) return false;
-  if (static_cast<size_t>(n) * 20 > r.remaining()) return false;
-  m->gauges.resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    MetricGaugeSample& g = m->gauges[i];
-    uint64_t raw;
-    if (!r.ReadString(&g.name) || !r.ReadString(&g.label_key) ||
-        !r.ReadString(&g.label_value) || !r.ReadU64(&raw)) {
-      return false;
-    }
-    g.value = static_cast<int64_t>(raw);
-  }
-  if (!r.ReadU32(&n)) return false;
-  if (static_cast<size_t>(n) * 68 > r.remaining()) return false;
-  m->histograms.resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    MetricHistogramSample& h = m->histograms[i];
-    if (!r.ReadString(&h.name) || !r.ReadString(&h.label_key) ||
-        !r.ReadString(&h.label_value) || !r.ReadU64(&h.count) ||
-        !r.ReadU64(&h.saturated) || !r.ReadF64(&h.mean_us) ||
-        !r.ReadF64(&h.p50_us) || !r.ReadF64(&h.p95_us) ||
-        !r.ReadF64(&h.p99_us) || !r.ReadF64(&h.max_us)) {
-      return false;
-    }
-  }
-  return true;
+
+template <class IO>
+void Fields(IO& io, EndSessionRequest& m) {
+  io(m.session_id);
 }
-bool ReadBody(Reader& r, DescribeResponse* m) {
-  return ReadWireStatus(r, &m->status) && r.ReadU64(&m->corpus_size) &&
-         r.ReadU32(&m->dims) && r.ReadU32(&m->num_categories) &&
-         r.ReadI32(&m->candidate_depth) && r.ReadI32(&m->default_k) &&
-         r.ReadString(&m->scheme) && r.ReadString(&m->index);
+
+template <class IO>
+void Fields(IO&, StatsRequest&) {}
+
+template <class IO>
+void Fields(IO&, MetricsRequest&) {}
+
+template <class IO>
+void Fields(IO&, DescribeRequest&) {}
+
+template <class IO>
+void Fields(IO& io, CandidateRequest& m) {
+  io(m.query, m.k);
 }
-bool ReadBody(Reader& r, CandidateResponse* m) {
-  if (!ReadWireStatus(r, &m->status)) return false;
-  uint32_t n;
-  if (!r.ReadU32(&n)) return false;
-  if (static_cast<size_t>(n) * 12 > r.remaining()) return false;
-  m->candidates.resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    if (!r.ReadI32(&m->candidates[i].id) ||
-        !r.ReadF64(&m->candidates[i].distance)) {
-      return false;
-    }
-  }
-  return true;
+
+template <class IO>
+void Fields(IO& io, StartSessionResponse& m) {
+  io(m.status, m.session_id);
 }
-bool ReadBody(Reader& r, ErrorResponse* m) {
-  return ReadWireStatus(r, &m->status);
+
+template <class IO>
+void Fields(IO& io, QueryResponse& m) {
+  io(m.status, m.ranking);
 }
+
+template <class IO>
+void Fields(IO& io, FeedbackResponse& m) {
+  io(m.status, m.ranking);
+}
+
+template <class IO>
+void Fields(IO& io, EndSessionResponse& m) {
+  io(m.status);
+}
+
+template <class IO>
+void Fields(IO& io, StatsResponse& m) {
+  io(m.status, m.requests, m.queries, m.feedbacks, m.sessions_started,
+     m.sessions_ended, m.active_sessions, m.log_sessions_appended,
+     m.cache_hit_rate, m.qps, m.latency_p50_us, m.latency_p95_us,
+     m.latency_p99_us);
+}
+
+template <class IO>
+void Fields(IO& io, MetricsResponse& m) {
+  io(m.status, m.counters, m.gauges, m.histograms);
+}
+
+template <class IO>
+void Fields(IO& io, DescribeResponse& m) {
+  io(m.status, m.corpus_size, m.dims, m.num_categories, m.candidate_depth,
+     m.default_k, m.scheme, m.index);
+}
+
+template <class IO>
+void Fields(IO& io, CandidateResponse& m) {
+  io(m.status, m.candidates);
+}
+
+template <class IO>
+void Fields(IO& io, ErrorResponse& m) {
+  io(m.status);
+}
+
+// ------------------------------------------------------------- type tables --
+
+/// Wire type of each variant alternative, in variant order: the one place a
+/// message is bound to its type number.
+template <class Variant>
+struct Wire;
+
+template <>
+struct Wire<Request> {
+  static constexpr MessageType kTypes[] = {
+      MessageType::kStartSessionRequest, MessageType::kQueryRequest,
+      MessageType::kFeedbackRequest,     MessageType::kEndSessionRequest,
+      MessageType::kStatsRequest,        MessageType::kMetricsRequest,
+      MessageType::kDescribeRequest,     MessageType::kCandidateRequest,
+  };
+  static constexpr const char* kOtherSide =
+      "response type where a request was expected";
+};
+
+template <>
+struct Wire<Response> {
+  static constexpr MessageType kTypes[] = {
+      MessageType::kStartSessionResponse, MessageType::kQueryResponse,
+      MessageType::kFeedbackResponse,     MessageType::kEndSessionResponse,
+      MessageType::kStatsResponse,        MessageType::kMetricsResponse,
+      MessageType::kDescribeResponse,     MessageType::kCandidateResponse,
+      MessageType::kErrorResponse,
+  };
+  static constexpr const char* kOtherSide =
+      "request type where a response was expected";
+};
+
+static_assert(std::size(Wire<Request>::kTypes) ==
+              std::variant_size_v<Request>);
+static_assert(std::size(Wire<Response>::kTypes) ==
+              std::variant_size_v<Response>);
+
+/// Index of `type` in Variant's type table, or variant_size when the type
+/// belongs to the other side.
+template <class Variant>
+size_t IndexOf(MessageType type) {
+  const auto& types = Wire<Variant>::kTypes;
+  return static_cast<size_t>(std::find(std::begin(types), std::end(types),
+                                       type) -
+                             std::begin(types));
+}
+
+/// Flag bit of each request-envelope member.
+constexpr std::pair<uint8_t, bool RequestEnvelope::*> kEnvelopeFlags[] = {
+    {kFrameFlagDeadline, &RequestEnvelope::has_deadline},
+    {kFrameFlagSeq, &RequestEnvelope::has_seq},
+    {kFrameFlagTraceId, &RequestEnvelope::has_trace_id},
+    {kFrameFlagProfile, &RequestEnvelope::has_profile},
+    {kFrameFlagChecksum, &RequestEnvelope::has_checksum},
+};
 
 // ----------------------------------------------------------------- framing --
 
-/// Appends the flag-0x10 integrity trailer: the CRC32 of every frame byte
-/// written so far (body_size must already count the four trailer bytes).
-void AppendChecksum(std::vector<uint8_t>* out) {
-  const uint32_t crc = logdb::Crc32(out->data(), out->size());
-  Writer w(out);
-  w.PutU32(crc);
+/// Writes one frame: the header (v1 exactly when `flags` is 0, so a peer
+/// that opted into nothing sees byte-identical v1 traffic), `prefix` when
+/// non-null (the request envelope or the response profile block), the
+/// body, the body_size patch, and, under flag 0x10, the CRC32 trailer over
+/// every byte before it.
+template <class Variant, class Prefix>
+std::vector<uint8_t> EncodeFrame(const Variant& message, uint8_t flags,
+                                 const Prefix* prefix) {
+  std::vector<uint8_t> out;
+  Writer w(&out);
+  w(kWireMagic, FrameHeader{flags == 0 ? kProtocolVersionV1 : kProtocolVersion,
+                            TypeOf(message), flags, 0});
+  if (prefix != nullptr) w(*prefix);
+  std::visit([&](const auto& body) { w(body); }, message);
+  const bool checksum = (flags & kFrameFlagChecksum) != 0;
+  const uint32_t body_size = static_cast<uint32_t>(
+      out.size() - kFrameHeaderBytes + (checksum ? kChecksumTrailerBytes : 0));
+  for (int i = 0; i < 4; ++i) out[8 + i] = uint8_t(body_size >> (8 * i));
+  if (checksum) w(logdb::Crc32(out.data(), out.size()));
+  return out;
 }
 
 /// Verifies and strips the flag-0x10 trailer off a frame body: recomputes
@@ -479,19 +383,12 @@ Status VerifyAndStripChecksum(const FrameHeader& header, const uint8_t* body,
   // trailer covers type, flags, and body_size too, so a bit flip anywhere
   // in the frame is caught.
   std::vector<uint8_t> canonical;
-  canonical.reserve(kFrameHeaderBytes);
   Writer w(&canonical);
-  w.PutU32(kWireMagic);
-  w.PutU16(header.version);
-  w.PutU8(static_cast<uint8_t>(header.type));
-  w.PutU8(header.flags);
-  w.PutU32(header.body_size);
+  w(kWireMagic, header);
   uint32_t crc = logdb::Crc32(canonical.data(), canonical.size());
   crc = logdb::Crc32Continue(crc, body, payload);
   uint32_t stored = 0;
-  for (int i = 0; i < 4; ++i) {
-    stored |= uint32_t(body[payload + i]) << (8 * i);
-  }
+  ByteReader(body + payload, kChecksumTrailerBytes).Read(&stored);
   if (crc != stored) {
     return Status::DataLoss(
         "wire codec: frame failed its CRC32 integrity check (flag 0x10)");
@@ -500,197 +397,127 @@ Status VerifyAndStripChecksum(const FrameHeader& header, const uint8_t* body,
   return Status::OK();
 }
 
-template <typename Message>
-std::vector<uint8_t> EncodeFrame(MessageType type, const Message& message,
-                                 const RequestEnvelope& envelope) {
-  std::vector<uint8_t> out;
-  Writer w(&out);
-  w.PutU32(kWireMagic);
-  // An empty envelope encodes as a v1 frame, byte-identical to what this
-  // codec emitted before v2 existed — v1 peers never see a v2 byte unless
-  // the caller opted into deadlines or sequence numbers.
-  if (envelope.empty()) {
-    w.PutU16(kProtocolVersionV1);
-    w.PutU8(static_cast<uint8_t>(type));
-    w.PutU8(0);  // reserved
-    w.PutU32(0);  // body_size placeholder
-  } else {
-    uint8_t flags = 0;
-    if (envelope.has_deadline) flags |= kFrameFlagDeadline;
-    if (envelope.has_seq) flags |= kFrameFlagSeq;
-    if (envelope.has_trace_id) flags |= kFrameFlagTraceId;
-    if (envelope.has_profile) flags |= kFrameFlagProfile;
-    if (envelope.has_checksum) flags |= kFrameFlagChecksum;
-    w.PutU16(kProtocolVersion);
-    w.PutU8(static_cast<uint8_t>(type));
-    w.PutU8(flags);
-    w.PutU32(0);  // body_size placeholder
-    if (envelope.has_deadline) w.PutU32(envelope.deadline_ms);
-    if (envelope.has_seq) w.PutU32(envelope.seq);
-    if (envelope.has_trace_id) w.PutU64(envelope.trace_id);
-  }
-  PutBody(w, message);
-  const bool checksum = !envelope.empty() && envelope.has_checksum;
-  const uint32_t body_size =
-      static_cast<uint32_t>(out.size()) -
-      static_cast<uint32_t>(kFrameHeaderBytes) +
-      (checksum ? static_cast<uint32_t>(kChecksumTrailerBytes) : 0);
-  for (int i = 0; i < 4; ++i) out[8 + i] = uint8_t(body_size >> (8 * i));
-  if (checksum) AppendChecksum(&out);
-  return out;
+/// Decodes the field list at the front of a body (envelope or profile
+/// block) and advances `body` past it.
+template <class Prefix>
+Status StripPrefix(const uint8_t** body, size_t* size, Prefix* prefix,
+                   const char* short_what) {
+  Reader r(*body, *size);
+  r(*prefix);
+  if (!r.ok()) return Malformed(short_what);
+  *body += *size - r.remaining();
+  *size = r.remaining();
+  return Status::OK();
 }
 
-bool KnownMessageType(uint8_t type) {
-  return type >= static_cast<uint8_t>(MessageType::kStartSessionRequest) &&
-         type <= static_cast<uint8_t>(MessageType::kCandidateResponse);
-}
-
-/// Decodes one body into the variant alternative `header.type` names.
-/// `Variant` is Request or Response; `Alternatives...` its member types.
-template <typename Variant, typename Alternative>
+template <class Variant, class Message>
 Result<Variant> DecodeAs(const uint8_t* body, size_t size) {
   Reader r(body, size);
-  Alternative message;
-  if (!ReadBody(r, &message)) return Malformed("short body");
+  Message message;
+  r(message);
+  if (!r.ok()) return Malformed("short body");
   if (r.remaining() != 0) return Malformed("trailing bytes");
   return Variant(std::move(message));
+}
+
+/// Decodes one body into the Variant alternative `type` names, through a
+/// decoder array generated from the variant's alternatives.
+template <class Variant, size_t... I>
+Result<Variant> DecodeMessage(MessageType type, const uint8_t* body,
+                              size_t size, std::index_sequence<I...>) {
+  using Decoder = Result<Variant> (*)(const uint8_t*, size_t);
+  static constexpr Decoder kDecoders[] = {
+      &DecodeAs<Variant, std::variant_alternative_t<I, Variant>>...};
+  const size_t index = IndexOf<Variant>(type);
+  if (index == sizeof...(I)) return Malformed(Wire<Variant>::kOtherSide);
+  return kDecoders[index](body, size);
+}
+
+template <class Variant>
+Result<Variant> DecodeMessage(MessageType type, const uint8_t* body,
+                              size_t size) {
+  return DecodeMessage<Variant>(
+      type, body, size,
+      std::make_index_sequence<std::variant_size_v<Variant>>());
+}
+
+Result<FrameHeader> DecodeWholeFrameHeader(const uint8_t* data, size_t size) {
+  CBIR_ASSIGN_OR_RETURN(FrameHeader header, DecodeFrameHeader(data, size));
+  if (size != kFrameHeaderBytes + header.body_size) {
+    return Malformed(size < kFrameHeaderBytes + header.body_size
+                         ? "truncated body"
+                         : "trailing bytes after frame");
+  }
+  return header;
 }
 
 }  // namespace
 
 MessageType TypeOf(const Request& request) {
-  switch (request.index()) {
-    case 0: return MessageType::kStartSessionRequest;
-    case 1: return MessageType::kQueryRequest;
-    case 2: return MessageType::kFeedbackRequest;
-    case 3: return MessageType::kEndSessionRequest;
-    case 4: return MessageType::kStatsRequest;
-    case 5: return MessageType::kMetricsRequest;
-    case 6: return MessageType::kDescribeRequest;
-    default: return MessageType::kCandidateRequest;
-  }
+  return Wire<Request>::kTypes[request.index()];
 }
 
 MessageType TypeOf(const Response& response) {
-  switch (response.index()) {
-    case 0: return MessageType::kStartSessionResponse;
-    case 1: return MessageType::kQueryResponse;
-    case 2: return MessageType::kFeedbackResponse;
-    case 3: return MessageType::kEndSessionResponse;
-    case 4: return MessageType::kStatsResponse;
-    case 5: return MessageType::kMetricsResponse;
-    case 6: return MessageType::kDescribeResponse;
-    case 7: return MessageType::kCandidateResponse;
-    default: return MessageType::kErrorResponse;
-  }
-}
-
-std::vector<uint8_t> EncodeRequest(const Request& request) {
-  return EncodeRequest(request, RequestEnvelope{});
+  return Wire<Response>::kTypes[response.index()];
 }
 
 std::vector<uint8_t> EncodeRequest(const Request& request,
                                    const RequestEnvelope& envelope) {
-  return std::visit(
-      [&](const auto& message) {
-        return EncodeFrame(TypeOf(request), message, envelope);
-      },
-      request);
-}
-
-std::vector<uint8_t> EncodeResponse(const Response& response) {
-  // Responses never carry an envelope, so they stay v1 frames forever: a
-  // v1 client talking to a v2 server reads byte-identical replies.
-  return std::visit(
-      [&](const auto& message) {
-        return EncodeFrame(TypeOf(response), message, RequestEnvelope{});
-      },
-      response);
-}
-
-std::vector<uint8_t> EncodeResponse(const Response& response,
-                                    const ResponseProfile* profile) {
-  ResponseFrameOptions options;
-  options.profile = profile;
-  return EncodeResponse(response, options);
+  uint8_t flags = 0;
+  for (const auto& [bit, member] : kEnvelopeFlags) {
+    if (envelope.*member) flags |= bit;
+  }
+  return EncodeFrame(request, flags, &envelope);
 }
 
 std::vector<uint8_t> EncodeResponse(const Response& response,
                                     const ResponseFrameOptions& options) {
-  if (options.plain()) return EncodeResponse(response);
-  // The one place a response goes v2: a profile block (flag 0x08, between
-  // header and body), a degraded marker (0x20, flag-only), or a checksum
-  // trailer (0x10, echoed when the request carried one). Each is opt-in per
-  // request, so v1 clients still see v1 bytes.
-  std::vector<uint8_t> out;
-  Writer w(&out);
-  w.PutU32(kWireMagic);
-  w.PutU16(kProtocolVersion);
-  w.PutU8(static_cast<uint8_t>(TypeOf(response)));
+  // Each bit is opt-in per request, so v1 clients still see v1 bytes.
   uint8_t flags = 0;
   if (options.profile != nullptr) flags |= kFrameFlagProfile;
   if (options.checksum) flags |= kFrameFlagChecksum;
   if (options.degraded) flags |= kFrameFlagDegraded;
-  w.PutU8(flags);
-  w.PutU32(0);  // body_size placeholder
-  if (options.profile != nullptr) PutProfile(w, *options.profile);
-  std::visit([&](const auto& message) { PutBody(w, message); }, response);
-  const uint32_t body_size =
-      static_cast<uint32_t>(out.size()) -
-      static_cast<uint32_t>(kFrameHeaderBytes) +
-      (options.checksum ? static_cast<uint32_t>(kChecksumTrailerBytes) : 0);
-  for (int i = 0; i < 4; ++i) out[8 + i] = uint8_t(body_size >> (8 * i));
-  if (options.checksum) AppendChecksum(&out);
-  return out;
+  return EncodeFrame(response, flags, options.profile);
 }
 
 Result<FrameHeader> DecodeFrameHeader(const uint8_t* data, size_t size) {
   if (size < kFrameHeaderBytes) return Malformed("truncated header");
+  // Cannot fail: 12 bytes were checked.
   Reader r(data, kFrameHeaderBytes);
-  uint32_t magic;
-  uint16_t version;
-  uint8_t type, reserved;
-  uint32_t body_size;
-  // The header reads cannot fail (12 bytes were checked), but keep the
-  // pattern uniform.
-  if (!r.ReadU32(&magic) || !r.ReadU16(&version) || !r.ReadU8(&type) ||
-      !r.ReadU8(&reserved) || !r.ReadU32(&body_size)) {
-    return Malformed("truncated header");
-  }
+  uint32_t magic = 0;
+  FrameHeader header;
+  r(magic, header);
   if (magic != kWireMagic) return Malformed("bad magic");
-  if (version != kProtocolVersionV1 && version != kProtocolVersion) {
+  if (header.version != kProtocolVersionV1 &&
+      header.version != kProtocolVersion) {
     return Status::NotImplemented(
-        "wire codec: unsupported protocol version " + std::to_string(version) +
-        " (this peer speaks up to " + std::to_string(kProtocolVersion) + ")");
+        "wire codec: unsupported protocol version " +
+        std::to_string(header.version) + " (this peer speaks up to " +
+        std::to_string(kProtocolVersion) + ")");
   }
   // v1 never defined the reserved byte, so it stays ignored; v2 made it the
   // envelope flags, where an unknown bit means a peer newer than us.
-  if (version == kProtocolVersion && (reserved & ~kKnownFrameFlags) != 0) {
+  if (header.version == kProtocolVersionV1) {
+    header.flags = 0;
+  } else if ((header.flags & ~kKnownFrameFlags) != 0) {
     return Malformed("unknown frame flags");
   }
-  if (body_size > kMaxFrameBody) {
+  if (header.body_size > kMaxFrameBody) {
     return Status::OutOfRange("wire codec: frame body of " +
-                              std::to_string(body_size) +
+                              std::to_string(header.body_size) +
                               " bytes exceeds the " +
                               std::to_string(kMaxFrameBody) + "-byte limit");
   }
-  if (!KnownMessageType(type)) {
+  if (IndexOf<Request>(header.type) == std::variant_size_v<Request> &&
+      IndexOf<Response>(header.type) == std::variant_size_v<Response>) {
     return Malformed("unknown message type");
   }
-  FrameHeader header;
-  header.version = version;
-  header.type = static_cast<MessageType>(type);
-  header.flags = version == kProtocolVersion ? reserved : 0;
-  header.body_size = body_size;
   return header;
 }
 
 Result<Request> DecodeRequestBody(const FrameHeader& header,
                                   const uint8_t* body, size_t size,
                                   RequestEnvelope* envelope) {
-  // Strip the v2 envelope off the body prefix before the message decoder
-  // sees it; a v1 frame has no flags, so this is a no-op there.
-  RequestEnvelope parsed;
   if (header.flags & kFrameFlagDegraded) {
     // 0x20 marks a degraded *response*; on a request it is nonsense.
     return Malformed("degraded flag on a request");
@@ -701,49 +528,18 @@ Result<Request> DecodeRequestBody(const FrameHeader& header,
     // valid request.
     Status verified = VerifyAndStripChecksum(header, body, &size);
     if (!verified.ok()) return verified;
-    parsed.has_checksum = true;
   }
-  if (header.flags != 0) {
-    Reader r(body, size);
-    if (header.flags & kFrameFlagDeadline) {
-      parsed.has_deadline = true;
-      if (!r.ReadU32(&parsed.deadline_ms)) return Malformed("short envelope");
-    }
-    if (header.flags & kFrameFlagSeq) {
-      parsed.has_seq = true;
-      if (!r.ReadU32(&parsed.seq)) return Malformed("short envelope");
-    }
-    if (header.flags & kFrameFlagTraceId) {
-      parsed.has_trace_id = true;
-      if (!r.ReadU64(&parsed.trace_id)) return Malformed("short envelope");
-    }
-    // 0x08 is flag-only on requests: the ask rides the bit, not bytes.
-    if (header.flags & kFrameFlagProfile) parsed.has_profile = true;
-    const size_t envelope_bytes = size - r.remaining();
-    body += envelope_bytes;
-    size -= envelope_bytes;
+  // Strip the v2 envelope off the body prefix before the message decoder
+  // sees it; a v1 frame has no flags, so this is a no-op there. 0x08 is
+  // flag-only on requests: the ask rides the bit, not bytes.
+  RequestEnvelope parsed;
+  for (const auto& [bit, member] : kEnvelopeFlags) {
+    parsed.*member = (header.flags & bit) != 0;
   }
+  Status stripped = StripPrefix(&body, &size, &parsed, "short envelope");
+  if (!stripped.ok()) return stripped;
   if (envelope != nullptr) *envelope = parsed;
-  switch (header.type) {
-    case MessageType::kStartSessionRequest:
-      return DecodeAs<Request, StartSessionRequest>(body, size);
-    case MessageType::kQueryRequest:
-      return DecodeAs<Request, QueryRequest>(body, size);
-    case MessageType::kFeedbackRequest:
-      return DecodeAs<Request, FeedbackRequest>(body, size);
-    case MessageType::kEndSessionRequest:
-      return DecodeAs<Request, EndSessionRequest>(body, size);
-    case MessageType::kStatsRequest:
-      return DecodeAs<Request, StatsRequest>(body, size);
-    case MessageType::kMetricsRequest:
-      return DecodeAs<Request, MetricsRequest>(body, size);
-    case MessageType::kDescribeRequest:
-      return DecodeAs<Request, DescribeRequest>(body, size);
-    case MessageType::kCandidateRequest:
-      return DecodeAs<Request, CandidateRequest>(body, size);
-    default:
-      return Malformed("response type where a request was expected");
-  }
+  return DecodeMessage<Request>(header.type, body, size);
 }
 
 Result<Response> DecodeResponseBody(const FrameHeader& header,
@@ -765,50 +561,13 @@ Result<Response> DecodeResponseBody(const FrameHeader& header,
   }
   if (header.flags & kFrameFlagProfile) {
     ResponseProfile parsed;
-    Reader r(body, size);
-    if (!ReadProfile(r, &parsed)) return Malformed("short profile block");
-    const size_t profile_bytes = size - r.remaining();
-    body += profile_bytes;
-    size -= profile_bytes;
+    Status stripped =
+        StripPrefix(&body, &size, &parsed, "short profile block");
+    if (!stripped.ok()) return stripped;
     if (profile != nullptr) *profile = std::move(parsed);
   }
-  switch (header.type) {
-    case MessageType::kStartSessionResponse:
-      return DecodeAs<Response, StartSessionResponse>(body, size);
-    case MessageType::kQueryResponse:
-      return DecodeAs<Response, QueryResponse>(body, size);
-    case MessageType::kFeedbackResponse:
-      return DecodeAs<Response, FeedbackResponse>(body, size);
-    case MessageType::kEndSessionResponse:
-      return DecodeAs<Response, EndSessionResponse>(body, size);
-    case MessageType::kStatsResponse:
-      return DecodeAs<Response, StatsResponse>(body, size);
-    case MessageType::kMetricsResponse:
-      return DecodeAs<Response, MetricsResponse>(body, size);
-    case MessageType::kDescribeResponse:
-      return DecodeAs<Response, DescribeResponse>(body, size);
-    case MessageType::kCandidateResponse:
-      return DecodeAs<Response, CandidateResponse>(body, size);
-    case MessageType::kErrorResponse:
-      return DecodeAs<Response, ErrorResponse>(body, size);
-    default:
-      return Malformed("request type where a response was expected");
-  }
+  return DecodeMessage<Response>(header.type, body, size);
 }
-
-namespace {
-
-Result<FrameHeader> DecodeWholeFrameHeader(const uint8_t* data, size_t size) {
-  CBIR_ASSIGN_OR_RETURN(FrameHeader header, DecodeFrameHeader(data, size));
-  if (size != kFrameHeaderBytes + header.body_size) {
-    return Malformed(size < kFrameHeaderBytes + header.body_size
-                         ? "truncated body"
-                         : "trailing bytes after frame");
-  }
-  return header;
-}
-
-}  // namespace
 
 Result<Request> DecodeRequest(const uint8_t* data, size_t size,
                               RequestEnvelope* envelope) {

@@ -23,6 +23,10 @@ namespace cbir::api {
 ///   [envelope]         v2 request frames only, per flags (below)
 ///   byte[...]          message body (layouts in docs/API.md)
 ///
+/// The docs/API.md layout table mirrors the one field list per message in
+/// codec.cc: the same list drives encode and decode. Adding a message means
+/// one field list plus one type-table entry.
+///
 /// Protocol v2 adds an optional request envelope between header and body,
 /// gated by flag bits:
 ///
@@ -184,10 +188,6 @@ struct ResponseFrameOptions {
   /// Append the flag-0x10 CRC32 trailer (echoed when the request carried
   /// one).
   bool checksum = false;
-
-  bool plain() const {
-    return profile == nullptr && !degraded && !checksum;
-  }
 };
 
 /// Serializes a message into one complete frame (header + body). Encoding
@@ -196,21 +196,16 @@ struct ResponseFrameOptions {
 /// the wire (net::TcpServer substitutes a typed ErrorResponse,
 /// net::TcpClient::Send fails OutOfRange), or the receiving decoder would
 /// reject the frame and desynchronize the stream.
-std::vector<uint8_t> EncodeRequest(const Request& request);
-/// Encodes with an envelope: a v2 frame when any envelope field is set, a
-/// byte-identical v1 frame otherwise.
+///
+/// A request travels as a v2 frame when any envelope field is set, and as
+/// a byte-identical v1 frame otherwise.
 std::vector<uint8_t> EncodeRequest(const Request& request,
-                                   const RequestEnvelope& envelope);
-std::vector<uint8_t> EncodeResponse(const Response& response);
-/// Encodes with an EXPLAIN profile attached: a v2 frame with flag 0x08 and
-/// the profile block between header and body. `profile == nullptr` is the
-/// plain (v1, byte-identical) encoding.
+                                   const RequestEnvelope& envelope = {});
+/// A response travels with its transport metadata (profile block, degraded
+/// flag, checksum trailer) as a v2 frame; all-default options encode the
+/// plain v1 frame.
 std::vector<uint8_t> EncodeResponse(const Response& response,
-                                    const ResponseProfile* profile);
-/// Encodes with full transport metadata (profile, degraded flag, checksum
-/// trailer). All-default options encode the plain frame.
-std::vector<uint8_t> EncodeResponse(const Response& response,
-                                    const ResponseFrameOptions& options);
+                                    const ResponseFrameOptions& options = {});
 
 /// Parses and validates the 12-byte frame header: checks size, magic,
 /// version, body limit, and that `type` names a known message. `size` may

@@ -380,7 +380,8 @@ struct ErrorResponse {
 
 /// The closed set of API messages. The codec and the dispatcher both
 /// std::visit these, so adding a message type is a compile-enforced
-/// five-line checklist (struct, variant entry, MessageType, encode, decode).
+/// checklist (struct, variant entry, MessageType, codec type-table entry,
+/// codec field list).
 using Request =
     std::variant<StartSessionRequest, QueryRequest, FeedbackRequest,
                  EndSessionRequest, StatsRequest, MetricsRequest,

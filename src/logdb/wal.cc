@@ -1,5 +1,6 @@
 #include "logdb/wal.h"
 
+#include "util/byte_io.h"
 #include "util/string_util.h"
 
 #include <sys/stat.h>
@@ -28,30 +29,6 @@ std::array<uint32_t, 256> BuildCrcTable() {
   return table;
 }
 
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(uint8_t(v >> (8 * i)));
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(uint8_t(v >> (8 * i)));
-}
-
-void PutI32(std::vector<uint8_t>* out, int32_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-}
-
-uint32_t ReadU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= uint32_t(p[i]) << (8 * i);
-  return v;
-}
-
-uint64_t ReadU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= uint64_t(p[i]) << (8 * i);
-  return v;
-}
-
 /// A nonzero value that is fresh across process lifetimes and resets
 /// (0 is reserved for "no WAL"). Uniqueness only has to hold between one
 /// snapshot's folded generation and the next WAL incarnation, so entropy
@@ -69,18 +46,21 @@ uint64_t FreshGeneration() {
 /// Decodes one payload; false on any structural mismatch (recovery treats
 /// that as a torn tail even when the CRC accidentally matched garbage).
 bool DecodePayload(const uint8_t* data, size_t size, LogSession* session) {
-  if (size < 8) return false;
-  session->query_image_id = static_cast<int32_t>(ReadU32(data));
-  const uint32_t n = ReadU32(data + 4);
+  ByteReader r(data, size);
+  int32_t query_image_id = 0;
+  uint32_t n = 0;
+  if (!r.Read(&query_image_id) || !r.Read(&n)) return false;
   if (size != 8 + static_cast<size_t>(n) * 5) return false;
+  session->query_image_id = query_image_id;
   session->entries.clear();
   session->entries.reserve(n);
-  const uint8_t* p = data + 8;
-  for (uint32_t i = 0; i < n; ++i, p += 5) {
-    const int image_id = static_cast<int32_t>(ReadU32(p));
-    const int8_t judgment = static_cast<int8_t>(p[4]);
-    if (judgment != 1 && judgment != -1) return false;
-    session->entries.push_back(LogEntry{image_id, judgment});
+  for (uint32_t i = 0; i < n; ++i) {
+    // Cannot fail: the exact size was checked above.
+    LogEntry entry;
+    r.Read(&entry.image_id);
+    r.Read(&entry.judgment);
+    if (entry.judgment != 1 && entry.judgment != -1) return false;
+    session->entries.push_back(entry);
   }
   return true;
 }
@@ -116,16 +96,18 @@ uint32_t Crc32(const uint8_t* data, size_t size) {
 std::vector<uint8_t> EncodeWalRecord(const LogSession& session) {
   std::vector<uint8_t> payload;
   payload.reserve(8 + session.entries.size() * 5);
-  PutI32(&payload, session.query_image_id);
-  PutU32(&payload, static_cast<uint32_t>(session.entries.size()));
+  ByteWriter p(&payload);
+  p.Put(static_cast<int32_t>(session.query_image_id));
+  p.Put(static_cast<uint32_t>(session.entries.size()));
   for (const LogEntry& e : session.entries) {
-    PutI32(&payload, e.image_id);
-    payload.push_back(static_cast<uint8_t>(e.judgment));
+    p.Put(static_cast<int32_t>(e.image_id));
+    p.Put(e.judgment);
   }
   std::vector<uint8_t> record;
   record.reserve(kWalRecordHeaderBytes + payload.size());
-  PutU32(&record, static_cast<uint32_t>(payload.size()));
-  PutU32(&record, Crc32(payload.data(), payload.size()));
+  ByteWriter r(&record);
+  r.Put(static_cast<uint32_t>(payload.size()));
+  r.Put(Crc32(payload.data(), payload.size()));
   record.insert(record.end(), payload.begin(), payload.end());
   return record;
 }
@@ -133,9 +115,10 @@ std::vector<uint8_t> EncodeWalRecord(const LogSession& session) {
 std::vector<uint8_t> EncodeWalFileHeader(uint64_t generation) {
   std::vector<uint8_t> header;
   header.reserve(kWalFileHeaderBytes);
-  PutU32(&header, kWalMagic);
-  PutU32(&header, kWalVersion);
-  PutU64(&header, generation);
+  ByteWriter w(&header);
+  w.Put(kWalMagic);
+  w.Put(kWalVersion);
+  w.Put(generation);
   return header;
 }
 
@@ -170,13 +153,17 @@ Result<std::vector<LogSession>> RecoverWal(const std::string& path,
   uint8_t file_header[kWalFileHeaderBytes];
   const size_t header_got =
       std::fread(file_header, 1, sizeof(file_header), file);
-  if (header_got < sizeof(file_header)) {
+  ByteReader header(file_header, header_got);
+  uint32_t magic = 0;
+  uint32_t version = 0;
+  uint64_t generation = 0;
+  if (!header.Read(&magic) || !header.Read(&version) ||
+      !header.Read(&generation)) {
     if (file_size() > 0) torn("truncated file header");
-  } else if (ReadU32(file_header) != kWalMagic ||
-             ReadU32(file_header + 4) != kWalVersion) {
+  } else if (magic != kWalMagic || version != kWalVersion) {
     torn("bad file header");
   } else {
-    local.generation = ReadU64(file_header + 8);
+    local.generation = generation;
     local.valid_bytes = kWalFileHeaderBytes;
     std::vector<uint8_t> buffer;
     uint8_t record_header[kWalRecordHeaderBytes];
@@ -188,8 +175,11 @@ Result<std::vector<LogSession>> RecoverWal(const std::string& path,
         torn("truncated record header");
         break;
       }
-      const uint32_t length = ReadU32(record_header);
-      const uint32_t crc = ReadU32(record_header + 4);
+      ByteReader fields(record_header, sizeof(record_header));
+      uint32_t length = 0;
+      uint32_t crc = 0;
+      fields.Read(&length);
+      fields.Read(&crc);
       if (length > kMaxWalRecordBytes) {
         torn("hostile record length");
         break;

@@ -517,7 +517,8 @@ TEST(CodecProfileTest, ProfiledResponseRoundTrips) {
   QueryResponse m;
   m.ranking = {5, 3, 8};
   const ResponseProfile sent = MakeProfile();
-  const std::vector<uint8_t> frame = EncodeResponse(Response(m), &sent);
+  const std::vector<uint8_t> frame =
+      EncodeResponse(Response(m), ResponseFrameOptions{.profile = &sent});
   Result<FrameHeader> header = DecodeFrameHeader(frame.data(), frame.size());
   ASSERT_TRUE(header.ok());
   EXPECT_EQ(header->version, kProtocolVersion);
@@ -537,7 +538,8 @@ TEST(CodecProfileTest, ProfiledResponseDecodesWithoutOutParam) {
   QueryResponse m;
   m.ranking = {1};
   const ResponseProfile profile = MakeProfile();
-  const std::vector<uint8_t> frame = EncodeResponse(Response(m), &profile);
+  const std::vector<uint8_t> frame =
+      EncodeResponse(Response(m), ResponseFrameOptions{.profile = &profile});
   Result<Response> decoded = DecodeResponse(frame.data(), frame.size());
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_TRUE(std::get<QueryResponse>(decoded.value()) == m);
@@ -548,13 +550,16 @@ TEST(CodecProfileTest, NullProfileEncodesByteIdenticalV1) {
   // profile yields exactly the bytes the previous protocol revision sent.
   QueryResponse m;
   m.ranking = {9, 2, 4};
-  EXPECT_EQ(EncodeResponse(Response(m), nullptr), EncodeResponse(Response(m)));
+  EXPECT_EQ(
+      EncodeResponse(Response(m), ResponseFrameOptions{.profile = nullptr}),
+      EncodeResponse(Response(m)));
 }
 
 TEST(CodecProfileTest, EnvelopeFlagsOnResponseRejected) {
   QueryResponse m;
   const ResponseProfile profile = MakeProfile();
-  std::vector<uint8_t> frame = EncodeResponse(Response(m), &profile);
+  std::vector<uint8_t> frame =
+      EncodeResponse(Response(m), ResponseFrameOptions{.profile = &profile});
   for (uint8_t flag : {kFrameFlagDeadline, kFrameFlagSeq, kFrameFlagTraceId}) {
     std::vector<uint8_t> corrupt = frame;
     corrupt[7] = uint8_t(corrupt[7] | flag);  // flags live at offset 7
@@ -567,7 +572,8 @@ TEST(CodecProfileTest, EnvelopeFlagsOnResponseRejected) {
 TEST(CodecProfileTest, HostileSpanCountRejectedBeforeAllocation) {
   QueryResponse m;
   const ResponseProfile profile = MakeProfile();
-  std::vector<uint8_t> frame = EncodeResponse(Response(m), &profile);
+  std::vector<uint8_t> frame =
+      EncodeResponse(Response(m), ResponseFrameOptions{.profile = &profile});
   // span_count is the u32 after the header (12) + trace_id (8) + total (8).
   const size_t count_at = kFrameHeaderBytes + 16;
   for (size_t i = 0; i < 4; ++i) frame[count_at + i] = 0xFF;
@@ -584,7 +590,8 @@ TEST(CodecProfileTest, EverySingleBitFlipOfProfiledFrameIsHandled) {
   FeedbackResponse m;
   m.ranking = {3, 1, 4, 1, 5};
   const ResponseProfile profile = MakeProfile();
-  const std::vector<uint8_t> frame = EncodeResponse(Response(m), &profile);
+  const std::vector<uint8_t> frame =
+      EncodeResponse(Response(m), ResponseFrameOptions{.profile = &profile});
   for (size_t byte = 0; byte < frame.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       std::vector<uint8_t> corrupt = frame;
@@ -668,6 +675,200 @@ TEST(CodecRobustnessTest, MetricsResponseHostileCountRejected) {
   Result<Response> decoded = DecodeResponse(frame.data(), frame.size());
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+}
+
+// ------------------------------------------------------------ golden frames --
+
+/// One pinned frame: a message, the envelope (requests) or frame options
+/// (responses) it travels with, and the exact bytes the encoder emits. The
+/// hex is the wire contract: an encoder or decoder change that moves a
+/// single byte fails here, not in a peer running the previous release.
+struct GoldenFrame {
+  const char* name;
+  std::variant<Request, Response> message;
+  RequestEnvelope envelope;
+  ResponseFrameOptions options;
+  const char* hex;
+};
+
+std::string ToHex(const std::vector<uint8_t>& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (uint8_t b : bytes) {
+    hex.push_back(kDigits[b >> 4]);
+    hex.push_back(kDigits[b & 0xF]);
+  }
+  return hex;
+}
+
+std::vector<GoldenFrame> GoldenFrames() {
+  static const ResponseProfile profile = MakeProfile();
+  const WireStatus not_found = ToWireStatus(Status::NotFound("no session 9"));
+
+  FeedbackRequest feedback;
+  feedback.session_id = 7;
+  feedback.k = 10;
+  feedback.round = {logdb::LogEntry{1, 1}, logdb::LogEntry{2, -1}};
+  CandidateRequest candidates_asked;
+  candidates_asked.query = QuerySpec::ByFeature({0.5, -1.25});
+  candidates_asked.k = 50;
+
+  StartSessionResponse started;
+  started.session_id = 42;
+  QueryResponse ranked;
+  ranked.ranking = {3, 1, 4};
+  FeedbackResponse refused;
+  refused.status = not_found;
+  StatsResponse stats;
+  stats.requests = 1;
+  stats.queries = 2;
+  stats.feedbacks = 3;
+  stats.sessions_started = 4;
+  stats.sessions_ended = 5;
+  stats.active_sessions = 6;
+  stats.log_sessions_appended = 7;
+  stats.cache_hit_rate = 0.5;
+  stats.qps = 120.25;
+  stats.latency_p50_us = 10.0;
+  stats.latency_p95_us = 20.0;
+  stats.latency_p99_us = 40.0;
+  MetricsResponse metrics;
+  metrics.counters = {{"cbir_requests_total", "", "", 9}};
+  metrics.gauges = {{"cbir_active", "shard", "0", -2}};
+  MetricHistogramSample histogram;
+  histogram.name = "cbir_us";
+  histogram.count = 3;
+  histogram.saturated = 1;
+  histogram.mean_us = 1.5;
+  histogram.p50_us = 1.0;
+  histogram.p95_us = 2.0;
+  histogram.p99_us = 4.0;
+  histogram.max_us = 8.0;
+  metrics.histograms = {histogram};
+  DescribeResponse described;
+  described.corpus_size = 20000;
+  described.dims = 36;
+  described.num_categories = 20;
+  described.candidate_depth = 500;
+  described.default_k = 20;
+  described.scheme = "LRF-CSVM";
+  described.index = "exact";
+  CandidateResponse candidates;
+  candidates.candidates = {{5, 0.25}, {9, 1.5}};
+
+  RequestEnvelope everything;
+  everything.has_deadline = true;
+  everything.deadline_ms = 250;
+  everything.has_seq = true;
+  everything.seq = 3;
+  everything.has_trace_id = true;
+  everything.trace_id = 0x0123456789abcdefull;
+  everything.has_profile = true;
+  everything.has_checksum = true;
+  ResponseFrameOptions profiled_degraded_checksummed;
+  profiled_degraded_checksummed.profile = &profile;
+  profiled_degraded_checksummed.degraded = true;
+  profiled_degraded_checksummed.checksum = true;
+
+  return {
+      {"StartSessionRequestById",
+       Request(StartSessionRequest{QuerySpec::ById(12345)}), {}, {},
+       "5249424301000100050000000039300000"},
+      {"StartSessionRequestByFeature",
+       Request(StartSessionRequest{QuerySpec::ByFeature({0.5, -1.25})}), {}, {},
+       "5249424301000100150000000102000000000000000000e03f000000000000f4"
+       "bf"},
+      {"QueryRequest", Request(QueryRequest{7, 10}), {}, {},
+       "52494243010003000c00000007000000000000000a000000"},
+      {"FeedbackRequest", Request(feedback), {}, {},
+       "52494243010005001a00000007000000000000000a0000000200000001000000"
+       "0102000000ff"},
+      {"EndSessionRequest", Request(EndSessionRequest{7}), {}, {},
+       "5249424301000700080000000700000000000000"},
+      {"StatsRequest", Request(StatsRequest{}), {}, {},
+       "524942430100090000000000"},
+      {"MetricsRequest", Request(MetricsRequest{}), {}, {},
+       "5249424301000c0000000000"},
+      {"DescribeRequest", Request(DescribeRequest{}), {}, {},
+       "5249424301000e0000000000"},
+      {"CandidateRequest", Request(candidates_asked), {}, {},
+       "5249424301001000190000000102000000000000000000e03f000000000000f4"
+       "bf32000000"},
+      {"StartSessionResponse", Response(started), {}, {},
+       "52494243010002001000000000000000000000002a00000000000000"},
+      {"QueryResponse", Response(ranked), {}, {},
+       "5249424301000400180000000000000000000000030000000300000001000000"
+       "04000000"},
+      {"FeedbackResponseNotFound", Response(refused), {}, {},
+       "524942430100060018000000030000000c0000006e6f2073657373696f6e2039"
+       "00000000"},
+      {"EndSessionResponse", Response(EndSessionResponse{}), {}, {},
+       "5249424301000800080000000000000000000000"},
+      {"StatsResponse", Response(stats), {}, {},
+       "5249424301000a00680000000000000000000000010000000000000002000000"
+       "0000000003000000000000000400000000000000050000000000000006000000"
+       "000000000700000000000000000000000000e03f0000000000105e4000000000"
+       "0000244000000000000034400000000000004440"},
+      {"MetricsResponse", Response(metrics), {}, {},
+       "5249424301000d00ab0000000000000000000000010000001300000063626972"
+       "5f72657175657374735f746f74616c0000000000000000090000000000000001"
+       "0000000b000000636269725f6163746976650500000073686172640100000030"
+       "feffffffffffffff0100000007000000636269725f7573000000000000000003"
+       "000000000000000100000000000000000000000000f83f000000000000f03f00"
+       "0000000000004000000000000010400000000000002040"},
+      {"DescribeResponse", Response(described), {}, {},
+       "5249424301000f00350000000000000000000000204e00000000000024000000"
+       "14000000f401000014000000080000004c52462d4353564d0500000065786163"
+       "74"},
+      {"CandidateResponse", Response(candidates), {}, {},
+       "5249424301001100240000000000000000000000020000000500000000000000"
+       "0000d03f09000000000000000000f83f"},
+      {"ErrorResponse", Response(ErrorResponse{not_found}), {}, {},
+       "5249424301000b0014000000030000000c0000006e6f2073657373696f6e2039"},
+      {"FeedbackRequestFullEnvelope", Request(feedback), everything, {},
+       "524942430200051f2e000000fa00000003000000efcdab896745230107000000"
+       "000000000a00000002000000010000000102000000ff4cc00a7b"},
+      {"QueryResponseProfiledDegradedChecksummed",
+       Response(ranked), {}, profiled_degraded_checksummed,
+       "5249424302000438d50000008967452301efcdab731000000000000003000000"
+       "060000006465636f646500000000000000000c00000000000000000500000073"
+       "6f6c76657600000000000000820f0000000000000009000000736d6f5f696e6e"
+       "6572c800000000000000ac0d00000000000001030000000e000000736d6f5f69"
+       "7465726174696f6e738e00000000000000110000006b65726e656c5f63616368"
+       "655f68697473b6030000000000000b000000696e6465785f64656c7461fdffff"
+       "ffffffffff0000000000000000030000000300000001000000040000009a2be0"
+       "28"},
+  };
+}
+
+TEST(CodecGoldenTest, EveryFrameShapeEncodesToPinnedBytesAndDecodesBack) {
+  for (const GoldenFrame& row : GoldenFrames()) {
+    SCOPED_TRACE(row.name);
+    if (const Request* request = std::get_if<Request>(&row.message)) {
+      const std::vector<uint8_t> frame = EncodeRequest(*request, row.envelope);
+      EXPECT_EQ(ToHex(frame), row.hex);
+      RequestEnvelope envelope;
+      Result<Request> decoded =
+          DecodeRequest(frame.data(), frame.size(), &envelope);
+      ASSERT_TRUE(decoded.ok()) << decoded.status();
+      EXPECT_TRUE(decoded.value() == *request);
+      EXPECT_TRUE(envelope == row.envelope);
+    } else {
+      const Response& response = std::get<Response>(row.message);
+      const std::vector<uint8_t> frame = EncodeResponse(response, row.options);
+      EXPECT_EQ(ToHex(frame), row.hex);
+      ResponseProfile profile;
+      bool degraded = false;
+      Result<Response> decoded =
+          DecodeResponse(frame.data(), frame.size(), &profile, &degraded);
+      ASSERT_TRUE(decoded.ok()) << decoded.status();
+      EXPECT_TRUE(decoded.value() == response);
+      EXPECT_TRUE(profile == (row.options.profile != nullptr
+                                  ? *row.options.profile
+                                  : ResponseProfile{}));
+      EXPECT_EQ(degraded, row.options.degraded);
+    }
+  }
 }
 
 }  // namespace
