@@ -99,13 +99,13 @@ SchemeOptions MakeDefaultSchemeOptions(const retrieval::ImageDatabase& db,
   // weight per session), and the inner product of two log vectors is the
   // signed co-marking count — the semantically meaningful similarity for
   // sparse ternary session data. This deviates from the paper, whose
-  // experiments used RBF on both sides; the log-representation ablation
-  // bench compares the two.
+  // experiments used RBF on both sides; `experiment_driver
+  // --preset=ablation-logrep` compares the two.
   options.log_kernel = svm::KernelParams::Linear();
   options.c_log = 1.0;
   if (log_features != nullptr && !log_features->empty()) {
     // Keep a data-derived gamma on hand so callers flipping the log kernel
-    // type to RBF (e.g. the log-representation ablation) get the LIBSVM
+    // type to RBF (e.g. `experiment_driver --log-kernel=rbf`) get the LIBSVM
     // default instead of a stale placeholder.
     options.log_kernel.gamma = svm::DefaultGamma(*log_features);
   }

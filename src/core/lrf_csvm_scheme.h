@@ -13,7 +13,8 @@ struct LrfCsvmOptions {
   /// Number of unlabeled samples N' engaged in the coupled training.
   int n_prime = 20;
   /// Default: the Section 6.5 "closest to the labeled samples" strategy;
-  /// kMaxMin is Fig. 1's literal pseudo-code (see the ablation bench).
+  /// kMaxMin is Fig. 1's literal pseudo-code (compared by
+  /// `experiment_driver --preset=ablation-selection`).
   SelectionStrategy selection = SelectionStrategy::kMostSimilar;
   /// Weight of the log-side kernel similarity when scoring closeness to
   /// labeled samples for kMostSimilar. Values > 1 prioritize log-confirmed

@@ -20,9 +20,9 @@ struct MultiCsvmOptions {
   /// doubles per outer iteration, mirroring transductive SVM scheduling.
   /// The paper leaves the final value open ("whether existing an optimal
   /// parameter ... is still an open question", Section 6.5); 0.08 is the
-  /// value selected by the rho ablation bench across both dataset sizes —
-  /// pseudo-labels are only ~2/3 accurate, so they get a fraction of a real
-  /// label's authority.
+  /// value selected by `experiment_driver --preset=ablation-rho` across both
+  /// dataset sizes — pseudo-labels are only ~2/3 accurate, so they get a
+  /// fraction of a real label's authority.
   double rho = 0.08;
   double rho_init = 1e-4;
   /// Slack-sum threshold Delta: an unlabeled pseudo-label flips only when

@@ -24,6 +24,17 @@ const char* SelectionStrategyToString(SelectionStrategy strategy) {
   return "?";
 }
 
+Result<SelectionStrategy> ParseSelectionStrategy(const std::string& name) {
+  for (SelectionStrategy strategy :
+       {SelectionStrategy::kMostSimilar, SelectionStrategy::kMaxMin,
+        SelectionStrategy::kBoundaryClosest, SelectionStrategy::kRandom}) {
+    if (name == SelectionStrategyToString(strategy)) return strategy;
+  }
+  return Status::InvalidArgument(
+      "unknown selection strategy: '" + name +
+      "' (expected most-similar|max-min|boundary-closest|random)");
+}
+
 namespace {
 
 // Sorts candidate positions by `keys` descending, ties by candidate id.

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "util/result.h"
+
 namespace cbir::core {
 
 /// \brief Strategies for picking the N' unlabeled samples fed into the
@@ -22,13 +24,17 @@ enum class SelectionStrategy {
   kMaxMin,
   /// Active-learning style: samples closest to the decision boundary,
   /// initialized with the sign of the combined decision. The paper reports
-  /// this "did not achieve promising improvements" — kept for the ablation.
+  /// this "did not achieve promising improvements" — kept for the
+  /// `experiment_driver --preset=ablation-selection` comparison.
   kBoundaryClosest,
   /// Uniformly random candidates, initialized with the distance sign.
   kRandom,
 };
 
 const char* SelectionStrategyToString(SelectionStrategy strategy);
+
+/// Parses the SelectionStrategyToString spellings (the --selection flag).
+Result<SelectionStrategy> ParseSelectionStrategy(const std::string& name);
 
 /// \brief Per-candidate signals consumed by the selection strategies.
 ///

@@ -1,7 +1,6 @@
 #include "logdb/log_store.h"
 
 #include <cstdio>
-#include <algorithm>
 #include <fstream>
 #include <utility>
 
@@ -172,16 +171,10 @@ std::vector<LogSession> LogStore::Snapshot() const {
   return sessions_;
 }
 
-RelevanceMatrix LogStore::BuildMatrix(int num_images,
-                                      int max_sessions) const {
+RelevanceMatrix LogStore::BuildMatrix(int num_images) const {
   util::MutexLock lock(mu_);
   RelevanceMatrix matrix(num_images);
-  const int available = static_cast<int>(sessions_.size());
-  int limit =
-      max_sessions < 0 ? available : std::min(max_sessions, available);
-  for (int s = 0; s < limit; ++s) {
-    matrix.AddSession(sessions_[static_cast<size_t>(s)]);
-  }
+  for (const LogSession& session : sessions_) matrix.AddSession(session);
   return matrix;
 }
 

@@ -79,10 +79,8 @@ class LogStore {
   /// Copy of the sessions, consistent under concurrent appends.
   std::vector<LogSession> Snapshot() const;
 
-  /// Builds the relevance matrix over a database of `num_images` images,
-  /// optionally truncated to the first `max_sessions` sessions (-1 = all);
-  /// the truncation supports the log-volume ablation.
-  RelevanceMatrix BuildMatrix(int num_images, int max_sessions = -1) const;
+  /// Builds the relevance matrix over a database of `num_images` images.
+  RelevanceMatrix BuildMatrix(int num_images) const;
 
   /// Line-oriented text persistence:
   ///   session <query_id> <n>

@@ -38,8 +38,8 @@ class RelevanceMatrix {
   /// are strong category evidence; negative marks only exclude one concept
   /// among many, so classical relevance feedback weights them lower
   /// (Rocchio 1971 — the root of the paper's Section 7 lineage). 1.0
-  /// recovers the paper's literal +-1 matrix (see the log-representation
-  /// ablation bench).
+  /// recovers the paper's literal +-1 matrix (compared by
+  /// `experiment_driver --preset=ablation-logrep`).
   static constexpr double kRocchioNegativeWeight = 0.25;
 
   /// Dense M-dim log vector r_i for one image (column of R); -1 marks are

@@ -14,7 +14,8 @@ namespace cbir::logdb {
 ///
 /// The paper collected logs from real users and notes the data "contain more
 /// or less noise" from subjectivity differences. We model that as an i.i.d.
-/// label-flip probability, an explicit knob swept by the noise ablation.
+/// label-flip probability, an explicit knob swept by
+/// `experiment_driver --preset=ablation-noise`.
 struct UserModel {
   double noise_rate = 0.10;
 };

@@ -20,8 +20,9 @@ const char* KernelTypeToString(KernelType type);
 /// \brief Kernel selection plus hyper-parameters.
 ///
 /// The paper's experiments use the Gaussian RBF kernel for all SVM-based
-/// schemes; linear and polynomial kernels are provided for tests, ablations
-/// and as library features.
+/// schemes; linear and polynomial kernels are provided for tests, the
+/// `experiment_driver --preset=ablation-logrep` comparison and as library
+/// features.
 struct KernelParams {
   KernelType type = KernelType::kRbf;
   double gamma = 1.0;

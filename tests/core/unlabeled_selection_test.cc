@@ -152,6 +152,19 @@ TEST(SelectionTest, StrategyNames) {
                "random");
 }
 
+TEST(SelectionTest, ParseRoundTripsEveryNameAndRejectsTypos) {
+  for (SelectionStrategy strategy :
+       {SelectionStrategy::kMostSimilar, SelectionStrategy::kMaxMin,
+        SelectionStrategy::kBoundaryClosest, SelectionStrategy::kRandom}) {
+    const Result<SelectionStrategy> parsed =
+        ParseSelectionStrategy(SelectionStrategyToString(strategy));
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    EXPECT_EQ(parsed.value(), strategy);
+  }
+  EXPECT_EQ(ParseSelectionStrategy("maxmin").status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(SelectionDeathTest, MissingSignals) {
   SelectionInputs in;
   in.candidate_ids = {1, 2};

@@ -43,17 +43,6 @@ TEST(LogStoreTest, BuildMatrix) {
   EXPECT_EQ(m.Value(1, 3), 1);
 }
 
-TEST(LogStoreTest, BuildMatrixTruncated) {
-  const LogStore store = SampleStore();
-  const RelevanceMatrix m = store.BuildMatrix(10, /*max_sessions=*/1);
-  EXPECT_EQ(m.num_sessions(), 1);
-}
-
-TEST(LogStoreTest, BuildMatrixTruncationClamps) {
-  const LogStore store = SampleStore();
-  EXPECT_EQ(store.BuildMatrix(10, 99).num_sessions(), 2);
-}
-
 TEST(LogStoreTest, SaveLoadRoundTrip) {
   const std::string path = TempPath("log_store_roundtrip.txt");
   const LogStore store = SampleStore();
