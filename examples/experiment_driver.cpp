@@ -243,6 +243,11 @@ Result<PointRun> ReadPoint(const Flags& flags) {
       csvm_options.selection,
       core::ParseSelectionStrategy(flags.GetString("selection",
                                                    "most-similar")));
+  if (Status s = core::MakeScheme("LRF-CSVM", {}, csvm_options).status();
+      !s.ok()) {
+    return Status::InvalidArgument("bad --nprime, --rho or --delta: " +
+                                   s.message());
+  }
 
   core::ExperimentOptions exp_options;
   exp_options.num_queries = flags.GetInt("queries", 200);
@@ -288,10 +293,10 @@ Result<PointRun> ReadPoint(const Flags& flags) {
     // over every query's training run (per-modality split: [0] = visual,
     // [1] = log).
     for (const auto& scheme : schemes) {
-      const auto* csvm =
-          dynamic_cast<const core::LrfCsvmScheme*>(scheme.get());
-      if (csvm == nullptr) continue;
-      const core::CsvmDiagnostics diag = csvm->AggregatedDiagnostics();
+      if (scheme->name() != "LRF-CSVM") continue;
+      const core::CsvmDiagnostics diag =
+          static_cast<const core::CoupledSvmScheme&>(*scheme)
+              .AggregatedDiagnostics();
       std::cerr << "csvm cache stats: smo_iters=" << diag.total_smo_iterations
                 << " hits=" << diag.cache_stats.hits
                 << " misses=" << diag.cache_stats.misses

@@ -10,8 +10,7 @@
 #include <iostream>
 #include <set>
 
-#include "core/lrf_csvm_scheme.h"
-#include "core/rf_svm_scheme.h"
+#include "core/scheme_factory.h"
 #include "logdb/simulated_user.h"
 #include "retrieval/evaluator.h"
 #include "util/flags.h"
@@ -78,9 +77,13 @@ int main(int argc, char** argv) {
 
   const core::SchemeOptions scheme_options =
       core::MakeDefaultSchemeOptions(db, &log_features);
-  const core::RfSvmScheme rf_svm(scheme_options);
-  core::LrfCsvmOptions csvm_options;
-  const core::LrfCsvmScheme lrf_csvm(scheme_options, csvm_options);
+  const auto rf_svm = core::MakeScheme("RF-SVM", scheme_options).value();
+  const auto lrf_csvm_scheme =
+      core::MakeScheme("LRF-CSVM", scheme_options).value();
+  // MakeScheme builds every SVM scheme as a CoupledSvmScheme; its
+  // TrainForContext exposes the coupled model's diagnostics.
+  const auto& lrf_csvm =
+      static_cast<const core::CoupledSvmScheme&>(*lrf_csvm_scheme);
 
   // Pick a genuinely hard query: the one with the worst initial Euclidean
   // P@20 among the first 60 images (easy queries saturate at 1.0 in round
@@ -131,7 +134,7 @@ int main(int argc, char** argv) {
       }
 
       Result<std::vector<int>> ranked =
-          use_csvm ? lrf_csvm.Rank(ctx) : rf_svm.Rank(ctx);
+          use_csvm ? lrf_csvm.Rank(ctx) : rf_svm->Rank(ctx);
       if (!ranked.ok()) {
         std::cout << "  round " << round << " failed: "
                   << ranked.status().ToString() << "\n";

@@ -1,0 +1,201 @@
+#include "core/coupled_svm_scheme.h"
+
+#include <unordered_set>
+#include <utility>
+
+namespace cbir::core {
+namespace {
+
+/// Modality k's per-image rows over the whole corpus: 0 = visual, 1 = log.
+const la::Matrix& CorpusRows(const FeedbackContext& ctx, size_t k) {
+  return k == 0 ? ctx.db->features() : *ctx.log_features;
+}
+
+/// Modality k's rows of the context's scan space.
+const la::Matrix& ScanRows(const FeedbackContext& ctx, size_t k) {
+  return k == 0 ? ctx.ScanFeatures() : *ctx.ScanLogFeatures();
+}
+
+la::Matrix GatherRows(const la::Matrix& all, const std::vector<int>& ids) {
+  la::Matrix out(ids.size(), all.cols());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    out.SetRow(i, all.Row(static_cast<size_t>(ids[i])));
+  }
+  return out;
+}
+
+}  // namespace
+
+CoupledSvmScheme::CoupledSvmScheme(std::string name, bool use_log,
+                                   const SchemeOptions& scheme_options,
+                                   const LrfCsvmOptions& options)
+    : name_(std::move(name)), options_(options) {
+  // The shared scheme options carry the data-derived kernels and C values of
+  // the modalities and the solver settings.
+  options_.csvm.smo = scheme_options.smo;
+  modalities_.resize(use_log ? 2 : 1);
+  modalities_[0].kernel = scheme_options.visual_kernel;
+  modalities_[0].c = scheme_options.c_visual;
+  if (use_log) {
+    modalities_[1].kernel = scheme_options.log_kernel;
+    modalities_[1].c = scheme_options.c_log;
+  }
+}
+
+CsvmDiagnostics CoupledSvmScheme::AggregatedDiagnostics() const {
+  util::MutexLock lock(diagnostics_mu_);
+  return aggregated_diagnostics_;
+}
+
+Result<SelectionResult> CoupledSvmScheme::SelectForContext(
+    const FeedbackContext& ctx) const {
+  const size_t num_modalities = modalities_.size();
+  const size_t nl = ctx.labeled_ids.size();
+  std::vector<la::Matrix> labeled(num_modalities);
+  for (size_t k = 0; k < num_modalities; ++k) {
+    labeled[k] = GatherRows(CorpusRows(ctx, k), ctx.labeled_ids);
+  }
+
+  std::unordered_set<int> excluded(ctx.labeled_ids.begin(),
+                                   ctx.labeled_ids.end());
+  excluded.insert(ctx.query_id);
+  SelectionInputs inputs;
+  inputs.candidate_ids.reserve(ctx.scan_size());
+  for (size_t pos = 0; pos < ctx.scan_size(); ++pos) {
+    const int id = ctx.ScanId(pos);
+    if (excluded.count(id) == 0) inputs.candidate_ids.push_back(id);
+  }
+
+  if (options_.selection == SelectionStrategy::kMostSimilar) {
+    // Section 6.5: closeness to the labeled positives/negatives, measured
+    // by combined kernel similarity (no SVM training needed).
+    inputs.similarity_to_positives.reserve(inputs.candidate_ids.size());
+    inputs.similarity_to_negatives.reserve(inputs.candidate_ids.size());
+    std::vector<la::Vec> sample(num_modalities);
+    for (int id : inputs.candidate_ids) {
+      for (size_t k = 0; k < num_modalities; ++k) {
+        sample[k] = CorpusRows(ctx, k).Row(static_cast<size_t>(id));
+      }
+      double sim_pos = 0.0, sim_neg = 0.0;
+      for (size_t j = 0; j < nl; ++j) {
+        double sim = 0.0;
+        for (size_t k = 0; k < num_modalities; ++k) {
+          const double weight = k == 0 ? 1.0 : options_.selection_log_weight;
+          sim += weight * svm::EvalKernelRow(modalities_[k].kernel,
+                                             labeled[k], j, sample[k]);
+        }
+        (ctx.labels[j] > 0 ? sim_pos : sim_neg) += sim;
+      }
+      inputs.similarity_to_positives.push_back(sim_pos);
+      inputs.similarity_to_negatives.push_back(sim_neg);
+    }
+  } else {
+    // Fig. 1 literal: summed decision values of labeled-only SVMs, i.e. the
+    // coupled SVM with N' = 0.
+    std::vector<ModalityView> views = modalities_;
+    for (size_t k = 0; k < num_modalities; ++k) views[k].data = &labeled[k];
+    CBIR_ASSIGN_OR_RETURN(
+        MultiCoupledModel model,
+        MultiCoupledSvm(options_.csvm).TrainViews(views, ctx.labels, {}));
+    inputs.combined_decisions.reserve(inputs.candidate_ids.size());
+    for (int id : inputs.candidate_ids) {
+      double decision = 0.0;
+      for (size_t k = 0; k < num_modalities; ++k) {
+        decision += model.models[k].Decision(
+            CorpusRows(ctx, k).Row(static_cast<size_t>(id)));
+      }
+      inputs.combined_decisions.push_back(decision);
+    }
+  }
+  return SelectUnlabeled(options_.selection, inputs, options_.n_prime,
+                         options_.selection_seed);
+}
+
+Result<MultiCoupledModel> CoupledSvmScheme::TrainForContext(
+    const FeedbackContext& ctx) const {
+  if (ctx.labeled_ids.empty()) {
+    return Status::InvalidArgument(name_ + " requires labeled samples");
+  }
+  const size_t num_modalities = modalities_.size();
+  if (num_modalities > 1 &&
+      (ctx.log_features == nullptr || ctx.log_features->empty())) {
+    return Status::FailedPrecondition(name_ +
+                                      " requires a user-feedback log");
+  }
+
+  SelectionResult selection;
+  if (options_.n_prime > 0) {
+    CBIR_ASSIGN_OR_RETURN(selection, SelectForContext(ctx));
+  }
+  std::vector<int> row_ids = ctx.labeled_ids;
+  row_ids.insert(row_ids.end(), selection.ids.begin(), selection.ids.end());
+
+  // Warm start from the previous round of this session: rows whose image
+  // was already in last round's training set inherit its dual variables,
+  // fresh rows start at zero (exactly the carried/new split the solver
+  // projects back to feasibility). The session state also takes ownership
+  // of the gathered matrices so the kernel caches bound to them survive
+  // between rounds: rows of carried-over images keep their cached kernel
+  // entries (remapped by image id), and only pairs involving new images
+  // cost kernel evaluations.
+  SessionState* state = ctx.session_state;
+  if (state != nullptr && state->modalities.size() < num_modalities) {
+    state->modalities.resize(num_modalities);
+  }
+  std::vector<la::Matrix> rows(num_modalities);
+  std::vector<std::vector<double>> initial_alpha(num_modalities);
+  std::vector<ModalityView> views = modalities_;
+  for (size_t k = 0; k < num_modalities; ++k) {
+    rows[k] = GatherRows(CorpusRows(ctx, k), row_ids);
+    views[k].data = &rows[k];
+    views[k].initial_alpha = &initial_alpha[k];
+    if (state == nullptr) continue;
+    SessionState::Modality& carried = state->modalities[k];
+    if (!carried.alpha.empty()) {
+      initial_alpha[k].assign(row_ids.size(), 0.0);
+      for (size_t i = 0; i < row_ids.size(); ++i) {
+        if (auto it = carried.alpha.find(row_ids[i]);
+            it != carried.alpha.end()) {
+          initial_alpha[k][i] = it->second;
+        }
+      }
+    }
+    views[k].shared_cache =
+        carried.rows.Bind(row_ids, std::move(rows[k]), views[k].kernel,
+                          options_.csvm.smo.cache_rows);
+    views[k].data = &carried.rows.data();
+  }
+
+  auto model = MultiCoupledSvm(options_.csvm)
+                   .TrainViews(views, ctx.labels, selection.initial_labels);
+  if (!model.ok()) return model;
+  {
+    util::MutexLock lock(diagnostics_mu_);
+    aggregated_diagnostics_.Accumulate(model->diagnostics);
+  }
+  if (state != nullptr) {
+    // Only the duals are rebuilt; the kernel caches carry on to next round.
+    for (size_t k = 0; k < num_modalities; ++k) {
+      std::unordered_map<int, double>& alpha = state->modalities[k].alpha;
+      alpha.clear();
+      for (size_t i = 0; i < row_ids.size(); ++i) {
+        alpha[row_ids[i]] = model->alphas[k][i];
+      }
+    }
+  }
+  return model;
+}
+
+Result<std::vector<int>> CoupledSvmScheme::Rank(
+    const FeedbackContext& ctx) const {
+  CBIR_ASSIGN_OR_RETURN(MultiCoupledModel model, TrainForContext(ctx));
+  std::vector<double> scores = model.models[0].DecisionBatch(ScanRows(ctx, 0));
+  for (size_t k = 1; k < model.models.size(); ++k) {
+    const std::vector<double> modality_scores =
+        model.models[k].DecisionBatch(ScanRows(ctx, k));
+    for (size_t i = 0; i < scores.size(); ++i) scores[i] += modality_scores[i];
+  }
+  return FinalizeRanking(ctx, scores);
+}
+
+}  // namespace cbir::core

@@ -19,33 +19,33 @@ namespace cbir::core {
 /// \brief Mutable cross-round state owned by one feedback session.
 ///
 /// Successive rounds of a session retrain SVMs on nearly identical problems
-/// (the labeled set only grows); schemes that solve QPs stash two kinds of
-/// carry-over here, both keyed by image id, and reuse them next round:
+/// (the labeled set only grows); the SVM schemes stash two kinds of
+/// carry-over here per modality, both keyed by image id, and reuse them
+/// next round:
 ///  - their final dual variables, to warm-start the next round's solver;
-///  - per-modality kernel rows (SessionKernelCache), so the stable part of
-///    the training set never recomputes its kernel entries.
+///  - kernel rows (SessionKernelCache), so the stable part of the training
+///    set never recomputes its kernel entries.
 /// Purely an accelerator: rankings are identical (within solver tolerance)
 /// with or without a state attached. Move-only (the kernel caches own
 /// slabs).
 struct SessionState {
-  std::unordered_map<int, double> visual_alpha;
-  std::unordered_map<int, double> log_alpha;
-  /// Cross-round kernel rows per modality. RF-SVM uses visual_rows only;
-  /// LRF-CSVM uses both (rows = labeled + selected unlabeled samples).
-  SessionKernelCache visual_rows;
-  SessionKernelCache log_rows;
+  /// One modality's carry-over; rows = labeled + selected unlabeled images.
+  struct Modality {
+    std::unordered_map<int, double> alpha;
+    SessionKernelCache rows;
+  };
+  /// Indexed like the scheme's modalities ([0] visual, [1] log); the scheme
+  /// sizes it on first use.
+  std::vector<Modality> modalities;
 
-  void Clear() {
-    visual_alpha.clear();
-    log_alpha.clear();
-    visual_rows.Clear();
-    log_rows.Clear();
-  }
+  void Clear() { modalities.clear(); }
 
   /// Bytes held by the kernel caches (slabs + gathered matrices); the
   /// serving layer charges this against its session-memory accounting.
   size_t AllocatedKernelBytes() const {
-    return visual_rows.AllocatedBytes() + log_rows.AllocatedBytes();
+    size_t bytes = 0;
+    for (const Modality& m : modalities) bytes += m.rows.AllocatedBytes();
+    return bytes;
   }
 };
 
@@ -117,11 +117,6 @@ struct SchemeOptions {
   double c_log = 10.0;     ///< C_u
   svm::KernelParams visual_kernel = svm::KernelParams::Rbf(1.0);
   svm::KernelParams log_kernel = svm::KernelParams::Rbf(1.0);
-  /// Carry kernel rows across feedback rounds through the session's
-  /// SessionState (RF-SVM and LRF-CSVM). Only effective when a session
-  /// state is attached to the context; false recomputes every kernel row
-  /// each round. Rankings are identical within solver tolerance either way.
-  bool cross_round_kernel_cache = true;
   svm::SmoOptions smo;
 };
 

@@ -19,11 +19,25 @@ double MultiCoupledModel::Decision(const std::vector<la::Vec>& samples) const {
 
 MultiCoupledSvm::MultiCoupledSvm(const MultiCsvmOptions& options)
     : options_(options) {
-  CBIR_CHECK_GT(options_.rho, 0.0);
-  CBIR_CHECK_GT(options_.rho_init, 0.0);
-  CBIR_CHECK_LE(options_.rho_init, options_.rho);
-  CBIR_CHECK_GE(options_.delta, 0.0);
-  CBIR_CHECK_GT(options_.max_inner_iterations, 0);
+  CBIR_CHECK_OK(Validate(options_));
+}
+
+Status MultiCoupledSvm::Validate(const MultiCsvmOptions& options) {
+  // Negated comparisons so NaN fails too.
+  if (!(options.rho > 0.0)) {
+    return Status::InvalidArgument("coupled SVM: rho must be positive");
+  }
+  if (!(options.rho_init > 0.0)) {
+    return Status::InvalidArgument("coupled SVM: rho_init must be positive");
+  }
+  if (!(options.delta >= 0.0)) {
+    return Status::InvalidArgument("coupled SVM: delta must be non-negative");
+  }
+  if (options.max_inner_iterations <= 0) {
+    return Status::InvalidArgument(
+        "coupled SVM: max_inner_iterations must be positive");
+  }
+  return Status::OK();
 }
 
 Result<MultiCoupledModel> MultiCoupledSvm::TrainViews(
@@ -83,14 +97,12 @@ Result<MultiCoupledModel> MultiCoupledSvm::TrainViews(
   // One kernel cache per modality serves every QP of the chain: the kernel
   // matrix depends only on (data, kernel params), both constant here — the
   // chain's solves differ only in labels, C bounds and warm starts. Callers
-  // may inject their own longer-lived cache through ModalityView;
-  // reuse_chain_cache = false falls back to one fresh cache per solve.
+  // may inject their own longer-lived cache through ModalityView.
   std::vector<std::unique_ptr<svm::KernelCache>> chain_caches(num_modalities);
-  std::vector<svm::KernelCache*> caches(num_modalities, nullptr);
+  std::vector<svm::KernelCache*> caches(num_modalities);
   for (size_t k = 0; k < num_modalities; ++k) {
-    if (modalities[k].shared_cache != nullptr) {
-      caches[k] = modalities[k].shared_cache;
-    } else if (options_.reuse_chain_cache) {
+    caches[k] = modalities[k].shared_cache;
+    if (caches[k] == nullptr) {
       chain_caches[k] = std::make_unique<svm::KernelCache>(
           *modalities[k].data, modalities[k].kernel, options_.smo.cache_rows);
       caches[k] = chain_caches[k].get();
@@ -120,7 +132,10 @@ Result<MultiCoupledModel> MultiCoupledSvm::TrainViews(
     return Status::OK();
   };
 
-  double rho_star = nu == 0 ? options_.rho : options_.rho_init;
+  // With no unlabeled rows there is nothing to anneal: one solve per
+  // modality at rho (RF-SVM and LRF-2SVMs train this way).
+  double rho_star =
+      nu == 0 ? options_.rho : std::min(options_.rho_init, options_.rho);
   while (true) {
     ++diag.outer_iterations;
     CBIR_RETURN_NOT_OK(solve_all(rho_star));

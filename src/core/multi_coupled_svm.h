@@ -16,8 +16,9 @@ namespace cbir::core {
 /// ModalityView.
 struct MultiCsvmOptions {
   /// Final regularization weight for unlabeled samples (their box bound is
-  /// rho * C). The annealing starts at rho_init = 1e-4 (per Fig. 1) and
-  /// doubles per outer iteration, mirroring transductive SVM scheduling.
+  /// rho * C). The annealing starts at min(rho_init, rho), rho_init = 1e-4
+  /// per Fig. 1, and doubles per outer iteration, mirroring transductive SVM
+  /// scheduling.
   /// The paper leaves the final value open ("whether existing an optimal
   /// parameter ... is still an open question", Section 6.5); 0.08 is the
   /// value selected by `experiment_driver --preset=ablation-rho` across both
@@ -47,14 +48,6 @@ struct MultiCsvmOptions {
   /// relabel the entire pseudo-negative half positive and the decision
   /// function collapses. false = the literal Fig. 1 rule.
   bool enforce_class_balance = true;
-  /// Share one kernel cache per modality across every QP of the
-  /// annealing/label-correction chain (valid because only labels, C bounds
-  /// and warm starts change between those QPs — never the kernel matrix).
-  /// false restores the pre-sharing behaviour of one fresh cache per solve;
-  /// results are identical either way, this is purely a perf lever kept as
-  /// a before/after knob for the benchmarks. Ignored for modalities that
-  /// inject their own shared_cache.
-  bool reuse_chain_cache = true;
   svm::SmoOptions smo;
 };
 
@@ -115,8 +108,7 @@ struct ModalityView {
   /// RebindRemapped). Must be bound to *data with `kernel`-equal params and
   /// must not be shared with concurrent solves; see
   /// svm::SmoOptions::shared_cache for the aliasing/lifetime rules. Null
-  /// lets the trainer build one chain-local cache per modality (see
-  /// MultiCsvmOptions::reuse_chain_cache).
+  /// lets the trainer build one chain-local cache per modality.
   svm::KernelCache* shared_cache = nullptr;
 };
 
@@ -156,7 +148,13 @@ struct MultiCoupledModel {
 /// pseudo-code exits before ever training at rho.
 class MultiCoupledSvm {
  public:
+  /// `options` must pass Validate(); invalid options abort.
   explicit MultiCoupledSvm(const MultiCsvmOptions& options);
+
+  /// InvalidArgument unless rho and rho_init are positive, delta is
+  /// non-negative and max_inner_iterations is positive. Callers taking
+  /// options from a request or command line check here first.
+  static Status Validate(const MultiCsvmOptions& options);
 
   const MultiCsvmOptions& options() const { return options_; }
 

@@ -1,8 +1,6 @@
 #include "core/scheme_factory.h"
 
 #include "core/euclidean_scheme.h"
-#include "core/lrf_2svm_scheme.h"
-#include "core/rf_svm_scheme.h"
 
 namespace cbir::core {
 
@@ -12,17 +10,21 @@ Result<std::shared_ptr<FeedbackScheme>> MakeScheme(
   if (name == "Euclidean") {
     return std::shared_ptr<FeedbackScheme>(new EuclideanScheme());
   }
-  if (name == "RF-SVM") {
-    return std::shared_ptr<FeedbackScheme>(new RfSvmScheme(scheme_options));
+  if (name != "RF-SVM" && name != "LRF-2SVMs" && name != "LRF-CSVM") {
+    return Status::NotFound("unknown scheme: " + name);
   }
-  if (name == "LRF-2SVMs") {
-    return std::shared_ptr<FeedbackScheme>(new Lrf2SvmScheme(scheme_options));
+  if (Status s = MultiCoupledSvm::Validate(csvm_options.csvm); !s.ok()) {
+    return Status::InvalidArgument(name + ": " + s.message());
   }
-  if (name == "LRF-CSVM") {
-    return std::shared_ptr<FeedbackScheme>(
-        new LrfCsvmScheme(scheme_options, csvm_options));
+  if (csvm_options.n_prime < 0) {
+    return Status::InvalidArgument(name + ": n_prime must be non-negative");
   }
-  return Status::NotFound("unknown scheme: " + name);
+  // The two SVM baselines are the coupled SVM without unlabeled rows:
+  // RF-SVM on the visual modality alone, LRF-2SVMs on visual + log.
+  LrfCsvmOptions options = csvm_options;
+  if (name != "LRF-CSVM") options.n_prime = 0;
+  return std::shared_ptr<FeedbackScheme>(new CoupledSvmScheme(
+      name, /*use_log=*/name != "RF-SVM", scheme_options, options));
 }
 
 std::vector<std::shared_ptr<FeedbackScheme>> MakePaperSchemes(

@@ -97,7 +97,7 @@ enum class LockRank : int {
   kSessionManager = 30,   ///< serve::SessionManager table + LRU
   kSession = 40,          ///< serve::ServeSession per-session state
   kQueryCache = 50,       ///< serve::QueryCache shard
-  kScheme = 60,           ///< core::LrfCsvmScheme aggregated diagnostics
+  kScheme = 60,           ///< core::CoupledSvmScheme aggregated diagnostics
   kLogStore = 70,         ///< logdb::LogStore sessions + WAL
   kSlo = 80,              ///< obs::SloTracker ring + state
   kLifecycle = 85,        ///< start/stop latches (e.g. SloTracker stop)

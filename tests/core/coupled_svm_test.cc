@@ -2,6 +2,8 @@
 // K = 2, modality 0 visual and modality 1 log.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/multi_coupled_svm.h"
 #include "two_modality_problem.h"
 
@@ -171,6 +173,42 @@ TEST(CoupledSvmTest, RhoInitEqualToRhoRunsOneOuterIteration) {
   EXPECT_EQ(model->diagnostics.outer_iterations, 1);
 }
 
+TEST(CoupledSvmTest, RhoBelowRhoInitAnnealsFromRho) {
+  // A valid positive rho below the default rho_init = 1e-4: the annealing
+  // starts at rho itself, so one outer iteration at the final weight.
+  MultiCsvmOptions options = TestOptions();
+  options.rho = 5e-5;
+  ASSERT_LT(options.rho, options.rho_init);
+  ASSERT_TRUE(MultiCoupledSvm::Validate(options).ok());
+  const TwoModalityData data = TwoModalityProblem(6, 4, 3.0, 2.0, 9);
+  auto model = Train(MultiCoupledSvm(options), data);
+  ASSERT_TRUE(model.ok()) << model.status();
+  EXPECT_EQ(model->diagnostics.outer_iterations, 1);
+  EXPECT_EQ(model->unlabeled_labels.size(), 4u);
+}
+
+TEST(CoupledSvmTest, ValidateRejectsBadOptions) {
+  const auto expect_invalid = [](MultiCsvmOptions options) {
+    const Status status = MultiCoupledSvm::Validate(options);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  };
+  MultiCsvmOptions options = TestOptions();
+  EXPECT_TRUE(MultiCoupledSvm::Validate(options).ok());
+  options.rho = 0.0;
+  expect_invalid(options);
+  options.rho = std::nan("");
+  expect_invalid(options);
+  options = TestOptions();
+  options.rho_init = -1.0;
+  expect_invalid(options);
+  options = TestOptions();
+  options.delta = -1.0;
+  expect_invalid(options);
+  options = TestOptions();
+  options.max_inner_iterations = 0;
+  expect_invalid(options);
+}
+
 TEST(CoupledSvmTest, AnnealingStepsAreLogarithmicInRhoRatio) {
   MultiCsvmOptions options = TestOptions();
   options.rho_init = 1e-4;
@@ -240,7 +278,7 @@ TEST(CoupledSvmTest, RejectsMismatchedWarmStart) {
 
 TEST(CoupledSvmDeathTest, InvalidOptions) {
   MultiCsvmOptions bad = TestOptions();
-  bad.rho_init = 2.0;  // > rho
+  bad.delta = -1.0;
   EXPECT_DEATH(MultiCoupledSvm{bad}, "Check failed");
 }
 

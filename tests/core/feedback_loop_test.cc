@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/euclidean_scheme.h"
-#include "core/rf_svm_scheme.h"
+#include "core/scheme_factory.h"
 #include "logdb/log_store.h"
 
 namespace cbir::core {
@@ -36,12 +36,12 @@ retrieval::ImageDatabase* FeedbackLoopTest::db_ = nullptr;
 SchemeOptions* FeedbackLoopTest::scheme_options_ = nullptr;
 
 TEST_F(FeedbackLoopTest, ResultShape) {
-  RfSvmScheme scheme(*scheme_options_);
+  const auto scheme = MakeScheme("RF-SVM", *scheme_options_).value();
   FeedbackLoopOptions options;
   options.rounds = 3;
   options.judgments_per_round = 10;
   options.scopes = {10, 20};
-  auto result = RunFeedbackSession(*db_, nullptr, scheme, 5, options);
+  auto result = RunFeedbackSession(*db_, nullptr, *scheme, 5, options);
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->precision.size(), 4u);  // round 0 + 3 feedback rounds
   for (const auto& row : result->precision) {
@@ -56,11 +56,11 @@ TEST_F(FeedbackLoopTest, ResultShape) {
 }
 
 TEST_F(FeedbackLoopTest, JudgmentsNeverRepeatAcrossRounds) {
-  RfSvmScheme scheme(*scheme_options_);
+  const auto scheme = MakeScheme("RF-SVM", *scheme_options_).value();
   FeedbackLoopOptions options;
   options.rounds = 4;
   options.judgments_per_round = 8;
-  auto result = RunFeedbackSession(*db_, nullptr, scheme, 12, options);
+  auto result = RunFeedbackSession(*db_, nullptr, *scheme, 12, options);
   ASSERT_TRUE(result.ok());
   std::set<int> seen;
   for (const auto& session : result->recorded_sessions) {
@@ -74,7 +74,7 @@ TEST_F(FeedbackLoopTest, JudgmentsNeverRepeatAcrossRounds) {
 }
 
 TEST_F(FeedbackLoopTest, FeedbackImprovesOverInitialRetrieval) {
-  RfSvmScheme scheme(*scheme_options_);
+  const auto scheme = MakeScheme("RF-SVM", *scheme_options_).value();
   FeedbackLoopOptions options;
   options.rounds = 3;
   options.judgments_per_round = 15;
@@ -82,7 +82,7 @@ TEST_F(FeedbackLoopTest, FeedbackImprovesOverInitialRetrieval) {
   double initial_sum = 0.0, final_sum = 0.0;
   int count = 0;
   for (int query = 0; query < 79; query += 13) {
-    auto result = RunFeedbackSession(*db_, nullptr, scheme, query, options);
+    auto result = RunFeedbackSession(*db_, nullptr, *scheme, query, options);
     ASSERT_TRUE(result.ok());
     initial_sum += result->precision.front()[0];
     final_sum += result->precision.back()[0];
@@ -94,11 +94,11 @@ TEST_F(FeedbackLoopTest, FeedbackImprovesOverInitialRetrieval) {
 TEST_F(FeedbackLoopTest, RecordedSessionsFeedTheLogStore) {
   // A session's recorded judgments are exactly the long-term log unit the
   // paper's schemes consume: appending them must build a valid matrix.
-  RfSvmScheme scheme(*scheme_options_);
+  const auto scheme = MakeScheme("RF-SVM", *scheme_options_).value();
   FeedbackLoopOptions options;
   options.rounds = 2;
   options.judgments_per_round = 10;
-  auto result = RunFeedbackSession(*db_, nullptr, scheme, 30, options);
+  auto result = RunFeedbackSession(*db_, nullptr, *scheme, 30, options);
   ASSERT_TRUE(result.ok());
 
   logdb::LogStore store;
@@ -112,12 +112,12 @@ TEST_F(FeedbackLoopTest, RecordedSessionsFeedTheLogStore) {
 }
 
 TEST_F(FeedbackLoopTest, DeterministicInSeed) {
-  RfSvmScheme scheme(*scheme_options_);
+  const auto scheme = MakeScheme("RF-SVM", *scheme_options_).value();
   FeedbackLoopOptions options;
   options.rounds = 2;
   options.judgment_noise = 0.3;  // exercises the RNG path
-  auto a = RunFeedbackSession(*db_, nullptr, scheme, 7, options);
-  auto b = RunFeedbackSession(*db_, nullptr, scheme, 7, options);
+  auto a = RunFeedbackSession(*db_, nullptr, *scheme, 7, options);
+  auto b = RunFeedbackSession(*db_, nullptr, *scheme, 7, options);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->precision, b->precision);

@@ -5,9 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/euclidean_scheme.h"
-#include "core/lrf_2svm_scheme.h"
-#include "core/lrf_csvm_scheme.h"
-#include "core/rf_svm_scheme.h"
+#include "core/feedback_loop.h"
 #include "core/scheme_factory.h"
 #include "logdb/simulated_user.h"
 #include "retrieval/ranker.h"
@@ -74,6 +72,12 @@ class SchemesTest : public ::testing::Test {
     EXPECT_EQ(unique.count(query_id), 0u) << "query id leaked into ranking";
   }
 
+  /// MakeScheme builds every SVM scheme as a CoupledSvmScheme; tests that
+  /// inspect the trained model reach TrainForContext through it.
+  static const CoupledSvmScheme& AsCoupled(const FeedbackScheme& scheme) {
+    return dynamic_cast<const CoupledSvmScheme&>(scheme);
+  }
+
   static retrieval::ImageDatabase* db_;
   static la::Matrix* log_features_;
   static SchemeOptions* scheme_options_;
@@ -98,9 +102,9 @@ TEST_F(SchemesTest, EuclideanMatchesRanker) {
 }
 
 TEST_F(SchemesTest, RfSvmRanksLabeledPositivesHighly) {
-  RfSvmScheme scheme(*scheme_options_);
+  const auto scheme = MakeScheme("RF-SVM", *scheme_options_).value();
   const FeedbackContext ctx = MakeContext(2);
-  auto ranked = scheme.Rank(ctx);
+  auto ranked = scheme->Rank(ctx);
   ASSERT_TRUE(ranked.ok()) << ranked.status();
   ExpectValidRanking(ranked.value(), 2);
 
@@ -117,26 +121,26 @@ TEST_F(SchemesTest, RfSvmRanksLabeledPositivesHighly) {
 }
 
 TEST_F(SchemesTest, RfSvmRequiresLabels) {
-  RfSvmScheme scheme(*scheme_options_);
+  const auto scheme = MakeScheme("RF-SVM", *scheme_options_).value();
   FeedbackContext ctx;
   ctx.db = db_;
   ctx.query_id = 0;
   ASSERT_TRUE(ctx.Prepare().ok());
-  EXPECT_FALSE(scheme.Rank(ctx).ok());
+  EXPECT_FALSE(scheme->Rank(ctx).ok());
 }
 
 TEST_F(SchemesTest, Lrf2SvmProducesValidRanking) {
-  Lrf2SvmScheme scheme(*scheme_options_);
+  const auto scheme = MakeScheme("LRF-2SVMs", *scheme_options_).value();
   const FeedbackContext ctx = MakeContext(13);
-  auto ranked = scheme.Rank(ctx);
+  auto ranked = scheme->Rank(ctx);
   ASSERT_TRUE(ranked.ok()) << ranked.status();
   ExpectValidRanking(ranked.value(), 13);
 }
 
 TEST_F(SchemesTest, Lrf2SvmRequiresLog) {
-  Lrf2SvmScheme scheme(*scheme_options_);
+  const auto scheme = MakeScheme("LRF-2SVMs", *scheme_options_).value();
   const FeedbackContext ctx = MakeContext(13, /*with_log=*/false);
-  auto ranked = scheme.Rank(ctx);
+  auto ranked = scheme->Rank(ctx);
   ASSERT_FALSE(ranked.ok());
   EXPECT_EQ(ranked.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -144,9 +148,10 @@ TEST_F(SchemesTest, Lrf2SvmRequiresLog) {
 TEST_F(SchemesTest, LrfCsvmProducesValidRanking) {
   LrfCsvmOptions csvm_options;
   csvm_options.n_prime = 10;
-  LrfCsvmScheme scheme(*scheme_options_, csvm_options);
+  const auto scheme =
+      MakeScheme("LRF-CSVM", *scheme_options_, csvm_options).value();
   const FeedbackContext ctx = MakeContext(25);
-  auto ranked = scheme.Rank(ctx);
+  auto ranked = scheme->Rank(ctx);
   ASSERT_TRUE(ranked.ok()) << ranked.status();
   ExpectValidRanking(ranked.value(), 25);
 }
@@ -154,9 +159,10 @@ TEST_F(SchemesTest, LrfCsvmProducesValidRanking) {
 TEST_F(SchemesTest, LrfCsvmTrainExposesDiagnostics) {
   LrfCsvmOptions csvm_options;
   csvm_options.n_prime = 8;
-  LrfCsvmScheme scheme(*scheme_options_, csvm_options);
+  const auto scheme =
+      MakeScheme("LRF-CSVM", *scheme_options_, csvm_options).value();
   const FeedbackContext ctx = MakeContext(7);
-  auto model = scheme.TrainForContext(ctx);
+  auto model = AsCoupled(*scheme).TrainForContext(ctx);
   ASSERT_TRUE(model.ok()) << model.status();
   EXPECT_EQ(model->unlabeled_labels.size(), 8u);
   EXPECT_GE(model->diagnostics.outer_iterations, 1);
@@ -168,10 +174,11 @@ TEST_F(SchemesTest, LrfCsvmTrainExposesDiagnostics) {
 TEST_F(SchemesTest, LrfCsvmDeterministicAcrossCalls) {
   LrfCsvmOptions csvm_options;
   csvm_options.n_prime = 10;
-  LrfCsvmScheme scheme(*scheme_options_, csvm_options);
+  const auto scheme =
+      MakeScheme("LRF-CSVM", *scheme_options_, csvm_options).value();
   const FeedbackContext ctx = MakeContext(19);
-  auto a = scheme.Rank(ctx);
-  auto b = scheme.Rank(ctx);
+  auto a = scheme->Rank(ctx);
+  auto b = scheme->Rank(ctx);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a.value(), b.value());
@@ -186,9 +193,10 @@ TEST_F(SchemesTest, LrfCsvmAllSelectionStrategiesProduceValidRankings) {
     LrfCsvmOptions csvm_options;
     csvm_options.n_prime = 8;
     csvm_options.selection = strategy;
-    LrfCsvmScheme scheme(*scheme_options_, csvm_options);
+    const auto scheme =
+        MakeScheme("LRF-CSVM", *scheme_options_, csvm_options).value();
     const FeedbackContext ctx = MakeContext(11);
-    auto ranked = scheme.Rank(ctx);
+    auto ranked = scheme->Rank(ctx);
     ASSERT_TRUE(ranked.ok())
         << SelectionStrategyToString(strategy) << ": " << ranked.status();
     ExpectValidRanking(ranked.value(), 11);
@@ -201,8 +209,12 @@ TEST_F(SchemesTest, LrfCsvmSelectionStrategiesDiffer) {
   most_similar.selection = SelectionStrategy::kMostSimilar;
   LrfCsvmOptions max_min;
   max_min.selection = SelectionStrategy::kMaxMin;
-  auto a = LrfCsvmScheme(*scheme_options_, most_similar).TrainForContext(ctx);
-  auto b = LrfCsvmScheme(*scheme_options_, max_min).TrainForContext(ctx);
+  const auto scheme_a =
+      MakeScheme("LRF-CSVM", *scheme_options_, most_similar).value();
+  const auto scheme_b =
+      MakeScheme("LRF-CSVM", *scheme_options_, max_min).value();
+  auto a = AsCoupled(*scheme_a).TrainForContext(ctx);
+  auto b = AsCoupled(*scheme_b).TrainForContext(ctx);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   // Different selections almost surely yield different support-vector sets.
@@ -213,12 +225,16 @@ TEST_F(SchemesTest, LrfCsvmSelectionStrategiesDiffer) {
 
 TEST_F(SchemesTest, LrfCsvmZeroNPrimeStillWorks) {
   LrfCsvmOptions csvm_options;
-  csvm_options.n_prime = 0;  // degenerates to LRF-2SVMs-like training
-  LrfCsvmScheme scheme(*scheme_options_, csvm_options);
+  csvm_options.n_prime = 0;  // degenerates to LRF-2SVMs training
+  const auto scheme =
+      MakeScheme("LRF-CSVM", *scheme_options_, csvm_options).value();
   const FeedbackContext ctx = MakeContext(31);
-  auto ranked = scheme.Rank(ctx);
+  auto ranked = scheme->Rank(ctx);
   ASSERT_TRUE(ranked.ok()) << ranked.status();
   ExpectValidRanking(ranked.value(), 31);
+  auto two_svms = MakeScheme("LRF-2SVMs", *scheme_options_).value()->Rank(ctx);
+  ASSERT_TRUE(two_svms.ok()) << two_svms.status();
+  EXPECT_EQ(ranked.value(), two_svms.value());
 }
 
 TEST_F(SchemesTest, FactoryCreatesAllPaperSchemes) {
@@ -239,6 +255,35 @@ TEST_F(SchemesTest, FactoryRejectsUnknownName) {
   EXPECT_EQ(scheme.status().code(), StatusCode::kNotFound);
 }
 
+TEST_F(SchemesTest, FactoryRejectsInvalidCoupledOptions) {
+  // Every SVM scheme runs the coupled trainer, so each rejects bad values
+  // with InvalidArgument (naming itself) instead of aborting.
+  const auto expect_invalid = [&](const LrfCsvmOptions& options) {
+    for (const char* name : {"RF-SVM", "LRF-2SVMs", "LRF-CSVM"}) {
+      auto scheme = MakeScheme(name, *scheme_options_, options);
+      ASSERT_FALSE(scheme.ok()) << name;
+      EXPECT_EQ(scheme.status().code(), StatusCode::kInvalidArgument)
+          << name << ": " << scheme.status();
+      EXPECT_NE(scheme.status().message().find(name), std::string::npos)
+          << scheme.status();
+    }
+  };
+  LrfCsvmOptions options;
+  options.csvm.rho = 5e-5;  // below rho_init = 1e-4: valid, anneals from rho
+  EXPECT_TRUE(MakeScheme("LRF-CSVM", *scheme_options_, options).ok());
+  options.csvm.rho = 0.0;
+  expect_invalid(options);
+  options = LrfCsvmOptions();
+  options.csvm.delta = -1.0;
+  expect_invalid(options);
+  options = LrfCsvmOptions();
+  options.csvm.rho_init = 0.0;
+  expect_invalid(options);
+  options = LrfCsvmOptions();
+  options.n_prime = -2;
+  expect_invalid(options);
+}
+
 TEST_F(SchemesTest, DefaultSchemeOptionsDeriveKernelsFromData) {
   const SchemeOptions options = MakeDefaultSchemeOptions(*db_, log_features_);
   EXPECT_EQ(options.visual_kernel.type, svm::KernelType::kRbf);
@@ -250,6 +295,97 @@ TEST_F(SchemesTest, DefaultSchemeOptionsDeriveKernelsFromData) {
   EXPECT_GT(options.log_kernel.gamma, 0.0);
   EXPECT_NE(options.visual_kernel.gamma, options.log_kernel.gamma);
   EXPECT_DOUBLE_EQ(options.c_log, 1.0);
+}
+
+// Pins each SVM scheme's exact output on the fixture corpus: the round-one
+// ranking of MakeContext(query) without session state, and the per-round
+// hit counts of a 3-round RunFeedbackSession (which carries session state).
+// Any change to training, selection, warm starts or kernel caching that
+// moves a single rank or judgment shows up here.
+TEST_F(SchemesTest, SvmSchemesMatchGoldenRankings) {
+  struct Golden {
+    const char* scheme;
+    int query;
+    std::vector<int> ranking;
+    /// hits[round][s]: relevant images in the top kScopes[s] after `round`.
+    std::vector<std::vector<int>> hits;
+  };
+  static const std::vector<int> kScopes = {5, 10, 15};
+  static const Golden kGolden[] = {
+    {"RF-SVM", 3,
+     {4, 1, 5, 7, 10, 8, 2, 11, 9, 6, 0, 21,
+      20, 16, 28, 12, 17, 26, 35, 29, 23, 19, 30, 18,
+      34, 13, 15, 14, 33, 25, 32, 22, 24, 27, 31},
+     {{4, 8, 11}, {5, 7, 8}, {5, 7, 8}, {5, 10, 11}}},
+    {"RF-SVM", 16,
+     {19, 12, 17, 21, 20, 22, 14, 18, 15, 13, 30, 23,
+      32, 35, 26, 25, 24, 34, 29, 33, 31, 3, 6, 27,
+      11, 1, 5, 7, 8, 10, 9, 4, 0, 28, 2},
+     {{3, 5, 6}, {5, 9, 11}, {5, 9, 11}, {5, 10, 11}}},
+    {"RF-SVM", 29,
+     {31, 24, 25, 33, 14, 34, 22, 3, 32, 30, 27, 13,
+      18, 15, 35, 28, 26, 12, 23, 1, 17, 11, 0, 20,
+      6, 10, 8, 19, 16, 9, 7, 5, 21, 2, 4},
+     {{1, 1, 1}, {1, 1, 1}, {3, 6, 8}, {4, 9, 11}}},
+    {"LRF-2SVMs", 3,
+     {7, 8, 9, 5, 1, 10, 2, 11, 4, 0, 6, 21,
+      20, 16, 28, 12, 26, 17, 19, 29, 23, 30, 18, 15,
+      34, 13, 14, 35, 24, 22, 33, 25, 32, 31, 27},
+     {{4, 8, 11}, {5, 10, 11}, {5, 10, 11}, {5, 10, 11}}},
+    {"LRF-2SVMs", 16,
+     {21, 19, 12, 17, 20, 22, 18, 14, 15, 13, 30, 23,
+      32, 26, 25, 24, 34, 29, 33, 35, 3, 31, 27, 6,
+      11, 1, 5, 7, 8, 10, 4, 28, 0, 9, 2},
+     {{3, 5, 6}, {5, 9, 11}, {5, 10, 11}, {5, 10, 11}}},
+    {"LRF-2SVMs", 29,
+     {31, 27, 32, 35, 25, 33, 24, 34, 3, 30, 28, 13,
+      26, 14, 23, 15, 22, 11, 1, 17, 20, 18, 12, 0,
+      10, 6, 5, 16, 19, 21, 4, 9, 8, 2, 7},
+     {{1, 1, 1}, {1, 1, 1}, {5, 8, 9}, {5, 9, 10}}},
+    {"LRF-CSVM", 3,
+     {7, 9, 8, 2, 4, 10, 5, 1, 11, 0, 6, 28,
+      35, 26, 30, 34, 23, 24, 17, 29, 15, 13, 33, 19,
+      25, 21, 12, 16, 14, 20, 32, 18, 31, 22, 27},
+     {{4, 8, 11}, {5, 10, 11}, {5, 10, 11}, {5, 10, 11}}},
+    {"LRF-CSVM", 16,
+     {21, 19, 22, 18, 12, 17, 20, 14, 15, 13, 30, 23,
+      34, 29, 24, 26, 33, 32, 27, 31, 25, 35, 3, 11,
+      6, 28, 1, 5, 10, 8, 4, 7, 0, 9, 2},
+     {{3, 5, 6}, {5, 9, 11}, {5, 10, 11}, {5, 9, 11}}},
+    {"LRF-CSVM", 29,
+     {31, 32, 27, 25, 33, 35, 24, 26, 30, 13, 34, 3,
+      23, 28, 22, 15, 11, 14, 17, 1, 18, 20, 5, 19,
+      10, 16, 6, 12, 0, 9, 21, 2, 4, 8, 7},
+     {{1, 1, 1}, {0, 0, 1}, {0, 0, 0}, {0, 0, 3}}},
+  };
+
+  FeedbackLoopOptions loop;
+  loop.rounds = 3;
+  loop.judgments_per_round = 3;
+  loop.scopes = kScopes;
+  for (const Golden& golden : kGolden) {
+    SCOPED_TRACE(std::string(golden.scheme) + " query " +
+                 std::to_string(golden.query));
+    auto scheme = MakeScheme(golden.scheme, *scheme_options_);
+    ASSERT_TRUE(scheme.ok()) << scheme.status();
+    auto ranked = (*scheme)->Rank(MakeContext(golden.query));
+    ASSERT_TRUE(ranked.ok()) << ranked.status();
+    EXPECT_EQ(ranked.value(), golden.ranking);
+
+    auto session = RunFeedbackSession(*db_, log_features_, **scheme,
+                                      golden.query, loop);
+    ASSERT_TRUE(session.ok()) << session.status();
+    ASSERT_EQ(session->precision.size(), golden.hits.size());
+    for (size_t round = 0; round < golden.hits.size(); ++round) {
+      ASSERT_EQ(session->precision[round].size(), kScopes.size());
+      for (size_t s = 0; s < kScopes.size(); ++s) {
+        EXPECT_DOUBLE_EQ(session->precision[round][s],
+                         static_cast<double>(golden.hits[round][s]) /
+                             kScopes[s])
+            << "round " << round << " scope " << kScopes[s];
+      }
+    }
+  }
 }
 
 }  // namespace

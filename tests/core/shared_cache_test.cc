@@ -5,13 +5,14 @@
 // labeled-set growth across rounds, and under eviction pressure.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/feedback_loop.h"
-#include "core/lrf_csvm_scheme.h"
 #include "core/multi_coupled_svm.h"
-#include "core/rf_svm_scheme.h"
+#include "core/scheme_factory.h"
 #include "core/session_cache.h"
 #include "logdb/log_store.h"
 #include "logdb/simulated_user.h"
@@ -27,19 +28,20 @@ using testutil::TwoModalityData;
 using testutil::TwoModalityProblem;
 using testutil::Views;
 
-// Trains `views` with per-solve caches and with one cache per modality shared
-// across the solve chain, and checks that sharing changes nothing but the
-// cache traffic.
+// Trains `views` with a two-row cache per modality, which keeps almost no
+// row from one solve of the chain to the next (the minimum budget; see
+// svm::KernelCache), and with the default cache per modality shared across
+// the solve chain, and checks that sharing changes nothing but the cache
+// traffic.
 void ExpectChainSharingMatchesPerSolve(const TwoModalityData& data,
                                        const std::vector<ModalityView>& views) {
   MultiCsvmOptions per_solve = TestOptions();
-  per_solve.reuse_chain_cache = false;
+  per_solve.smo.cache_rows = 2;
   auto cold = MultiCoupledSvm(per_solve).TrainViews(
       views, data.labels, data.initial_unlabeled_labels);
   ASSERT_TRUE(cold.ok()) << cold.status();
 
   MultiCsvmOptions shared = TestOptions();
-  shared.reuse_chain_cache = true;
   auto hot = MultiCoupledSvm(shared).TrainViews(views, data.labels,
                                                 data.initial_unlabeled_labels);
   ASSERT_TRUE(hot.ok());
@@ -219,23 +221,43 @@ class SessionCacheFeedbackTest : public ::testing::Test {
 retrieval::ImageDatabase* SessionCacheFeedbackTest::db_ = nullptr;
 la::Matrix* SessionCacheFeedbackTest::log_features_ = nullptr;
 
+/// The reference for the cross-round kernel caches: forwards to `inner` but
+/// drops the session's carried kernel rows before every round, keeping the
+/// warm-start duals, so each round computes its kernel rows afresh.
+class FreshKernelRowsScheme : public FeedbackScheme {
+ public:
+  explicit FreshKernelRowsScheme(std::shared_ptr<FeedbackScheme> inner)
+      : inner_(std::move(inner)) {}
+
+  std::string name() const override { return inner_->name(); }
+
+  Result<std::vector<int>> Rank(const FeedbackContext& ctx) const override {
+    if (ctx.session_state != nullptr) {
+      for (SessionState::Modality& modality : ctx.session_state->modalities) {
+        modality.rows.Clear();
+      }
+    }
+    return inner_->Rank(ctx);
+  }
+
+ private:
+  std::shared_ptr<FeedbackScheme> inner_;
+};
+
 TEST_F(SessionCacheFeedbackTest, LrfCsvmSessionMatchesWithoutCaches) {
   FeedbackLoopOptions loop;
   loop.rounds = 3;
   loop.judgments_per_round = 10;
   loop.scopes = {10, 20};
 
-  SchemeOptions with = SchemeOpts();
-  with.cross_round_kernel_cache = true;
-  SchemeOptions without = SchemeOpts();
-  without.cross_round_kernel_cache = false;
   LrfCsvmOptions csvm;
   csvm.n_prime = 10;
 
   for (int query : {4, 31, 57}) {
-    LrfCsvmScheme cached(with, csvm);
-    LrfCsvmScheme uncached(without, csvm);
-    auto a = RunFeedbackSession(*db_, log_features_, cached, query, loop);
+    const auto cached = MakeScheme("LRF-CSVM", SchemeOpts(), csvm).value();
+    const FreshKernelRowsScheme uncached(
+        MakeScheme("LRF-CSVM", SchemeOpts(), csvm).value());
+    auto a = RunFeedbackSession(*db_, log_features_, *cached, query, loop);
     auto b = RunFeedbackSession(*db_, log_features_, uncached, query, loop);
     ASSERT_TRUE(a.ok()) << a.status();
     ASSERT_TRUE(b.ok()) << b.status();
@@ -252,14 +274,14 @@ TEST_F(SessionCacheFeedbackTest, LrfCsvmSessionUnderEvictionPressure) {
   SchemeOptions base = SchemeOpts();
   LrfCsvmOptions csvm;
   csvm.n_prime = 10;
-  LrfCsvmScheme reference(base, csvm);
+  const auto reference = MakeScheme("LRF-CSVM", base, csvm).value();
 
   SchemeOptions tiny = base;
   tiny.smo.cache_rows = 2;  // eviction churn in every solve, every round
-  LrfCsvmScheme squeezed(tiny, csvm);
+  const auto squeezed = MakeScheme("LRF-CSVM", tiny, csvm).value();
 
-  auto a = RunFeedbackSession(*db_, log_features_, reference, 11, loop);
-  auto b = RunFeedbackSession(*db_, log_features_, squeezed, 11, loop);
+  auto a = RunFeedbackSession(*db_, log_features_, *reference, 11, loop);
+  auto b = RunFeedbackSession(*db_, log_features_, *squeezed, 11, loop);
   ASSERT_TRUE(a.ok()) << a.status();
   ASSERT_TRUE(b.ok()) << b.status();
   EXPECT_EQ(a->precision, b->precision);
@@ -271,19 +293,21 @@ TEST_F(SessionCacheFeedbackTest, RfSvmSessionMatchesWithoutCaches) {
   loop.judgments_per_round = 12;
   loop.scopes = {10, 20};
 
-  SchemeOptions with = SchemeOpts();
-  with.cross_round_kernel_cache = true;
-  SchemeOptions without = SchemeOpts();
-  without.cross_round_kernel_cache = false;
-
-  for (int query : {2, 43}) {
-    RfSvmScheme cached(with);
-    RfSvmScheme uncached(without);
-    auto a = RunFeedbackSession(*db_, nullptr, cached, query, loop);
-    auto b = RunFeedbackSession(*db_, nullptr, uncached, query, loop);
-    ASSERT_TRUE(a.ok()) << a.status();
-    ASSERT_TRUE(b.ok()) << b.status();
-    EXPECT_EQ(a->precision, b->precision) << "query " << query;
+  // RF-SVM runs visual-only; LRF-2SVMs carries both modalities' rows.
+  for (const char* name : {"RF-SVM", "LRF-2SVMs"}) {
+    const la::Matrix* log =
+        std::string(name) == "RF-SVM" ? nullptr : log_features_;
+    for (int query : {2, 43}) {
+      const auto cached = MakeScheme(name, SchemeOpts()).value();
+      const FreshKernelRowsScheme uncached(
+          MakeScheme(name, SchemeOpts()).value());
+      auto a = RunFeedbackSession(*db_, log, *cached, query, loop);
+      auto b = RunFeedbackSession(*db_, log, uncached, query, loop);
+      ASSERT_TRUE(a.ok()) << a.status();
+      ASSERT_TRUE(b.ok()) << b.status();
+      EXPECT_EQ(a->precision, b->precision)
+          << name << " query " << query;
+    }
   }
 }
 
@@ -294,7 +318,8 @@ TEST_F(SessionCacheFeedbackTest, AggregatedDiagnosticsAccumulate) {
   loop.scopes = {10};
   LrfCsvmOptions csvm;
   csvm.n_prime = 10;
-  LrfCsvmScheme scheme(SchemeOpts(), csvm);
+  const auto made = MakeScheme("LRF-CSVM", SchemeOpts(), csvm).value();
+  const auto& scheme = dynamic_cast<const CoupledSvmScheme&>(*made);
   EXPECT_EQ(scheme.AggregatedDiagnostics().total_smo_iterations, 0);
 
   ASSERT_TRUE(

@@ -6,7 +6,7 @@
 #include <cmath>
 
 #include "core/euclidean_scheme.h"
-#include "core/rf_svm_scheme.h"
+#include "core/scheme_factory.h"
 #include "index/exact_index.h"
 #include "index/index_factory.h"
 #include "index/signature_index.h"
@@ -202,9 +202,9 @@ TEST_F(IndexDatabaseTest, ExactIndexLeavesSchemeRankingsUnchanged) {
       core::MakeDefaultSchemeOptions(db, nullptr);
 
   const core::EuclideanScheme euclidean;
-  const core::RfSvmScheme rf_svm(scheme_options);
+  const auto rf_svm = core::MakeScheme("RF-SVM", scheme_options).value();
   auto euclidean_before = euclidean.Rank(ctx);
-  auto rf_before = rf_svm.Rank(ctx);
+  auto rf_before = rf_svm->Rank(ctx);
   ASSERT_TRUE(euclidean_before.ok());
   ASSERT_TRUE(rf_before.ok());
   EXPECT_EQ(ctx.scan_size(), static_cast<size_t>(db.num_images()));
@@ -212,7 +212,7 @@ TEST_F(IndexDatabaseTest, ExactIndexLeavesSchemeRankingsUnchanged) {
   db.BuildIndex(IndexOptions{});  // exact: the sentinel keeps scans full
   ASSERT_TRUE(ctx.Prepare().ok());
   auto euclidean_after = euclidean.Rank(ctx);
-  auto rf_after = rf_svm.Rank(ctx);
+  auto rf_after = rf_svm->Rank(ctx);
   ASSERT_TRUE(euclidean_after.ok());
   ASSERT_TRUE(rf_after.ok());
   EXPECT_EQ(euclidean_after.value(), euclidean_before.value());
@@ -260,8 +260,10 @@ TEST_F(IndexDatabaseTest, SignatureIndexNarrowsSchemeScans) {
   }
   EXPECT_EQ(ranked.value(), expected);
 
-  const core::RfSvmScheme rf_svm(core::MakeDefaultSchemeOptions(db, nullptr));
-  auto rf_ranked = rf_svm.Rank(ctx);
+  const auto rf_svm =
+      core::MakeScheme("RF-SVM", core::MakeDefaultSchemeOptions(db, nullptr))
+          .value();
+  auto rf_ranked = rf_svm->Rank(ctx);
   ASSERT_TRUE(rf_ranked.ok());
   // SVM scoring ranks exactly the scanned candidates (query excluded).
   EXPECT_EQ(rf_ranked.value().size(), expected.size());
