@@ -169,6 +169,6 @@ void BM_DecisionBatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_DecisionBatch)->Arg(1000)->Arg(5000)->Arg(20000);
+BENCHMARK(BM_DecisionBatch)->Arg(328)->Arg(1000)->Arg(5000)->Arg(20000);
 
 }  // namespace

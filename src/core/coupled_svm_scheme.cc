@@ -1,27 +1,35 @@
 #include "core/coupled_svm_scheme.h"
 
+#include <algorithm>
 #include <unordered_set>
 #include <utility>
 
 namespace cbir::core {
 namespace {
 
-/// Modality k's per-image rows over the whole corpus: 0 = visual, 1 = log.
-const la::Matrix& CorpusRows(const FeedbackContext& ctx, size_t k) {
-  return k == 0 ? ctx.db->features() : *ctx.log_features;
-}
-
-/// Modality k's rows of the context's scan space.
-const la::Matrix& ScanRows(const FeedbackContext& ctx, size_t k) {
-  return k == 0 ? ctx.ScanFeatures() : *ctx.ScanLogFeatures();
-}
-
 la::Matrix GatherRows(const la::Matrix& all, const std::vector<int>& ids) {
   la::Matrix out(ids.size(), all.cols());
   for (size_t i = 0; i < ids.size(); ++i) {
-    out.SetRow(i, all.Row(static_cast<size_t>(ids[i])));
+    std::copy_n(all.RowPtr(static_cast<size_t>(ids[i])), all.cols(),
+                out.RowPtr(i));
   }
   return out;
+}
+
+/// Modality k's rows of images `ids` as a dense matrix for the SMO solver
+/// (0 = visual, 1 = log). Only training sets, at most N_l + N' rows, are
+/// densified; everything else scores the log from its sparse rows.
+la::Matrix TrainingRows(const FeedbackContext& ctx, size_t k,
+                        const std::vector<int>& ids) {
+  return k == 0 ? GatherRows(ctx.db->features(), ids)
+                : ctx.LogRows()->GatherDense(ids);
+}
+
+/// Modality k's decision values over the context's scan space.
+std::vector<double> ScanDecisions(const FeedbackContext& ctx, size_t k,
+                                  const svm::SvmModel& model) {
+  return k == 0 ? model.DecisionBatch(ctx.ScanFeatures())
+                : model.DecisionBatch(*ctx.ScanLogRows());
 }
 
 }  // namespace
@@ -51,38 +59,51 @@ Result<SelectionResult> CoupledSvmScheme::SelectForContext(
     const FeedbackContext& ctx) const {
   const size_t num_modalities = modalities_.size();
   const size_t nl = ctx.labeled_ids.size();
-  std::vector<la::Matrix> labeled(num_modalities);
-  for (size_t k = 0; k < num_modalities; ++k) {
-    labeled[k] = GatherRows(CorpusRows(ctx, k), ctx.labeled_ids);
-  }
-
   std::unordered_set<int> excluded(ctx.labeled_ids.begin(),
                                    ctx.labeled_ids.end());
   excluded.insert(ctx.query_id);
+  // Candidates are the scan space minus the labeled rows and the query;
+  // their rows are read in place by scan position.
   SelectionInputs inputs;
+  std::vector<size_t> positions;
+  positions.reserve(ctx.scan_size());
   inputs.candidate_ids.reserve(ctx.scan_size());
   for (size_t pos = 0; pos < ctx.scan_size(); ++pos) {
     const int id = ctx.ScanId(pos);
-    if (excluded.count(id) == 0) inputs.candidate_ids.push_back(id);
+    if (excluded.count(id) != 0) continue;
+    positions.push_back(pos);
+    inputs.candidate_ids.push_back(id);
   }
+  const la::Matrix& scan_visual = ctx.ScanFeatures();
+  const la::SparseRows* log = num_modalities > 1 ? ctx.LogRows() : nullptr;
+  const la::SparseRows* scan_log =
+      num_modalities > 1 ? ctx.ScanLogRows() : nullptr;
 
   if (options_.selection == SelectionStrategy::kMostSimilar) {
     // Section 6.5: closeness to the labeled positives/negatives, measured
     // by combined kernel similarity (no SVM training needed).
-    inputs.similarity_to_positives.reserve(inputs.candidate_ids.size());
-    inputs.similarity_to_negatives.reserve(inputs.candidate_ids.size());
-    std::vector<la::Vec> sample(num_modalities);
-    for (int id : inputs.candidate_ids) {
-      for (size_t k = 0; k < num_modalities; ++k) {
-        sample[k] = CorpusRows(ctx, k).Row(static_cast<size_t>(id));
+    inputs.similarity_to_positives.reserve(positions.size());
+    inputs.similarity_to_negatives.reserve(positions.size());
+    const la::Matrix labeled_visual =
+        GatherRows(ctx.db->features(), ctx.labeled_ids);
+    std::vector<la::SparseRowView> labeled_log;
+    if (log != nullptr) {
+      for (int id : ctx.labeled_ids) {
+        labeled_log.push_back(log->Row(static_cast<size_t>(id)));
       }
+    }
+    std::vector<double> visual_sim(nl);
+    for (size_t pos : positions) {
+      svm::EvalKernelRowBatch(modalities_[0].kernel, labeled_visual,
+                              scan_visual.RowPtr(pos), visual_sim.data(), 0,
+                              nl);
       double sim_pos = 0.0, sim_neg = 0.0;
       for (size_t j = 0; j < nl; ++j) {
-        double sim = 0.0;
-        for (size_t k = 0; k < num_modalities; ++k) {
-          const double weight = k == 0 ? 1.0 : options_.selection_log_weight;
-          sim += weight * svm::EvalKernelRow(modalities_[k].kernel,
-                                             labeled[k], j, sample[k]);
+        double sim = visual_sim[j];
+        if (log != nullptr) {
+          sim += options_.selection_log_weight *
+                 svm::EvalKernel(modalities_[1].kernel, labeled_log[j],
+                                 scan_log->Row(pos), log->cols());
         }
         (ctx.labels[j] > 0 ? sim_pos : sim_neg) += sim;
       }
@@ -92,17 +113,20 @@ Result<SelectionResult> CoupledSvmScheme::SelectForContext(
   } else {
     // Fig. 1 literal: summed decision values of labeled-only SVMs, i.e. the
     // coupled SVM with N' = 0.
+    std::vector<la::Matrix> labeled(num_modalities);
     std::vector<ModalityView> views = modalities_;
-    for (size_t k = 0; k < num_modalities; ++k) views[k].data = &labeled[k];
+    for (size_t k = 0; k < num_modalities; ++k) {
+      labeled[k] = TrainingRows(ctx, k, ctx.labeled_ids);
+      views[k].data = &labeled[k];
+    }
     CBIR_ASSIGN_OR_RETURN(
         MultiCoupledModel model,
         MultiCoupledSvm(options_.csvm).TrainViews(views, ctx.labels, {}));
-    inputs.combined_decisions.reserve(inputs.candidate_ids.size());
-    for (int id : inputs.candidate_ids) {
-      double decision = 0.0;
-      for (size_t k = 0; k < num_modalities; ++k) {
-        decision += model.models[k].Decision(
-            CorpusRows(ctx, k).Row(static_cast<size_t>(id)));
+    inputs.combined_decisions.reserve(positions.size());
+    for (size_t pos : positions) {
+      double decision = model.models[0].Decision(scan_visual.Row(pos));
+      if (log != nullptr) {
+        decision += model.models[1].Decision(scan_log->Row(pos));
       }
       inputs.combined_decisions.push_back(decision);
     }
@@ -117,8 +141,7 @@ Result<MultiCoupledModel> CoupledSvmScheme::TrainForContext(
     return Status::InvalidArgument(name_ + " requires labeled samples");
   }
   const size_t num_modalities = modalities_.size();
-  if (num_modalities > 1 &&
-      (ctx.log_features == nullptr || ctx.log_features->empty())) {
+  if (num_modalities > 1 && ctx.LogRows() == nullptr) {
     return Status::FailedPrecondition(name_ +
                                       " requires a user-feedback log");
   }
@@ -146,7 +169,7 @@ Result<MultiCoupledModel> CoupledSvmScheme::TrainForContext(
   std::vector<std::vector<double>> initial_alpha(num_modalities);
   std::vector<ModalityView> views = modalities_;
   for (size_t k = 0; k < num_modalities; ++k) {
-    rows[k] = GatherRows(CorpusRows(ctx, k), row_ids);
+    rows[k] = TrainingRows(ctx, k, row_ids);
     views[k].data = &rows[k];
     views[k].initial_alpha = &initial_alpha[k];
     if (state == nullptr) continue;
@@ -189,10 +212,10 @@ Result<MultiCoupledModel> CoupledSvmScheme::TrainForContext(
 Result<std::vector<int>> CoupledSvmScheme::Rank(
     const FeedbackContext& ctx) const {
   CBIR_ASSIGN_OR_RETURN(MultiCoupledModel model, TrainForContext(ctx));
-  std::vector<double> scores = model.models[0].DecisionBatch(ScanRows(ctx, 0));
+  std::vector<double> scores = ScanDecisions(ctx, 0, model.models[0]);
   for (size_t k = 1; k < model.models.size(); ++k) {
     const std::vector<double> modality_scores =
-        model.models[k].DecisionBatch(ScanRows(ctx, k));
+        ScanDecisions(ctx, k, model.models[k]);
     for (size_t i = 0; i < scores.size(); ++i) scores[i] += modality_scores[i];
   }
   return FinalizeRanking(ctx, scores);

@@ -48,12 +48,17 @@ ExperimentResult RunExperiment(
       schemes.size(),
       std::vector<std::vector<double>>(num_queries));
 
+  // Every query scores the log from one sparse copy of it.
+  const la::SparseRows log_rows = log_features != nullptr
+                                      ? la::SparseRows::FromDense(*log_features)
+                                      : la::SparseRows();
+
   ParallelFor(
       num_queries,
       [&](size_t q) {
         FeedbackContext ctx;
         ctx.db = &db;
-        ctx.log_features = log_features;
+        ctx.log_rows = log_rows.empty() ? nullptr : &log_rows;
         ctx.query_id = static_cast<int>(query_pool[q]);
         ctx.candidate_depth = candidate_depth;
         // Queries come from the validated pool, so a failure here is a

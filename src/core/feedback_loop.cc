@@ -24,9 +24,12 @@ Result<FeedbackLoopResult> RunFeedbackSession(
     return Status::InvalidArgument("at least one evaluation scope required");
   }
 
+  const la::SparseRows log_rows = log_features != nullptr
+                                      ? la::SparseRows::FromDense(*log_features)
+                                      : la::SparseRows();
   FeedbackContext ctx;
   ctx.db = &db;
-  ctx.log_features = log_features;
+  ctx.log_rows = log_rows.empty() ? nullptr : &log_rows;
   ctx.query_id = query_id;
   // Round t+1's QPs differ from round t's only by the newly judged images;
   // the session state lets SVM-based schemes warm-start from round t's duals.

@@ -1,5 +1,7 @@
 #include "core/feedback_scheme.h"
 
+#include <algorithm>
+
 #include "retrieval/ranker.h"
 #include "util/logging.h"
 
@@ -38,7 +40,18 @@ Status FeedbackContext::Prepare() {
 
   scan_ids.clear();
   scan_features_ = la::Matrix();
-  scan_log_features_ = la::Matrix();
+  scan_log_rows_ = la::SparseRows();
+  owned_log_rows_ = la::SparseRows();
+  if (log_rows == nullptr && log_features != nullptr) {
+    owned_log_rows_ = la::SparseRows::FromDense(*log_features);
+  }
+  if (const la::SparseRows* log = LogRows();
+      log != nullptr &&
+      log->rows() != static_cast<size_t>(db->num_images())) {
+    return Status::InvalidArgument(
+        "feedback context: log has " + std::to_string(log->rows()) +
+        " rows, corpus has " + std::to_string(db->num_images()) + " images");
+  }
   if (db->index() != nullptr && candidate_depth > 0) {
     // Exhaustive indexes return the "every row" sentinel (empty), keeping
     // the corpus-wide path below — and its bit-identical rankings.
@@ -56,16 +69,13 @@ Status FeedbackContext::Prepare() {
   const la::Matrix& all = db->features();
   scan_features_ = la::Matrix(scan_ids.size(), all.cols());
   for (size_t pos = 0; pos < scan_ids.size(); ++pos) {
-    scan_features_.SetRow(pos, all.Row(static_cast<size_t>(scan_ids[pos])));
+    std::copy_n(all.RowPtr(static_cast<size_t>(scan_ids[pos])), all.cols(),
+                scan_features_.RowPtr(pos));
   }
   query_distances =
       retrieval::AllSquaredDistances(scan_features_, query_feature);
-  if (log_features != nullptr && !log_features->empty()) {
-    scan_log_features_ = la::Matrix(scan_ids.size(), log_features->cols());
-    for (size_t pos = 0; pos < scan_ids.size(); ++pos) {
-      scan_log_features_.SetRow(
-          pos, log_features->Row(static_cast<size_t>(scan_ids[pos])));
-    }
+  if (const la::SparseRows* log = LogRows()) {
+    scan_log_rows_ = log->Gather(scan_ids);
   }
   return Status::OK();
 }
@@ -84,9 +94,16 @@ const la::Matrix& FeedbackContext::ScanFeatures() const {
   return scan_ids.empty() ? db->features() : scan_features_;
 }
 
-const la::Matrix* FeedbackContext::ScanLogFeatures() const {
-  if (log_features == nullptr || log_features->empty()) return nullptr;
-  return scan_ids.empty() ? log_features : &scan_log_features_;
+const la::SparseRows* FeedbackContext::LogRows() const {
+  const la::SparseRows* rows =
+      log_rows != nullptr ? log_rows : &owned_log_rows_;
+  return rows->empty() ? nullptr : rows;
+}
+
+const la::SparseRows* FeedbackContext::ScanLogRows() const {
+  const la::SparseRows* log = LogRows();
+  if (log == nullptr) return nullptr;
+  return scan_ids.empty() ? log : &scan_log_rows_;
 }
 
 SchemeOptions MakeDefaultSchemeOptions(const retrieval::ImageDatabase& db,

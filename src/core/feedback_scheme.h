@@ -8,6 +8,7 @@
 
 #include "core/session_cache.h"
 #include "la/matrix.h"
+#include "la/sparse_rows.h"
 #include "la/vector_ops.h"
 #include "retrieval/image_database.h"
 #include "svm/kernel.h"
@@ -52,11 +53,20 @@ struct SessionState {
 /// \brief Everything a relevance-feedback scheme sees for one query round.
 ///
 /// `labeled_ids` / `labels` are the user's judgments on the initially
-/// returned images (the paper's S_l with N_l = 20); `log_features` is the
-/// dense N x M matrix of per-image log vectors r_i (null when no log store
-/// is attached — the visual-only schemes ignore it).
+/// returned images (the paper's S_l with N_l = 20). The feedback log gives
+/// every image i its log vector r_i, one weight per logged session (a row of
+/// the paper's relevance matrix R); it is attached as `log_rows`, N sparse
+/// rows of M columns, or through the dense `log_features` adapter. Both stay
+/// null when no log store is attached; RF-SVM and Euclidean ignore the log.
 struct FeedbackContext {
   const retrieval::ImageDatabase* db = nullptr;
+  /// The corpus's log vectors as sparse rows, one per image. Every log
+  /// kernel is scored from these: a session that did not judge both images
+  /// costs nothing.
+  const la::SparseRows* log_rows = nullptr;
+  /// Dense N x M adapter for callers that hold only the dense matrix:
+  /// when `log_rows` is null, Prepare() converts it to sparse rows the
+  /// context owns. Nothing is scored from it directly.
   const la::Matrix* log_features = nullptr;
   /// Corpus id of the query image, or -1 for an external
   /// query-by-example: the caller then fills `query_feature` with the raw
@@ -90,10 +100,14 @@ struct FeedbackContext {
 
   /// Computes the derived members; must be called once before Rank().
   /// Malformed input (null db, out-of-range query id, empty or
-  /// wrong-dimension external query feature, labeled/labels arity mismatch)
-  /// returns InvalidArgument instead of aborting — a bad request must never
-  /// kill a serving process.
+  /// wrong-dimension external query feature, labeled/labels arity mismatch,
+  /// a log without one row per image) returns InvalidArgument instead of
+  /// aborting — a bad request must never kill a serving process.
   Status Prepare();
+
+  /// The corpus's log rows (`log_rows`, or the context's conversion of
+  /// `log_features`); null when no log, or an empty one, is attached.
+  const la::SparseRows* LogRows() const;
 
   // --- Scan space: the rows corpus-wide scoring loops iterate over. -------
   /// Number of scanned rows (the whole corpus unless narrowed).
@@ -103,12 +117,13 @@ struct FeedbackContext {
   /// Visual feature rows of the scan space; the full corpus matrix when the
   /// scan is exhaustive, otherwise a gathered candidate matrix.
   const la::Matrix& ScanFeatures() const;
-  /// Log-vector rows of the scan space (null when no log is attached).
-  const la::Matrix* ScanLogFeatures() const;
+  /// Log rows of the scan space (null when no log is attached).
+  const la::SparseRows* ScanLogRows() const;
 
  private:
   la::Matrix scan_features_;      ///< gathered rows when scan_ids is set
-  la::Matrix scan_log_features_;  ///< gathered log rows when scan_ids is set
+  la::SparseRows scan_log_rows_;  ///< gathered log rows when scan_ids is set
+  la::SparseRows owned_log_rows_;  ///< log_features converted by Prepare()
 };
 
 /// \brief Shared hyper-parameters for the SVM-based schemes.

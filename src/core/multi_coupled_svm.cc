@@ -121,7 +121,7 @@ Result<MultiCoupledModel> MultiCoupledSvm::TrainViews(
       train_options.smo.initial_alpha = warm[k];
       train_options.smo.shared_cache = caches[k];
       svm::SvmTrainer trainer(train_options);
-      auto out = trainer.TrainWeighted(*modalities[k].data, y, c_bounds);
+      auto out = trainer.SolveWeighted(*modalities[k].data, y, c_bounds);
       if (!out.ok()) return out.status();
       outputs[k] = std::move(out).value();
       warm[k] = outputs[k].alpha;
@@ -201,11 +201,15 @@ Result<MultiCoupledModel> MultiCoupledSvm::TrainViews(
     rho_star = std::min(2.0 * rho_star, options_.rho);
   }
 
+  // Only the last solve's model is used, so the chain builds it once, from
+  // that solve's duals and the labels it ran with (y has not flipped since).
   model.models.reserve(num_modalities);
   model.alphas.reserve(num_modalities);
-  for (svm::TrainOutput& out : outputs) {
-    model.models.push_back(std::move(out.model));
-    model.alphas.push_back(std::move(out.alpha));
+  for (size_t k = 0; k < num_modalities; ++k) {
+    model.models.push_back(svm::BuildModel(modalities[k].kernel,
+                                           *modalities[k].data, y,
+                                           outputs[k].alpha, outputs[k].bias));
+    model.alphas.push_back(std::move(outputs[k].alpha));
   }
   model.unlabeled_labels.assign(y.begin() + static_cast<long>(nl), y.end());
   if (num_modalities >= 1) {

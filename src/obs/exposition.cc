@@ -127,9 +127,11 @@ void ExpositionServer::ServeOne(const net::Socket& client) {
       "Content-Length: " + std::to_string(body.size()) + "\r\n"
       "Connection: close\r\n"
       "\r\n" + body;
+  // Counted before the write: a client that has read the whole response
+  // must already see its scrape in scrapes().
+  scrapes_.fetch_add(1, std::memory_order_relaxed);
   client.WriteAll(response.data(), response.size());  // best-effort
   client.Shutdown();
-  scrapes_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ExpositionServer::AcceptLoop() {

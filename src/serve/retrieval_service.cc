@@ -81,7 +81,9 @@ RetrievalService::RetrievalService(
     std::shared_ptr<const core::FeedbackScheme> scheme,
     const ServiceOptions& options)
     : db_(db),
-      log_features_(log_features),
+      log_rows_(log_features != nullptr
+                    ? la::SparseRows::FromDense(*log_features)
+                    : la::SparseRows()),
       log_store_(log_store),
       scheme_(std::move(scheme)),
       options_(options),
@@ -132,6 +134,11 @@ Result<std::unique_ptr<RetrievalService>> RetrievalService::Create(
     const ServiceOptions& options) {
   if (db == nullptr) {
     return Status::InvalidArgument("retrieval service: null database");
+  }
+  if (log_features != nullptr && !log_features->empty() &&
+      log_features->rows() != static_cast<size_t>(db->num_images())) {
+    return Status::InvalidArgument(
+        "retrieval service: log matrix needs one row per image");
   }
   if (options.default_k <= 0) {
     return Status::InvalidArgument("retrieval service: default_k must be > 0");
@@ -201,7 +208,7 @@ uint64_t RetrievalService::RegisterSession(int query_id,
   auto session = std::make_shared<ServeSession>();
   session->id = id;
   session->ctx.db = db_;
-  session->ctx.log_features = log_features_;
+  session->ctx.log_rows = log_rows_.empty() ? nullptr : &log_rows_;
   session->ctx.query_id = query_id;
   session->ctx.candidate_depth =
       options_.candidate_depth > 0 ? options_.candidate_depth : 0;

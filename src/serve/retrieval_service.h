@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/scheme_factory.h"
+#include "la/sparse_rows.h"
 #include "logdb/log_store.h"
 #include "obs/metrics.h"
 #include "retrieval/image_database.h"
@@ -84,8 +85,9 @@ struct ScoredCandidate {
 /// (verified by tests/serve/retrieval_service_test.cc).
 class RetrievalService {
  public:
-  /// `db` (and `log_features` when given) must outlive the service and stay
-  /// unmodified while it serves — swap in a new service after a rebuild.
+  /// `db` must outlive the service and stay unmodified while it serves —
+  /// swap in a new service after a rebuild. `log_features` (null, empty, or
+  /// one row per image) is copied once into sparse rows the service owns.
   /// `log_store` may be null (completed sessions are then dropped instead
   /// of appended); it may be shared with other writers since LogStore
   /// synchronizes internally.
@@ -225,7 +227,9 @@ class RetrievalService {
   Status ShedOverload();
 
   const retrieval::ImageDatabase* db_;
-  const la::Matrix* log_features_;
+  /// The log matrix given at construction, converted to sparse rows once;
+  /// every session's context scores the log from these.
+  const la::SparseRows log_rows_;
   logdb::LogStore* log_store_;
   std::shared_ptr<const core::FeedbackScheme> scheme_;
   ServiceOptions options_;

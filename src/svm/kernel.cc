@@ -36,15 +36,18 @@ std::string KernelParams::ToString() const {
   return out;
 }
 
-double EvalKernel(const KernelParams& params, const la::Vec& a,
-                  const la::Vec& b) {
+namespace {
+
+/// K from the one reduction it needs: the squared distance for RBF, the
+/// inner product otherwise.
+double KernelOf(const KernelParams& params, double reduced) {
   switch (params.type) {
     case KernelType::kLinear:
-      return la::Dot(a, b);
+      return reduced;
     case KernelType::kRbf:
-      return std::exp(-params.gamma * la::SquaredDistance(a, b));
+      return std::exp(-params.gamma * reduced);
     case KernelType::kPolynomial: {
-      double base = params.gamma * la::Dot(a, b) + params.coef0;
+      double base = params.gamma * reduced + params.coef0;
       double out = 1.0;
       for (int d = 0; d < params.degree; ++d) out *= base;
       return out;
@@ -54,25 +57,30 @@ double EvalKernel(const KernelParams& params, const la::Vec& a,
   return 0.0;
 }
 
+}  // namespace
+
+double EvalKernel(const KernelParams& params, const la::Vec& a,
+                  const la::Vec& b) {
+  return KernelOf(params, params.type == KernelType::kRbf
+                              ? la::SquaredDistance(a, b)
+                              : la::Dot(a, b));
+}
+
+double EvalKernel(const KernelParams& params, la::SparseRowView a,
+                  la::SparseRowView b, size_t dims) {
+  return KernelOf(params, params.type == KernelType::kRbf
+                              ? la::SparseSquaredDistance(a, b, dims)
+                              : la::SparseDot(a, b, dims));
+}
+
 double EvalKernelRow(const KernelParams& params, const la::Matrix& rows,
                      size_t i, const la::Vec& b) {
   CBIR_CHECK_EQ(rows.cols(), b.size());
   const double* p = rows.RowPtr(i);
   const size_t d = b.size();
-  switch (params.type) {
-    case KernelType::kLinear:
-      return la::DotN(p, b.data(), d);
-    case KernelType::kRbf:
-      return std::exp(-params.gamma * la::SquaredDistanceN(p, b.data(), d));
-    case KernelType::kPolynomial: {
-      double base = params.gamma * la::DotN(p, b.data(), d) + params.coef0;
-      double out = 1.0;
-      for (int deg = 0; deg < params.degree; ++deg) out *= base;
-      return out;
-    }
-  }
-  CBIR_LOG(Fatal) << "unreachable kernel type";
-  return 0.0;
+  return KernelOf(params, params.type == KernelType::kRbf
+                              ? la::SquaredDistanceN(p, b.data(), d)
+                              : la::DotN(p, b.data(), d));
 }
 
 void EvalKernelRowBatch(const KernelParams& params, const la::Matrix& rows,
@@ -84,28 +92,13 @@ void EvalKernelRowBatch(const KernelParams& params, const la::Matrix& rows,
   const size_t dims = rows.cols();
   const double* base = rows.RowPtr(begin);
   const size_t count = end - begin;
-  switch (params.type) {
-    case KernelType::kLinear:
-      la::DotToRows(base, count, dims, b, out);
-      return;
-    case KernelType::kRbf: {
-      la::SquaredDistanceToRows(base, count, dims, b, out);
-      const double gamma = params.gamma;
-      for (size_t r = 0; r < count; ++r) out[r] = std::exp(-gamma * out[r]);
-      return;
-    }
-    case KernelType::kPolynomial: {
-      la::DotToRows(base, count, dims, b, out);
-      for (size_t r = 0; r < count; ++r) {
-        const double p = params.gamma * out[r] + params.coef0;
-        double v = 1.0;
-        for (int deg = 0; deg < params.degree; ++deg) v *= p;
-        out[r] = v;
-      }
-      return;
-    }
+  if (params.type == KernelType::kRbf) {
+    la::SquaredDistanceToRows(base, count, dims, b, out);
+  } else {
+    la::DotToRows(base, count, dims, b, out);
   }
-  CBIR_LOG(Fatal) << "unreachable kernel type";
+  if (params.type == KernelType::kLinear) return;
+  for (size_t r = 0; r < count; ++r) out[r] = KernelOf(params, out[r]);
 }
 
 double DefaultGamma(const la::Matrix& data) {

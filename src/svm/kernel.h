@@ -4,6 +4,7 @@
 #include <string>
 
 #include "la/matrix.h"
+#include "la/sparse_rows.h"
 #include "la/vector_ops.h"
 
 namespace cbir::svm {
@@ -50,6 +51,11 @@ struct KernelParams {
 /// Evaluates K(a, b). Requires equal dimensions.
 double EvalKernel(const KernelParams& params, const la::Vec& a,
                   const la::Vec& b);
+
+/// Evaluates K(a, b) on two sparse rows of `dims` columns, bit-identical to
+/// EvalKernel on their dense forms; costs a merge of their nonzeros.
+double EvalKernel(const KernelParams& params, la::SparseRowView a,
+                  la::SparseRowView b, size_t dims);
 
 /// Evaluates K between row `i` of `rows` and vector `b`.
 double EvalKernelRow(const KernelParams& params, const la::Matrix& rows,

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "la/matrix.h"
+#include "la/sparse_rows.h"
 #include "la/vector_ops.h"
 #include "svm/kernel.h"
 #include "util/result.h"
@@ -33,8 +34,17 @@ class SvmModel {
   /// Signed decision value; the paper's `SVM_Dist`.
   double Decision(const la::Vec& x) const;
 
+  /// Decision value of a sparse sample whose columns lie below the support
+  /// vectors' dims; bit-identical to Decision on its dense form.
+  double Decision(la::SparseRowView x) const;
+
   /// Decision values for every row of `batch`.
   std::vector<double> DecisionBatch(const la::Matrix& batch) const;
+
+  /// Decision values for every row of a sparse `batch`, bit-identical to
+  /// DecisionBatch on its dense form; a kernel evaluation costs a merge of
+  /// the two rows' nonzeros instead of a pass over every column.
+  std::vector<double> DecisionBatch(const la::SparseRows& batch) const;
 
   /// Predicted label in {+1, -1} (ties resolve to +1).
   double Predict(const la::Vec& x) const {
@@ -48,6 +58,8 @@ class SvmModel {
  private:
   KernelParams kernel_;
   la::Matrix support_vectors_;
+  /// The same rows as CSR, for scoring sparse samples.
+  la::SparseRows sparse_support_vectors_;
   std::vector<double> coefficients_;  ///< alpha_s * y_s
   double bias_ = 0.0;
 };

@@ -20,6 +20,15 @@ Result<TrainOutput> SvmTrainer::Train(const la::Matrix& data,
 Result<TrainOutput> SvmTrainer::TrainWeighted(
     const la::Matrix& data, const std::vector<double>& labels,
     const std::vector<double>& c_bounds) const {
+  CBIR_ASSIGN_OR_RETURN(TrainOutput out,
+                        SolveWeighted(data, labels, c_bounds));
+  out.model = BuildModel(options_.kernel, data, labels, out.alpha, out.bias);
+  return out;
+}
+
+Result<TrainOutput> SvmTrainer::SolveWeighted(
+    const la::Matrix& data, const std::vector<double>& labels,
+    const std::vector<double>& c_bounds) const {
   if (data.rows() == 0) {
     return Status::InvalidArgument("training set is empty");
   }
@@ -30,26 +39,8 @@ Result<TrainOutput> SvmTrainer::TrainWeighted(
   SmoSolver solver(data, labels, c_bounds, options_.kernel, options_.smo);
   CBIR_ASSIGN_OR_RETURN(SmoSolution sol, solver.Solve());
 
-  // Collect support vectors (alpha > 0).
-  constexpr double kSvEps = 1e-12;
-  size_t num_sv = 0;
-  for (double a : sol.alpha) {
-    if (a > kSvEps) ++num_sv;
-  }
-  la::Matrix sv(num_sv, data.cols());
-  std::vector<double> coeffs(num_sv);
-  size_t s = 0;
-  for (size_t i = 0; i < data.rows(); ++i) {
-    if (sol.alpha[i] > kSvEps) {
-      sv.SetRow(s, data.Row(i));
-      coeffs[s] = sol.alpha[i] * labels[i];
-      ++s;
-    }
-  }
-
   TrainOutput out;
-  out.model = SvmModel(options_.kernel, std::move(sv), std::move(coeffs),
-                       sol.bias);
+  out.bias = sol.bias;
   out.objective = sol.objective;
   out.iterations = sol.iterations;
   out.converged = sol.converged;
@@ -64,6 +55,29 @@ Result<TrainOutput> SvmTrainer::TrainWeighted(
   }
   out.alpha = std::move(sol.alpha);
   return out;
+}
+
+SvmModel BuildModel(const KernelParams& kernel, const la::Matrix& data,
+                    const std::vector<double>& labels,
+                    const std::vector<double>& alpha, double bias) {
+  CBIR_CHECK_EQ(alpha.size(), data.rows());
+  CBIR_CHECK_EQ(labels.size(), data.rows());
+  constexpr double kSvEps = 1e-12;
+  size_t num_sv = 0;
+  for (double a : alpha) {
+    if (a > kSvEps) ++num_sv;
+  }
+  la::Matrix sv(num_sv, data.cols());
+  std::vector<double> coeffs(num_sv);
+  size_t s = 0;
+  for (size_t i = 0; i < data.rows(); ++i) {
+    if (alpha[i] > kSvEps) {
+      std::copy_n(data.RowPtr(i), data.cols(), sv.RowPtr(s));
+      coeffs[s] = alpha[i] * labels[i];
+      ++s;
+    }
+  }
+  return SvmModel(kernel, std::move(sv), std::move(coeffs), bias);
 }
 
 }  // namespace cbir::svm

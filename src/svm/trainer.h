@@ -29,7 +29,9 @@ struct TrainOptions {
 
 /// \brief A trained model plus per-sample training diagnostics.
 struct TrainOutput {
+  /// Empty after SolveWeighted; TrainWeighted builds it from alpha and bias.
   SvmModel model;
+  double bias = 0.0;
   /// Decision values f(x_i) on the training set, in input order.
   std::vector<double> train_decisions;
   /// Hinge slacks xi_i = max(0, 1 - y_i f(x_i)), in input order. The
@@ -65,9 +67,22 @@ class SvmTrainer {
                                     const std::vector<double>& labels,
                                     const std::vector<double>& c_bounds) const;
 
+  /// TrainWeighted without the model: duals, bias, slacks and decisions
+  /// only. A chain of solves (the coupled SVM's rho annealing) builds the
+  /// model once, from its last solve, with BuildModel.
+  Result<TrainOutput> SolveWeighted(const la::Matrix& data,
+                                    const std::vector<double>& labels,
+                                    const std::vector<double>& c_bounds) const;
+
  private:
   TrainOptions options_;
 };
+
+/// The model of a solve: the rows of `data` with alpha > 1e-12 as support
+/// vectors, in row order, with coefficients alpha * label.
+SvmModel BuildModel(const KernelParams& kernel, const la::Matrix& data,
+                    const std::vector<double>& labels,
+                    const std::vector<double>& alpha, double bias);
 
 }  // namespace cbir::svm
 

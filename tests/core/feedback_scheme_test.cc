@@ -74,6 +74,43 @@ TEST(FeedbackContextTest, PrepareReturnsTypedErrorsInsteadOfAborting) {
   }
 }
 
+TEST(FeedbackContextTest, PrepareConvertsTheDenseLogAndChecksItsRows) {
+  const retrieval::ImageDatabase db = SmallDb();
+  la::Matrix dense(static_cast<size_t>(db.num_images()), 4, 0.0);
+  dense.At(2, 1) = 1.0;
+  dense.At(5, 3) = -0.25;
+  FeedbackContext ctx;
+  ctx.db = &db;
+  ctx.query_id = 0;
+  ctx.log_features = &dense;
+  EXPECT_EQ(ctx.LogRows(), nullptr);  // converted by Prepare()
+  ASSERT_TRUE(ctx.Prepare().ok());
+  ASSERT_NE(ctx.LogRows(), nullptr);
+  EXPECT_EQ(ctx.LogRows()->nnz(), 2u);
+  EXPECT_EQ(ctx.LogRows()->GatherDense({2, 5}).data(),
+            (std::vector<double>{0, 1, 0, 0, 0, 0, 0, -0.25}));
+  EXPECT_EQ(ctx.ScanLogRows(), ctx.LogRows());  // exhaustive scan
+
+  // Sparse rows given directly win over the dense adapter.
+  const la::SparseRows sparse = la::SparseRows::FromDense(dense);
+  ctx.log_rows = &sparse;
+  ASSERT_TRUE(ctx.Prepare().ok());
+  EXPECT_EQ(ctx.LogRows(), &sparse);
+
+  // An empty log is no log.
+  const la::Matrix no_sessions(static_cast<size_t>(db.num_images()), 0);
+  ctx.log_rows = nullptr;
+  ctx.log_features = &no_sessions;
+  ASSERT_TRUE(ctx.Prepare().ok());
+  EXPECT_EQ(ctx.LogRows(), nullptr);
+  EXPECT_EQ(ctx.ScanLogRows(), nullptr);
+
+  // A log without one row per image is a typed error, not a wild read.
+  const la::Matrix short_log(3, 4, 1.0);
+  ctx.log_features = &short_log;
+  EXPECT_EQ(ctx.Prepare().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(FeedbackContextTest, ExternalQueryFeaturePreparesLikeInCorpusQuery) {
   const retrieval::ImageDatabase db = SmallDb();
   FeedbackContext by_id;

@@ -1,12 +1,14 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/euclidean_scheme.h"
 #include "core/feedback_loop.h"
 #include "core/scheme_factory.h"
+#include "index/index_factory.h"
 #include "logdb/simulated_user.h"
 #include "retrieval/ranker.h"
 
@@ -295,6 +297,57 @@ TEST_F(SchemesTest, DefaultSchemeOptionsDeriveKernelsFromData) {
   EXPECT_GT(options.log_kernel.gamma, 0.0);
   EXPECT_NE(options.visual_kernel.gamma, options.log_kernel.gamma);
   EXPECT_DOUBLE_EQ(options.c_log, 1.0);
+}
+
+// Callers holding only the dense log (the adapter Prepare() converts) and
+// callers handing in sparse rows must get the same rankings from every
+// scheme and selection rule, over the whole corpus and over a narrowed
+// candidate pool (where Prepare gathers the pool's log rows).
+TEST_F(SchemesTest, DenseLogAdapterRanksLikeSparseRows) {
+  const la::SparseRows sparse = la::SparseRows::FromDense(*log_features_);
+  retrieval::ImageDatabase indexed = *db_;
+  retrieval::IndexOptions index_options;
+  index_options.mode = retrieval::IndexMode::kSignature;
+  index_options.signature.candidate_factor = 2;
+  indexed.BuildIndex(index_options);
+
+  LrfCsvmOptions max_min;
+  max_min.selection = SelectionStrategy::kMaxMin;
+  struct Case {
+    const char* name;
+    LrfCsvmOptions options;
+  };
+  const Case cases[] = {{"Euclidean", {}},
+                        {"RF-SVM", {}},
+                        {"LRF-2SVMs", {}},
+                        {"LRF-CSVM", {}},
+                        {"LRF-CSVM", max_min}};
+  for (const retrieval::ImageDatabase* db : {db_, &indexed}) {
+    for (const Case& c : cases) {
+      auto scheme = MakeScheme(c.name, *scheme_options_, c.options);
+      ASSERT_TRUE(scheme.ok()) << scheme.status();
+      for (int query : {3, 16, 29}) {
+        SCOPED_TRACE(std::string(c.name) + " query " + std::to_string(query) +
+                     (db == db_ ? " exhaustive" : " narrowed"));
+        FeedbackContext dense_ctx = MakeContext(query);
+        dense_ctx.db = db;
+        dense_ctx.candidate_depth = 12;
+        ASSERT_TRUE(dense_ctx.Prepare().ok());
+        FeedbackContext sparse_ctx = dense_ctx;
+        sparse_ctx.log_features = nullptr;
+        sparse_ctx.log_rows = &sparse;
+        ASSERT_TRUE(sparse_ctx.Prepare().ok());
+        EXPECT_EQ(sparse_ctx.scan_ids, dense_ctx.scan_ids);
+        if (db != db_) EXPECT_FALSE(sparse_ctx.scan_ids.empty());
+
+        auto from_dense = (*scheme)->Rank(dense_ctx);
+        auto from_sparse = (*scheme)->Rank(sparse_ctx);
+        ASSERT_TRUE(from_dense.ok()) << from_dense.status();
+        ASSERT_TRUE(from_sparse.ok()) << from_sparse.status();
+        EXPECT_EQ(from_dense.value(), from_sparse.value());
+      }
+    }
+  }
 }
 
 // Pins each SVM scheme's exact output on the fixture corpus: the round-one

@@ -126,6 +126,15 @@ TEST_F(RetrievalServiceTest, RejectsBadInputs) {
   EXPECT_FALSE(
       RetrievalService::Create(db_, log_features_, nullptr, SchemeOpts(), bad)
           .ok());
+
+  // The log is converted to sparse rows once, at Create: one that does not
+  // have a row per image is refused there.
+  const la::Matrix short_log(3, log_features_->cols(), 1.0);
+  EXPECT_EQ(RetrievalService::Create(db_, &short_log, nullptr, SchemeOpts(),
+                                     ServiceOptions{})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 // The acceptance-critical property: a single-threaded service session is

@@ -1,6 +1,7 @@
 #include "svm/kernel.h"
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -59,6 +60,42 @@ TEST(KernelTest, EvalKernelRowMatchesEvalKernel) {
     for (size_t i = 0; i < 3; ++i) {
       EXPECT_NEAR(EvalKernelRow(k, rows, i, b),
                   EvalKernel(k, rows.Row(i), b), 1e-12);
+    }
+  }
+}
+
+// The log modality is scored from sparse rows; every kernel must give the
+// dense value to the bit, whatever the zero pattern or the doubles.
+TEST(KernelTest, SparseEvalKernelIsBitIdenticalToDense) {
+  Rng rng(19);
+  const KernelParams kernels[] = {KernelParams::Linear(),
+                                  KernelParams::Rbf(0.37),
+                                  KernelParams::Polynomial(0.5, 1.0, 3)};
+  for (size_t dims : {1, 2, 3, 4, 5, 6, 7, 8, 9, 150}) {
+    for (int trial = 0; trial < 60; ++trial) {
+      la::Matrix dense(2, dims, 0.0);
+      const double density = trial % 3 == 0 ? 0.05 : trial % 3 == 1 ? 0.4 : 1;
+      for (size_t r = 0; r < 2; ++r) {
+        for (size_t c = 0; c < dims; ++c) {
+          if (rng.Uniform() >= density) continue;
+          // Odd trials use the log's +1 / -0.25 weights, even ones
+          // arbitrary doubles.
+          dense.At(r, c) = trial % 2 == 1
+                               ? (rng.Uniform() < 0.6 ? 1.0 : -0.25)
+                               : rng.Gaussian() * 3.0;
+        }
+      }
+      const la::SparseRows sparse = la::SparseRows::FromDense(dense);
+      for (const KernelParams& k : kernels) {
+        SCOPED_TRACE(k.ToString() + " dims " + std::to_string(dims));
+        EXPECT_EQ(EvalKernel(k, sparse.Row(0), sparse.Row(1), dims),
+                  EvalKernel(k, dense.Row(0), dense.Row(1)));
+        EXPECT_EQ(EvalKernel(k, sparse.Row(1), sparse.Row(0), dims),
+                  EvalKernelRow(k, dense, 0, dense.Row(1)));
+        double batch = 0.0;
+        EvalKernelRowBatch(k, dense, dense.RowPtr(1), &batch, 0, 1);
+        EXPECT_EQ(EvalKernel(k, sparse.Row(0), sparse.Row(1), dims), batch);
+      }
     }
   }
 }

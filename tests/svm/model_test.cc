@@ -1,6 +1,8 @@
 #include "svm/model.h"
 
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -50,6 +52,69 @@ TEST(SvmModelTest, EmptyModelIsBiasOnly) {
   SvmModel m;
   EXPECT_TRUE(m.empty());
   EXPECT_DOUBLE_EQ(m.Decision({}), 0.0);
+}
+
+// A model over `dims`-column rows with `num_sv` support vectors, plus a
+// batch of `rows` samples; `density` of the entries are nonzero, drawn from
+// the log's +1 / -0.25 weights.
+struct SparseCase {
+  SvmModel model;
+  la::Matrix batch;
+};
+
+SparseCase RandomSparseCase(const KernelParams& kernel, size_t num_sv,
+                            size_t rows, size_t dims, double density,
+                            uint64_t seed) {
+  Rng rng(seed);
+  const auto fill = [&](la::Matrix* m) {
+    for (double& v : m->data()) {
+      if (rng.Uniform() < density) v = rng.Uniform() < 0.6 ? 1.0 : -0.25;
+    }
+  };
+  la::Matrix sv(num_sv, dims, 0.0);
+  fill(&sv);
+  std::vector<double> coefficients(num_sv);
+  for (double& c : coefficients) c = rng.Uniform(-10.0, 10.0);
+  la::Matrix batch(rows, dims, 0.0);
+  fill(&batch);
+  return {SvmModel(kernel, std::move(sv), std::move(coefficients),
+                   rng.Uniform(-1.0, 1.0)),
+          std::move(batch)};
+}
+
+TEST(SvmModelTest, SparseDecisionsAreBitIdenticalToDense) {
+  for (const KernelParams& kernel :
+       {KernelParams::Linear(), KernelParams::Rbf(0.02),
+        KernelParams::Polynomial(0.5, 1.0, 2)}) {
+    SCOPED_TRACE(kernel.ToString());
+    // A pool-sized batch scored on the calling thread, and a corpus-sized
+    // one whose work fans out across threads.
+    for (const auto& [rows, density] :
+         {std::pair<size_t, double>{328, 0.02}, {400, 0.9}}) {
+      const SparseCase c =
+          RandomSparseCase(kernel, 40, rows, 150, density, rows);
+      const la::SparseRows sparse = la::SparseRows::FromDense(c.batch);
+      const std::vector<double> dense_scores = c.model.DecisionBatch(c.batch);
+      const std::vector<double> sparse_scores =
+          c.model.DecisionBatch(sparse);
+      ASSERT_EQ(sparse_scores.size(), rows);
+      for (size_t r = 0; r < rows; ++r) {
+        EXPECT_EQ(sparse_scores[r], dense_scores[r]) << "row " << r;
+        EXPECT_EQ(c.model.Decision(sparse.Row(r)),
+                  c.model.Decision(c.batch.Row(r)))
+            << "row " << r;
+      }
+    }
+  }
+}
+
+TEST(SvmModelTest, SparseDecisionsOfEmptyModelAreBias) {
+  const SvmModel empty;
+  const la::SparseRows batch =
+      la::SparseRows::FromDense(la::Matrix(3, 4, 1.0));
+  EXPECT_EQ(empty.DecisionBatch(batch), std::vector<double>(3, 0.0));
+  EXPECT_EQ(empty.Decision(batch.Row(0)), 0.0);
+  EXPECT_TRUE(ToyModel().DecisionBatch(la::SparseRows(2)).empty());
 }
 
 TEST(SvmModelTest, SaveLoadRoundTrip) {

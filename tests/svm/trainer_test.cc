@@ -85,6 +85,32 @@ TEST(TrainerTest, WeightedTrainingLimitsLowCSamples) {
   EXPECT_GT(out->model.Decision({0.3}), 0.0);
 }
 
+// A solve chain keeps only duals and bias, then builds its one model; that
+// model must be the one TrainWeighted builds from the same solve.
+TEST(TrainerTest, SolveThenBuildModelEqualsTrainWeighted) {
+  std::vector<double> y;
+  const la::Matrix data = SeparableData(&y, 24, 5);
+  std::vector<double> c_bounds(y.size(), 1.0);
+  for (size_t i = 0; i < c_bounds.size(); i += 3) c_bounds[i] = 0.05;
+  TrainOptions options;
+  options.kernel = KernelParams::Rbf(0.5);
+  const SvmTrainer trainer(options);
+  auto trained = trainer.TrainWeighted(data, y, c_bounds);
+  auto solved = trainer.SolveWeighted(data, y, c_bounds);
+  ASSERT_TRUE(trained.ok() && solved.ok());
+  EXPECT_TRUE(solved->model.empty());
+  EXPECT_EQ(solved->alpha, trained->alpha);
+  EXPECT_EQ(solved->bias, trained->model.bias());
+  EXPECT_EQ(solved->slacks, trained->slacks);
+
+  const SvmModel built =
+      BuildModel(options.kernel, data, y, solved->alpha, solved->bias);
+  EXPECT_EQ(built.coefficients(), trained->model.coefficients());
+  EXPECT_EQ(built.support_vectors().data(),
+            trained->model.support_vectors().data());
+  EXPECT_EQ(built.bias(), trained->model.bias());
+}
+
 TEST(TrainerTest, InputValidation) {
   la::Matrix empty;
   SvmTrainer trainer;
