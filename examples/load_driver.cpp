@@ -558,33 +558,15 @@ int main(int argc, char** argv) {
         continue;
       }
       const uint64_t sid = session_or.value();
-      const int fetch_k = fetch_depth;
       // A NotFound mid-session is not a failure: under --ttl /
       // --max-sessions eviction pressure the service legitimately reclaims
       // sessions out from under slow users.
       const auto evicted = [](const Status& s) {
         return s.code() == StatusCode::kNotFound;
       };
-      auto ranking_or = backend->Query(sid, fetch_k);
-      bool ok = ranking_or.ok();
-      if (ok) {
-        requests_succeeded.fetch_add(1);
-        if (backend->last_degraded()) degraded_seen.fetch_add(1);
-      }
-      bool gone = !ok && evicted(ranking_or.status());
-      bool lost = !ok && chaotic(ranking_or.status());
-      bool down = !ok && outage(ranking_or.status());
-      std::unordered_set<int> judged{query_id};
-      const int query_category = categories[static_cast<size_t>(query_id)];
-      for (int r = 0; r < rounds && ok; ++r) {
-        std::vector<logdb::LogEntry> round;
-        for (int id : ranking_or.value()) {
-          if (static_cast<int>(round.size()) >= judgments) break;
-          if (!judged.insert(id).second) continue;
-          round.push_back(
-              logdb::LogEntry{id, user.Judge(id, query_category, &rng)});
-        }
-        ranking_or = backend->Feedback(sid, round, fetch_k);
+      auto ranking_or = backend->Query(sid, fetch_depth);
+      bool ok = false, gone = false, lost = false, down = false;
+      const auto tally = [&] {  // counts the reply, classifies a failure
         ok = ranking_or.ok();
         if (ok) {
           requests_succeeded.fetch_add(1);
@@ -593,6 +575,17 @@ int main(int argc, char** argv) {
         gone = !ok && evicted(ranking_or.status());
         lost = !ok && chaotic(ranking_or.status());
         down = !ok && outage(ranking_or.status());
+      };
+      tally();
+      std::unordered_set<int> judged{query_id};
+      const int query_category = categories[static_cast<size_t>(query_id)];
+      for (int r = 0; r < rounds && ok; ++r) {
+        ranking_or = backend->Feedback(
+            sid,
+            user.JudgeRound(ranking_or.value(), query_category, judgments,
+                            &judged, &rng),
+            fetch_depth);
+        tally();
       }
       // End the session even on a failed round so its completed rounds
       // still reach the log store and nothing idles until eviction.

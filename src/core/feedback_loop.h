@@ -1,20 +1,71 @@
 #ifndef CBIR_CORE_FEEDBACK_LOOP_H_
 #define CBIR_CORE_FEEDBACK_LOOP_H_
 
+#include <unordered_set>
 #include <vector>
 
 #include "core/feedback_scheme.h"
-#include "la/matrix.h"
-#include "logdb/log_store.h"
-#include "logdb/simulated_user.h"
+#include "la/sparse_rows.h"
+#include "logdb/log_session.h"
 #include "retrieval/image_database.h"
 #include "util/result.h"
 
 namespace cbir::core {
 
-/// \brief Configuration of an iterative relevance-feedback session
-/// (paper Section 2: "the relevance feedback procedures are repeated again
-/// and again until the targets are found").
+/// TopK depth of a session's first-round retrieval: `candidate_depth` when
+/// the database carries an index and it is > 0, else -1 (the full ranking).
+int FirstRoundDepth(const retrieval::ImageDatabase& db, int candidate_depth);
+
+/// \brief One relevance-feedback session across its rounds (paper Section
+/// 2: "the relevance feedback procedures are repeated again and again until
+/// the targets are found").
+///
+/// Owns what a session carries across rounds: the context, the warm-start
+/// state, the judged set (query included), the current ranking and the
+/// rounds recorded for the log. The serving layer and RunFeedbackSession
+/// both apply rounds through it. Not thread-safe; not movable (the context
+/// points at the owned warm-start state).
+class FeedbackSession {
+ public:
+  /// `ctx` names the database, log rows, query (a corpus id, or -1 with an
+  /// external `query_feature`) and candidate depth; its labels start empty.
+  explicit FeedbackSession(FeedbackContext ctx);
+  FeedbackSession(const FeedbackSession&) = delete;
+  FeedbackSession& operator=(const FeedbackSession&) = delete;
+
+  /// Installs the caller's first-round ranking (a server's may come from a
+  /// cache), with the query id dropped.
+  void SetFirstRound(std::vector<int> ranking);
+
+  /// Applies one round of judgments: drops already-judged and query ids,
+  /// appends the rest as labels, prepares the context on the first round
+  /// only, and re-ranks with `scheme`. The round is recorded for the log
+  /// only once Rank succeeded, and only if it judged something new.
+  Status ApplyRound(const FeedbackScheme& scheme,
+                    const std::vector<logdb::LogEntry>& round);
+
+  /// Ends the session: returns its recorded rounds, in order, and releases
+  /// the warm-start duals and kernel-cache slabs.
+  std::vector<logdb::LogSession> End();
+
+  const FeedbackContext& context() const { return ctx_; }
+  bool has_ranking() const { return has_ranking_; }
+  /// The current ranking, query id excluded.
+  const std::vector<int>& ranking() const { return ranking_; }
+  /// Bytes of warm-start kernel-cache memory held.
+  size_t kernel_bytes() const { return warm_start_.AllocatedKernelBytes(); }
+
+ private:
+  FeedbackContext ctx_;
+  SessionState warm_start_;
+  bool prepared_ = false;
+  std::unordered_set<int> judged_;
+  std::vector<int> ranking_;
+  bool has_ranking_ = false;
+  std::vector<logdb::LogSession> recorded_;
+};
+
+/// \brief Configuration of an iterative relevance-feedback session.
 struct FeedbackLoopOptions {
   /// Number of feedback rounds after the initial Euclidean retrieval.
   int rounds = 4;
@@ -39,21 +90,21 @@ struct FeedbackLoopResult {
   std::vector<std::vector<double>> precision;
   /// Total images judged by the simulated user across all rounds.
   int total_judgments = 0;
-  /// The session recorded in log form (one LogSession per round), ready to
-  /// be appended to a LogStore — this is how a deployment accumulates the
-  /// long-term log the paper's schemes consume.
+  /// The session recorded in log form (one LogSession per round that judged
+  /// something), ready to be appended to a LogStore — this is how a
+  /// deployment accumulates the long-term log the paper's schemes consume.
   std::vector<logdb::LogSession> recorded_sessions;
 };
 
 /// \brief Runs a complete multi-round relevance-feedback session for one
-/// query: initial Euclidean retrieval, then `rounds` iterations of
-/// (simulated) user judgment on the top unjudged results followed by
-/// re-ranking with `scheme`.
+/// query: a simulated user drives a FeedbackSession through the initial
+/// Euclidean retrieval, then `rounds` iterations of judging the top
+/// unjudged results followed by re-ranking with `scheme`.
 ///
-/// The judged set accumulates across rounds, exactly like a real session.
+/// `log_rows` (null, empty, or one row per image) is the corpus's log.
 /// Deterministic in `options.seed`.
 Result<FeedbackLoopResult> RunFeedbackSession(
-    const retrieval::ImageDatabase& db, const la::Matrix* log_features,
+    const retrieval::ImageDatabase& db, const la::SparseRows* log_rows,
     const FeedbackScheme& scheme, int query_id,
     const FeedbackLoopOptions& options);
 

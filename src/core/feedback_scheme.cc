@@ -1,11 +1,29 @@
 #include "core/feedback_scheme.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "retrieval/ranker.h"
 #include "util/logging.h"
 
 namespace cbir::core {
+
+Status CheckQueryFeature(const retrieval::ImageDatabase& db,
+                         const la::Vec& feature, const char* who) {
+  if (feature.size() != db.features().cols()) {
+    return Status::InvalidArgument(
+        std::string(who) + ": query feature has " +
+        std::to_string(feature.size()) + " dims, corpus has " +
+        std::to_string(db.features().cols()));
+  }
+  for (double v : feature) {
+    if (!std::isfinite(v)) {
+      return Status::InvalidArgument(
+          std::string(who) + ": query feature contains a non-finite value");
+    }
+  }
+  return Status::OK();
+}
 
 Status FeedbackContext::Prepare() {
   if (db == nullptr) {
@@ -25,17 +43,8 @@ Status FeedbackContext::Prepare() {
     query_feature = db->feature(query_id);
   } else {
     // External query-by-example: the caller supplied the raw feature vector.
-    if (query_feature.empty()) {
-      return Status::InvalidArgument(
-          "feedback context: external query (query_id < 0) requires a "
-          "query_feature");
-    }
-    if (query_feature.size() != db->features().cols()) {
-      return Status::InvalidArgument(
-          "feedback context: query feature has " +
-          std::to_string(query_feature.size()) + " dims, corpus has " +
-          std::to_string(db->features().cols()));
-    }
+    CBIR_RETURN_NOT_OK(
+        CheckQueryFeature(*db, query_feature, "feedback context"));
   }
 
   scan_ids.clear();

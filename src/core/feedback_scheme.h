@@ -39,8 +39,6 @@ struct SessionState {
   /// sizes it on first use.
   std::vector<Modality> modalities;
 
-  void Clear() { modalities.clear(); }
-
   /// Bytes held by the kernel caches (slabs + gathered matrices); the
   /// serving layer charges this against its session-memory accounting.
   size_t AllocatedKernelBytes() const {
@@ -49,6 +47,12 @@ struct SessionState {
     return bytes;
   }
 };
+
+/// Checks an external query feature against the corpus: it must have the
+/// corpus's dimensionality and only finite values, else InvalidArgument
+/// whose message starts with `who` (e.g. "retrieval service").
+Status CheckQueryFeature(const retrieval::ImageDatabase& db,
+                         const la::Vec& feature, const char* who);
 
 /// \brief Everything a relevance-feedback scheme sees for one query round.
 ///
@@ -78,7 +82,7 @@ struct FeedbackContext {
   std::vector<int> labeled_ids;
   std::vector<double> labels;  ///< +1 / -1, parallel to labeled_ids
   /// Optional per-session warm-start state (null = cold start every round).
-  /// The owner (e.g. RunFeedbackSession) keeps it alive across rounds; a
+  /// The owner (a FeedbackSession) keeps it alive across rounds; a
   /// scheme may read and update it from Rank() despite constness because the
   /// state belongs to the session, not the scheme.
   SessionState* session_state = nullptr;
@@ -99,8 +103,8 @@ struct FeedbackContext {
   std::vector<double> query_distances;
 
   /// Computes the derived members; must be called once before Rank().
-  /// Malformed input (null db, out-of-range query id, empty or
-  /// wrong-dimension external query feature, labeled/labels arity mismatch,
+  /// Malformed input (null db, out-of-range query id, an external query
+  /// feature CheckQueryFeature refuses, labeled/labels arity mismatch,
   /// a log without one row per image) returns InvalidArgument instead of
   /// aborting — a bad request must never kill a serving process.
   Status Prepare();

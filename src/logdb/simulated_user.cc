@@ -35,6 +35,18 @@ int8_t SimulatedUser::Judge(int image_id, int query_category,
   return truth;
 }
 
+std::vector<LogEntry> SimulatedUser::JudgeRound(
+    const std::vector<int>& ranking, int query_category, int n,
+    std::unordered_set<int>* judged, Rng* rng) const {
+  std::vector<LogEntry> round;
+  for (int id : ranking) {
+    if (static_cast<int>(round.size()) >= n) break;
+    if (!judged->insert(id).second) continue;
+    round.push_back(LogEntry{id, Judge(id, query_category, rng)});
+  }
+  return round;
+}
+
 LogStore CollectLogs(const la::Matrix& features,
                      const std::vector<int>& categories,
                      const LogCollectionOptions& options) {

@@ -2,6 +2,7 @@
 #define CBIR_LOGDB_SIMULATED_USER_H_
 
 #include <cstdint>
+#include <unordered_set>
 #include <vector>
 
 #include "la/matrix.h"
@@ -30,6 +31,14 @@ class SimulatedUser {
   /// for same-category (relevant), -1 otherwise, with the noise model's flip
   /// probability applied. Deterministic given `rng` state.
   int8_t Judge(int image_id, int query_category, Rng* rng) const;
+
+  /// One feedback round: judges the first `n` ids of `ranking` not yet in
+  /// `judged` (which holds the query too) and adds them to it. One RNG draw
+  /// per judged image, in ranking order.
+  std::vector<LogEntry> JudgeRound(const std::vector<int>& ranking,
+                                   int query_category, int n,
+                                   std::unordered_set<int>* judged,
+                                   Rng* rng) const;
 
   /// Noise-free ground-truth relevance (used by the evaluation protocol,
   /// which the paper runs with automatic category-based judgments).

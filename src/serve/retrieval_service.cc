@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
-#include <unordered_set>
 #include <utility>
 
 #include "index/signature_index.h"
@@ -166,13 +165,6 @@ Result<std::unique_ptr<RetrievalService>> RetrievalService::Create(
       db, log_features, log_store, std::move(scheme), options));
 }
 
-int RetrievalService::EffectiveDepth() const {
-  if (options_.candidate_depth <= 0) return -1;
-  // Without an index the exhaustive scan produces the full ranking anyway;
-  // mirroring RunFeedbackSession keeps the two paths rank-identical.
-  return db_->index() == nullptr ? -1 : options_.candidate_depth;
-}
-
 Result<uint64_t> RetrievalService::StartSession(int query_id) {
   if (query_id < 0 || query_id >= db_->num_images()) {
     return Status::InvalidArgument(
@@ -183,18 +175,8 @@ Result<uint64_t> RetrievalService::StartSession(int query_id) {
 }
 
 Result<uint64_t> RetrievalService::StartSession(const la::Vec& query_feature) {
-  if (query_feature.size() != db_->features().cols()) {
-    return Status::InvalidArgument(
-        "retrieval service: query feature has " +
-        std::to_string(query_feature.size()) + " dims, corpus has " +
-        std::to_string(db_->features().cols()));
-  }
-  for (double v : query_feature) {
-    if (!std::isfinite(v)) {
-      return Status::InvalidArgument(
-          "retrieval service: query feature contains a non-finite value");
-    }
-  }
+  CBIR_RETURN_NOT_OK(
+      core::CheckQueryFeature(*db_, query_feature, "retrieval service"));
   return RegisterSession(-1, query_feature);
 }
 
@@ -205,22 +187,21 @@ uint64_t RetrievalService::RegisterSession(int query_id,
   // Fully initialize before registering: the session only becomes visible
   // to concurrent Acquire calls once its context is ready. Register() also
   // runs the lazy TTL sweep.
-  auto session = std::make_shared<ServeSession>();
+  core::FeedbackContext ctx;
+  ctx.db = db_;
+  ctx.log_rows = &log_rows_;
+  ctx.query_id = query_id;
+  ctx.candidate_depth = options_.candidate_depth;
+  ctx.query_feature = std::move(query_feature);
+  auto session = std::make_shared<ServeSession>(std::move(ctx));
   session->id = id;
-  session->ctx.db = db_;
-  session->ctx.log_rows = log_rows_.empty() ? nullptr : &log_rows_;
-  session->ctx.query_id = query_id;
-  session->ctx.candidate_depth =
-      options_.candidate_depth > 0 ? options_.candidate_depth : 0;
-  session->ctx.session_state = &session->warm_start;
-  session->ctx.query_feature = std::move(query_feature);
   sessions_->Register(std::move(session));
   return id;
 }
 
 std::vector<int> RetrievalService::FirstRoundRanking(
     const la::Vec& query_feature) {
-  const int depth = EffectiveDepth();
+  const int depth = core::FirstRoundDepth(*db_, options_.candidate_depth);
   // Full-corpus rankings (depth <= 0) are never cached: the cache capacity
   // counts entries, so corpus-length vectors would turn it into
   // corpus-size x 4096 bytes of memory. Bounded-depth serving configs (a
@@ -250,16 +231,6 @@ std::vector<int> RetrievalService::FirstRoundRanking(
   return ranking;
 }
 
-void RetrievalService::EnsureFirstRoundLocked(ServeSession& session) {
-  if (session.has_ranking) return;
-  std::vector<int> ranking = FirstRoundRanking(session.ctx.query_feature);
-  ranking.erase(
-      std::remove(ranking.begin(), ranking.end(), session.ctx.query_id),
-      ranking.end());
-  session.ranking = std::move(ranking);
-  session.has_ranking = true;
-}
-
 Result<std::vector<ScoredCandidate>> RetrievalService::FirstRoundCandidates(
     const la::Vec& query_feature, int k, int exclude_id) {
   Stopwatch watch;
@@ -267,18 +238,8 @@ Result<std::vector<ScoredCandidate>> RetrievalService::FirstRoundCandidates(
   AdmissionSlot slot(this);
   if (!slot.admitted()) return ShedOverload();
   admission_span.End();
-  if (query_feature.size() != db_->features().cols()) {
-    return Status::InvalidArgument(
-        "retrieval service: query feature has " +
-        std::to_string(query_feature.size()) + " dims, corpus has " +
-        std::to_string(db_->features().cols()));
-  }
-  for (double v : query_feature) {
-    if (!std::isfinite(v)) {
-      return Status::InvalidArgument(
-          "retrieval service: query feature contains a non-finite value");
-    }
-  }
+  CBIR_RETURN_NOT_OK(
+      core::CheckQueryFeature(*db_, query_feature, "retrieval service"));
   std::vector<int> ranking;
   {
     obs::ScopedSpan scan_span("index_scan", stage_index_scan_);
@@ -309,11 +270,11 @@ Result<std::vector<ScoredCandidate>> RetrievalService::FirstRoundCandidates(
 
 Result<std::vector<int>> RetrievalService::TopKOfRanking(
     const ServeSession& session, int k) const {
+  const std::vector<int>& ranking = session.feedback.ranking();
   const int want = k > 0 ? k : options_.default_k;
-  const size_t n = std::min(session.ranking.size(),
-                            static_cast<size_t>(want));
-  return std::vector<int>(session.ranking.begin(),
-                          session.ranking.begin() + static_cast<long>(n));
+  const size_t n = std::min(ranking.size(), static_cast<size_t>(want));
+  return std::vector<int>(ranking.begin(),
+                          ranking.begin() + static_cast<long>(n));
 }
 
 RetrievalService::AdmissionSlot::AdmissionSlot(RetrievalService* service)
@@ -371,9 +332,10 @@ Result<std::vector<int>> RetrievalService::Query(uint64_t session_id, int k) {
   if (session->ended) {
     return Status::NotFound("retrieval service: session already ended");
   }
-  if (!session->has_ranking) {
+  if (!session->feedback.has_ranking()) {
     obs::ScopedSpan scan_span("index_scan", stage_index_scan_);
-    EnsureFirstRoundLocked(*session);
+    session->feedback.SetFirstRound(
+        FirstRoundRanking(session->feedback.context().query_feature));
   }
   Result<std::vector<int>> out = TopKOfRanking(*session, k);
   queries_->Increment();
@@ -423,49 +385,22 @@ Result<std::vector<int>> RetrievalService::Feedback(
           std::to_string(session->last_feedback_seq) + ")");
     }
   }
-  // Covers the (first-round) candidate scan and everything Rank touches —
-  // the index work EXPLAIN attributes to this feedback round.
-  ScopedIndexCounters index_counters(db_->index());
-  if (!session->prepared) {
-    // One candidate scan narrows every subsequent round's scoring loops,
-    // exactly like RunFeedbackSession's single Prepare() call. A Prepare
-    // failure is typed, not fatal: the session's inputs were validated at
-    // StartSession, but the invariant must hold even for future callers.
-    CBIR_RETURN_NOT_OK(session->ctx.Prepare());
-    session->prepared = true;
-  }
-
-  std::unordered_set<int> seen(session->ctx.labeled_ids.begin(),
-                               session->ctx.labeled_ids.end());
-  seen.insert(session->ctx.query_id);
-  logdb::LogSession record;
-  record.query_image_id = session->ctx.query_id;
-  for (const logdb::LogEntry& e : round) {
-    if (!seen.insert(e.image_id).second) continue;  // duplicate or query
-    session->ctx.labeled_ids.push_back(e.image_id);
-    session->ctx.labels.push_back(static_cast<double>(e.judgment));
-    record.entries.push_back(e);
-  }
-
   {
+    // Covers the first round's candidate scan and everything Rank touches —
+    // the index work EXPLAIN attributes to this feedback round. A Prepare
+    // failure is typed, not fatal, though StartSession validated the input.
+    ScopedIndexCounters index_counters(db_->index());
     obs::ScopedSpan solve_span("solve", stage_solve_);
-    CBIR_ASSIGN_OR_RETURN(session->ranking, scheme_->Rank(session->ctx));
-  }
-  // Recorded only after the round actually ranked: a failed round must not
-  // end up in the persisted feedback log.
-  if (!record.entries.empty()) {
-    session->pending_log.push_back(std::move(record));
+    CBIR_RETURN_NOT_OK(session->feedback.ApplyRound(*scheme_, round));
   }
   // Settle this session's kernel-cache memory against the service-wide
   // counter (the round may have grown the caches' slabs or, on the first
   // round, created them).
-  const size_t kernel_bytes = session->warm_start.AllocatedKernelBytes();
+  const size_t kernel_bytes = session->feedback.kernel_bytes();
   session_kernel_bytes_->Add(
       static_cast<int64_t>(kernel_bytes) -
       static_cast<int64_t>(session->accounted_kernel_bytes));
   session->accounted_kernel_bytes = kernel_bytes;
-  session->has_ranking = true;
-  ++session->rounds;
   Result<std::vector<int>> out = TopKOfRanking(*session, k);
   if (seq != 0 && out.ok()) {
     session->last_feedback_seq = seq;
@@ -498,17 +433,16 @@ void RetrievalService::FlushSessionLocked(ServeSession& session) {
   // for every other session.
   util::AssertRankNotHeld(util::LockRank::kSessionManager,
                           "flushing a session to the log store");
+  // The session is ended (or evicted): End() hands over its recorded rounds
+  // and releases its warm-start duals and kernel-cache slabs — eviction must
+  // actually bound memory — so refund the accounted bytes.
+  std::vector<logdb::LogSession> rounds = session.feedback.End();
   if (log_store_ != nullptr) {
-    for (logdb::LogSession& record : session.pending_log) {
+    for (logdb::LogSession& record : rounds) {
       log_store_->Append(std::move(record));
       log_sessions_appended_->Increment();
     }
   }
-  session.pending_log.clear();
-  // The session is ended (or evicted): its warm-start duals and kernel-cache
-  // slabs can never be reused, so release them now — eviction must actually
-  // bound memory — and refund the accounted bytes.
-  session.warm_start.Clear();
   if (session.accounted_kernel_bytes != 0) {
     session_kernel_bytes_->Add(
         -static_cast<int64_t>(session.accounted_kernel_bytes));

@@ -80,9 +80,11 @@ struct ScoredCandidate {
 /// scales with cores until the corpus scans themselves saturate memory
 /// bandwidth.
 ///
-/// A single-threaded session reproduces core::RunFeedbackSession exactly:
-/// same first-round ranking, same scan narrowing, same warm-started duals
-/// (verified by tests/serve/retrieval_service_test.cc).
+/// Every session's rounds run through one core::FeedbackSession, the type
+/// core::RunFeedbackSession drives too, so a single-threaded session
+/// reproduces it exactly: same first-round ranking, same scan narrowing,
+/// same warm-started duals, same recorded log rounds (verified by
+/// tests/serve/retrieval_service_test.cc).
 class RetrievalService {
  public:
   /// `db` must outlive the service and stay unmodified while it serves —
@@ -177,33 +179,22 @@ class RetrievalService {
                    std::shared_ptr<const core::FeedbackScheme> scheme,
                    const ServiceOptions& options);
 
-  /// Effective TopK depth of first-round retrievals (candidate_depth, or -1
-  /// = full ranking when unset or the database has no index).
-  int EffectiveDepth() const;
-
   /// Builds + registers a session (query_id = -1 for an external query whose
   /// feature is passed in `query_feature`); shared by both StartSession
   /// overloads.
   uint64_t RegisterSession(int query_id, la::Vec query_feature);
 
-  /// Computes (or cache-loads) the session's first-round ranking. Caller
-  /// holds the session mutex.
-  void EnsureFirstRoundLocked(ServeSession& session)
-      CBIR_REQUIRES(session.mu);
-
-  /// The shared first-round retrieval: TopK at the effective depth, through
-  /// the query cache when the depth is bounded. No session state touched —
-  /// EnsureFirstRoundLocked and FirstRoundCandidates both build on it (the
-  /// self-exclusion, which differs between them, happens in the callers).
+  /// The shared first-round retrieval: TopK at core::FirstRoundDepth,
+  /// through the query cache when the depth is bounded. A session's first
+  /// Query and FirstRoundCandidates build on it; each excludes its own id.
   std::vector<int> FirstRoundRanking(const la::Vec& query_feature);
 
-  /// Finishes an ended/evicted session under its mutex: moves its recorded
-  /// rounds into the log store and releases its warm-start state (duals +
-  /// kernel-cache slabs), settling the session-memory accounting.
+  /// Finishes an ended/evicted session under its mutex: ends its
+  /// FeedbackSession, moves the recorded rounds into the log store and
+  /// settles the session-memory accounting.
   void FlushSessionLocked(ServeSession& session) CBIR_REQUIRES(session.mu);
 
-  /// Looks up + locks the session and finishes shared accounting; the
-  /// callback runs under the session mutex.
+  /// Top-k of the session's current ranking (k = 0 uses default_k).
   Result<std::vector<int>> TopKOfRanking(const ServeSession& session,
                                          int k) const
       CBIR_REQUIRES(session.mu);

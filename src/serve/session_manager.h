@@ -7,10 +7,10 @@
 #include <list>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "core/feedback_scheme.h"
-#include "logdb/log_session.h"
+#include "core/feedback_loop.h"
 #include "util/sync.h"
 
 namespace cbir::serve {
@@ -23,33 +23,18 @@ namespace cbir::serve {
 /// out from under a request already in flight: the evicted session is marked
 /// `ended` and later requests see NotFound.
 struct ServeSession {
+  explicit ServeSession(core::FeedbackContext ctx = {})
+      : feedback(std::move(ctx)) {}
+
   uint64_t id = 0;
   util::Mutex mu{util::LockRank::kSession, "serve_session"};
 
   /// Set by EndSession or eviction; requests on an ended session fail.
   bool ended CBIR_GUARDED_BY(mu) = false;
-  /// True once ctx.Prepare() ran (deferred to the first Feedback so
-  /// query-only sessions never pay the candidate scan).
-  bool prepared CBIR_GUARDED_BY(mu) = false;
-  /// Completed feedback rounds.
-  int rounds CBIR_GUARDED_BY(mu) = 0;
-  /// Per-round judgments not yet flushed to the log store.
-  std::vector<logdb::LogSession> pending_log CBIR_GUARDED_BY(mu);
-
-  /// The same context + warm-start state RunFeedbackSession threads through
-  /// a single-user session, owned here so rankings match it exactly. The
-  /// state carries dual variables *and* per-modality kernel caches across
-  /// rounds; both are released when the session ends or is evicted.
-  core::FeedbackContext ctx CBIR_GUARDED_BY(mu);
-  core::SessionState warm_start CBIR_GUARDED_BY(mu);
-  /// Bytes of warm_start kernel-cache memory currently charged to the
-  /// service's aggregate counter (updated after every feedback round,
+  /// Bytes of the feedback session's kernel-cache memory currently charged
+  /// to the service's aggregate counter (updated after every feedback round,
   /// zeroed on flush).
   size_t accounted_kernel_bytes CBIR_GUARDED_BY(mu) = 0;
-
-  /// Current ranking (query id excluded); round 0 = first-round retrieval.
-  std::vector<int> ranking CBIR_GUARDED_BY(mu);
-  bool has_ranking CBIR_GUARDED_BY(mu) = false;
 
   /// Idempotency cache for retried Feedback: the highest sequence number
   /// applied so far (0 = none seen) and the top-k answered for it. A retry
@@ -57,6 +42,10 @@ struct ServeSession {
   /// round — at-most-once application under client retries.
   uint32_t last_feedback_seq CBIR_GUARDED_BY(mu) = 0;
   std::vector<int> last_feedback_response CBIR_GUARDED_BY(mu);
+
+  /// The session's rounds: the type RunFeedbackSession drives, so rankings
+  /// and recorded log rounds match it exactly. Ended on flush.
+  core::FeedbackSession feedback CBIR_GUARDED_BY(mu);
 };
 
 /// \brief Session capacity policy.

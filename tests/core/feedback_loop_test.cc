@@ -1,5 +1,10 @@
 #include "core/feedback_loop.h"
 
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/euclidean_scheme.h"
@@ -131,6 +136,81 @@ TEST_F(FeedbackLoopTest, ZeroRoundsIsInitialRetrievalOnly) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->precision.size(), 1u);
   EXPECT_EQ(result->total_judgments, 0);
+}
+
+TEST_F(FeedbackLoopTest, RoundsThatJudgeNothingAreNotRecorded) {
+  // 79 judgeable images: four rounds of 20 exhaust them, the fifth judges
+  // nothing and is left out of the log.
+  EuclideanScheme scheme;
+  FeedbackLoopOptions options;
+  options.rounds = 5;
+  options.judgments_per_round = 20;
+  auto result = RunFeedbackSession(*db_, nullptr, scheme, 3, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->precision.size(), 6u);
+  EXPECT_EQ(result->total_judgments, db_->num_images() - 1);
+  EXPECT_EQ(result->recorded_sessions.size(), 4u);
+}
+
+/// Fails every Rank call: a round that does not rank.
+class FailingScheme : public FeedbackScheme {
+ public:
+  std::string name() const override { return "Failing"; }
+  Result<std::vector<int>> Rank(const FeedbackContext&) const override {
+    return Status::Internal("rank failed");
+  }
+};
+
+TEST_F(FeedbackLoopTest, SessionAppliesRoundsOnce) {
+  retrieval::ImageDatabase db(*db_);  // copy: private index
+  retrieval::IndexOptions index_options;
+  index_options.mode = retrieval::IndexMode::kSignature;
+  db.BuildIndex(index_options);
+  FeedbackContext ctx;
+  ctx.db = &db;
+  ctx.query_id = 5;
+  ctx.candidate_depth = 30;
+  FeedbackSession session(std::move(ctx));
+  EXPECT_FALSE(session.has_ranking());
+  session.SetFirstRound({7, 5, 6});
+  EXPECT_TRUE(session.has_ranking());
+  EXPECT_EQ(session.ranking(), (std::vector<int>{7, 6}));  // query dropped
+
+  const auto scheme = MakeScheme("RF-SVM", *scheme_options_).value();
+  // The query and repeats are dropped; the rest become labels and one
+  // recorded round.
+  ASSERT_TRUE(session
+                  .ApplyRound(*scheme, {{5, 1}, {7, 1}, {7, -1}, {40, -1}})
+                  .ok());
+  EXPECT_EQ(session.context().labeled_ids, (std::vector<int>{7, 40}));
+  EXPECT_EQ(session.context().labels, (std::vector<double>{1.0, -1.0}));
+  EXPECT_FALSE(session.ranking().empty());
+  EXPECT_GT(session.kernel_bytes(), 0u);  // warm-start state attached
+  // Nothing new: the round ranks but is not recorded.
+  ASSERT_TRUE(session.ApplyRound(*scheme, {{40, -1}}).ok());
+  // A round that fails to rank keeps the last ranking and is not recorded.
+  const std::vector<int> before = session.ranking();
+  EXPECT_FALSE(session.ApplyRound(FailingScheme(), {{8, 1}}).ok());
+  EXPECT_EQ(session.ranking(), before);
+  // The context was prepared once: one candidate scan for three rounds.
+  EXPECT_EQ(db.index()->stats().queries, 1u);
+
+  const std::vector<logdb::LogSession> recorded = session.End();
+  ASSERT_EQ(recorded.size(), 1u);
+  EXPECT_EQ(recorded[0].query_image_id, 5);
+  ASSERT_EQ(recorded[0].entries.size(), 2u);
+  EXPECT_EQ(recorded[0].entries[0].image_id, 7);
+  EXPECT_EQ(recorded[0].entries[1].image_id, 40);
+  EXPECT_EQ(session.kernel_bytes(), 0u);  // warm-start state released
+  EXPECT_TRUE(session.End().empty());
+}
+
+TEST_F(FeedbackLoopTest, FirstRoundDepthNeedsAnIndexAndADepth) {
+  EXPECT_EQ(FirstRoundDepth(*db_, 30), -1);  // no index: full ranking
+  retrieval::ImageDatabase db(*db_);
+  db.BuildIndex(retrieval::IndexOptions{});
+  EXPECT_EQ(FirstRoundDepth(db, 30), 30);
+  EXPECT_EQ(FirstRoundDepth(db, 0), -1);
 }
 
 TEST_F(FeedbackLoopTest, InputValidation) {

@@ -1,6 +1,7 @@
 #include "core/feedback_scheme.h"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -71,6 +72,22 @@ TEST(FeedbackContextTest, PrepareReturnsTypedErrorsInsteadOfAborting) {
     ctx.query_id = -1;
     ctx.query_feature = {1.0, 2.0};
     EXPECT_EQ(ctx.Prepare().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(FeedbackContextTest, PrepareRejectsNonFiniteExternalFeatures) {
+  const retrieval::ImageDatabase db = SmallDb();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    FeedbackContext ctx;
+    ctx.db = &db;
+    ctx.query_id = -1;
+    ctx.query_feature = db.feature(3);
+    ctx.query_feature[1] = bad;
+    const Status s = ctx.Prepare();
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(s.message().find("non-finite"), std::string::npos) << s;
   }
 }
 

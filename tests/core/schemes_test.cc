@@ -38,6 +38,7 @@ class SchemesTest : public ::testing::Test {
         logdb::CollectLogs(db_->features(), db_->categories(), log_options);
     log_features_ = new la::Matrix(
         store.BuildMatrix(db_->num_images()).ToDenseMatrix());
+    log_rows_ = new la::SparseRows(la::SparseRows::FromDense(*log_features_));
 
     scheme_options_ = new SchemeOptions(
         MakeDefaultSchemeOptions(*db_, log_features_));
@@ -45,6 +46,7 @@ class SchemesTest : public ::testing::Test {
 
   static void TearDownTestSuite() {
     delete scheme_options_;
+    delete log_rows_;
     delete log_features_;
     delete db_;
   }
@@ -82,11 +84,13 @@ class SchemesTest : public ::testing::Test {
 
   static retrieval::ImageDatabase* db_;
   static la::Matrix* log_features_;
+  static la::SparseRows* log_rows_;  ///< log_features_, converted once
   static SchemeOptions* scheme_options_;
 };
 
 retrieval::ImageDatabase* SchemesTest::db_ = nullptr;
 la::Matrix* SchemesTest::log_features_ = nullptr;
+la::SparseRows* SchemesTest::log_rows_ = nullptr;
 SchemeOptions* SchemesTest::scheme_options_ = nullptr;
 
 TEST_F(SchemesTest, EuclideanMatchesRanker) {
@@ -425,7 +429,7 @@ TEST_F(SchemesTest, SvmSchemesMatchGoldenRankings) {
     ASSERT_TRUE(ranked.ok()) << ranked.status();
     EXPECT_EQ(ranked.value(), golden.ranking);
 
-    auto session = RunFeedbackSession(*db_, log_features_, **scheme,
+    auto session = RunFeedbackSession(*db_, log_rows_, **scheme,
                                       golden.query, loop);
     ASSERT_TRUE(session.ok()) << session.status();
     ASSERT_EQ(session->precision.size(), golden.hits.size());

@@ -202,8 +202,11 @@ class SessionCacheFeedbackTest : public ::testing::Test {
         logdb::CollectLogs(db_->features(), db_->categories(), log_options);
     log_features_ =
         new la::Matrix(store.BuildMatrix(db_->num_images()).ToDenseMatrix());
+    log_rows_ = new la::SparseRows(la::SparseRows::FromDense(*log_features_));
   }
   static void TearDownTestSuite() {
+    delete log_rows_;
+    log_rows_ = nullptr;
     delete log_features_;
     log_features_ = nullptr;
     delete db_;
@@ -216,10 +219,12 @@ class SessionCacheFeedbackTest : public ::testing::Test {
 
   static retrieval::ImageDatabase* db_;
   static la::Matrix* log_features_;
+  static la::SparseRows* log_rows_;  ///< log_features_, converted once
 };
 
 retrieval::ImageDatabase* SessionCacheFeedbackTest::db_ = nullptr;
 la::Matrix* SessionCacheFeedbackTest::log_features_ = nullptr;
+la::SparseRows* SessionCacheFeedbackTest::log_rows_ = nullptr;
 
 /// The reference for the cross-round kernel caches: forwards to `inner` but
 /// drops the session's carried kernel rows before every round, keeping the
@@ -257,8 +262,8 @@ TEST_F(SessionCacheFeedbackTest, LrfCsvmSessionMatchesWithoutCaches) {
     const auto cached = MakeScheme("LRF-CSVM", SchemeOpts(), csvm).value();
     const FreshKernelRowsScheme uncached(
         MakeScheme("LRF-CSVM", SchemeOpts(), csvm).value());
-    auto a = RunFeedbackSession(*db_, log_features_, *cached, query, loop);
-    auto b = RunFeedbackSession(*db_, log_features_, uncached, query, loop);
+    auto a = RunFeedbackSession(*db_, log_rows_, *cached, query, loop);
+    auto b = RunFeedbackSession(*db_, log_rows_, uncached, query, loop);
     ASSERT_TRUE(a.ok()) << a.status();
     ASSERT_TRUE(b.ok()) << b.status();
     EXPECT_EQ(a->precision, b->precision) << "query " << query;
@@ -280,8 +285,8 @@ TEST_F(SessionCacheFeedbackTest, LrfCsvmSessionUnderEvictionPressure) {
   tiny.smo.cache_rows = 2;  // eviction churn in every solve, every round
   const auto squeezed = MakeScheme("LRF-CSVM", tiny, csvm).value();
 
-  auto a = RunFeedbackSession(*db_, log_features_, *reference, 11, loop);
-  auto b = RunFeedbackSession(*db_, log_features_, *squeezed, 11, loop);
+  auto a = RunFeedbackSession(*db_, log_rows_, *reference, 11, loop);
+  auto b = RunFeedbackSession(*db_, log_rows_, *squeezed, 11, loop);
   ASSERT_TRUE(a.ok()) << a.status();
   ASSERT_TRUE(b.ok()) << b.status();
   EXPECT_EQ(a->precision, b->precision);
@@ -295,8 +300,8 @@ TEST_F(SessionCacheFeedbackTest, RfSvmSessionMatchesWithoutCaches) {
 
   // RF-SVM runs visual-only; LRF-2SVMs carries both modalities' rows.
   for (const char* name : {"RF-SVM", "LRF-2SVMs"}) {
-    const la::Matrix* log =
-        std::string(name) == "RF-SVM" ? nullptr : log_features_;
+    const la::SparseRows* log =
+        std::string(name) == "RF-SVM" ? nullptr : log_rows_;
     for (int query : {2, 43}) {
       const auto cached = MakeScheme(name, SchemeOpts()).value();
       const FreshKernelRowsScheme uncached(
@@ -323,7 +328,7 @@ TEST_F(SessionCacheFeedbackTest, AggregatedDiagnosticsAccumulate) {
   EXPECT_EQ(scheme.AggregatedDiagnostics().total_smo_iterations, 0);
 
   ASSERT_TRUE(
-      RunFeedbackSession(*db_, log_features_, scheme, 7, loop).ok());
+      RunFeedbackSession(*db_, log_rows_, scheme, 7, loop).ok());
   const CsvmDiagnostics diag = scheme.AggregatedDiagnostics();
   EXPECT_GT(diag.total_smo_iterations, 0);
   EXPECT_GT(diag.cache_stats.hits + diag.cache_stats.misses, 0u);

@@ -1,5 +1,8 @@
 #include "logdb/simulated_user.h"
 
+#include <unordered_set>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "util/rng.h"
@@ -59,6 +62,37 @@ la::Matrix ClusteredFeatures(const std::vector<int>& categories,
     features.At(i, 1) = rng.Gaussian();
   }
   return features;
+}
+
+TEST(SimulatedUserTest, JudgeRoundTakesTheTopUnjudgedIds) {
+  const SimulatedUser user(TwoCategoryLabels(5), UserModel{0.3});
+  const std::vector<int> ranking = {4, 7, 1, 9, 2, 0, 8, 3, 5, 6};
+  const int query = 4;
+  std::unordered_set<int> judged{query, 1, 2};  // query + earlier rounds
+
+  Rng rng(17);
+  const std::vector<LogEntry> round =
+      user.JudgeRound(ranking, /*query_category=*/0, 4, &judged, &rng);
+
+  // Skips the query and the judged ids, stops after n, marks what it took.
+  ASSERT_EQ(round.size(), 4u);
+  EXPECT_EQ(round[0].image_id, 7);
+  EXPECT_EQ(round[1].image_id, 9);
+  EXPECT_EQ(round[2].image_id, 0);
+  EXPECT_EQ(round[3].image_id, 8);
+  EXPECT_EQ(judged, (std::unordered_set<int>{4, 1, 2, 7, 9, 0, 8}));
+
+  // Same entries, and the same draws, as judging by hand in ranking order.
+  Rng hand_rng(17);
+  for (const LogEntry& e : round) {
+    EXPECT_EQ(e.judgment, user.Judge(e.image_id, 0, &hand_rng));
+  }
+  EXPECT_EQ(rng.UniformInt(1000), hand_rng.UniformInt(1000));
+
+  // Everything judged: nothing left to take, no draw made.
+  std::unordered_set<int> all(ranking.begin(), ranking.end());
+  EXPECT_TRUE(user.JudgeRound(ranking, 0, 4, &all, &rng).empty());
+  EXPECT_EQ(rng.UniformInt(1000), hand_rng.UniformInt(1000));
 }
 
 TEST(CollectLogsTest, ProtocolShape) {

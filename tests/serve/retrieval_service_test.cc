@@ -46,8 +46,11 @@ class RetrievalServiceTest : public ::testing::Test {
         logdb::CollectLogs(db_->features(), db_->categories(), log_options);
     log_features_ =
         new la::Matrix(store.BuildMatrix(db_->num_images()).ToDenseMatrix());
+    log_rows_ = new la::SparseRows(la::SparseRows::FromDense(*log_features_));
   }
   static void TearDownTestSuite() {
+    delete log_rows_;
+    log_rows_ = nullptr;
     delete log_features_;
     log_features_ = nullptr;
     delete db_;
@@ -68,10 +71,12 @@ class RetrievalServiceTest : public ::testing::Test {
 
   static retrieval::ImageDatabase* db_;
   static la::Matrix* log_features_;
+  static la::SparseRows* log_rows_;  ///< log_features_, converted once
 };
 
 retrieval::ImageDatabase* RetrievalServiceTest::db_ = nullptr;
 la::Matrix* RetrievalServiceTest::log_features_ = nullptr;
+la::SparseRows* RetrievalServiceTest::log_rows_ = nullptr;
 
 TEST_F(RetrievalServiceTest, StartQueryEndBasics) {
   ServiceOptions options;
@@ -139,7 +144,8 @@ TEST_F(RetrievalServiceTest, RejectsBadInputs) {
 
 // The acceptance-critical property: a single-threaded service session is
 // rank-identical to core::RunFeedbackSession — same first-round ranking,
-// same narrowed scan space, same warm-started re-rankings.
+// same narrowed scan space, same warm-started re-rankings — and hands the
+// log store the same recorded rounds.
 TEST_F(RetrievalServiceTest, MatchesRunFeedbackSessionExactly) {
   for (const char* scheme_name : {"RF-SVM", "LRF-CSVM"}) {
     SCOPED_TRACE(scheme_name);
@@ -165,16 +171,16 @@ TEST_F(RetrievalServiceTest, MatchesRunFeedbackSessionExactly) {
           core::MakeScheme(scheme_name, core::MakeDefaultSchemeOptions(
                                             db, log_features_));
       ASSERT_TRUE(scheme.ok());
-      auto reference =
-          core::RunFeedbackSession(db, log_features_, *scheme.value(),
-                                   query_id, loop);
+      auto reference = core::RunFeedbackSession(db, log_rows_,
+                                                *scheme.value(), query_id, loop);
       ASSERT_TRUE(reference.ok()) << reference.status();
 
       ServiceOptions options;
       options.scheme = scheme_name;
       options.candidate_depth = depth;
+      logdb::LogStore store;
       auto service = RetrievalService::Create(
-          &db, log_features_, nullptr,
+          &db, log_features_, &store,
           core::MakeDefaultSchemeOptions(db, log_features_), options);
       ASSERT_TRUE(service.ok());
 
@@ -195,21 +201,31 @@ TEST_F(RetrievalServiceTest, MatchesRunFeedbackSessionExactly) {
       std::unordered_set<int> judged{query_id};
       for (int round = 1; round <= loop.rounds; ++round) {
         SCOPED_TRACE(round);
-        std::vector<logdb::LogEntry> entries;
-        for (int id : ranking.value()) {
-          if (static_cast<int>(entries.size()) >= loop.judgments_per_round) {
-            break;
-          }
-          if (!judged.insert(id).second) continue;
-          entries.push_back(
-              logdb::LogEntry{id, user.Judge(id, query_category, &rng)});
-        }
+        const std::vector<logdb::LogEntry> entries =
+            user.JudgeRound(ranking.value(), query_category,
+                            loop.judgments_per_round, &judged, &rng);
         ranking = service.value()->Feedback(sid.value(), entries, depth);
         ASSERT_TRUE(ranking.ok()) << ranking.status();
         EXPECT_EQ(
             retrieval::PrecisionAtScopes(ranking.value(), db.categories(),
                                          query_category, loop.scopes),
             reference->precision[static_cast<size_t>(round)]);
+      }
+
+      // The log store receives exactly the rounds the reference recorded:
+      // query id and entries, in order.
+      ASSERT_TRUE(service.value()->EndSession(sid.value()).ok());
+      const std::vector<logdb::LogSession>& logged = store.sessions();
+      ASSERT_EQ(logged.size(), reference->recorded_sessions.size());
+      for (size_t r = 0; r < logged.size(); ++r) {
+        SCOPED_TRACE("recorded round " + std::to_string(r));
+        const logdb::LogSession& want = reference->recorded_sessions[r];
+        EXPECT_EQ(logged[r].query_image_id, want.query_image_id);
+        ASSERT_EQ(logged[r].entries.size(), want.entries.size());
+        for (size_t e = 0; e < want.entries.size(); ++e) {
+          EXPECT_EQ(logged[r].entries[e].image_id, want.entries[e].image_id);
+          EXPECT_EQ(logged[r].entries[e].judgment, want.entries[e].judgment);
+        }
       }
     }
   }
