@@ -5,6 +5,7 @@
 // one that matters; the larger sizes exercise shrinking and cache eviction.
 #include <benchmark/benchmark.h>
 
+#include "svm/decision_lanes.h"
 #include "svm/trainer.h"
 #include "util/rng.h"
 
@@ -156,19 +157,34 @@ void BM_SmoFeedbackRounds(benchmark::State& state) {
 }
 BENCHMARK(BM_SmoFeedbackRounds)->Args({0, 0})->Args({0, 1});
 
-void BM_DecisionBatch(benchmark::State& state) {
+// Scores a trained model over a corpus batch column by column, the way a
+// feedback round ranks its scan space: each support vector's kernel column
+// is computed over the batch and summed into the decision lanes
+// (single-threaded; core::KernelColumnStore fans corpus-sized batches out).
+void BM_DecisionColumns(benchmark::State& state) {
   const Problem train = MakeProblem(40, 36, 1.0, 19);
   svm::TrainOptions options;
   options.kernel = svm::KernelParams::Rbf(1.0 / 36.0);
   const svm::SvmTrainer trainer(options);
-  const auto out = trainer.Train(train.data, train.labels);
+  const svm::SvmModel model = trainer.Train(train.data, train.labels)->model;
   const Problem corpus =
       MakeProblem(static_cast<size_t>(state.range(0)), 36, 1.0, 23);
+  const size_t rows = corpus.data.rows();
+  std::vector<double> column(rows);
+  std::vector<double> scores(rows);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(out.value().model.DecisionBatch(corpus.data));
+    svm::DecisionLanes lanes(0, rows, model.num_support_vectors());
+    for (size_t s = 0; s < model.num_support_vectors(); ++s) {
+      svm::EvalKernelRowBatch(model.kernel(), corpus.data,
+                              model.support_vectors().RowPtr(s),
+                              column.data(), 0, rows);
+      lanes.Add(model.coefficients()[s], column.data());
+    }
+    lanes.Finish(model.bias(), scores.data());
+    benchmark::DoNotOptimize(scores.data());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_DecisionBatch)->Arg(328)->Arg(1000)->Arg(5000)->Arg(20000);
+BENCHMARK(BM_DecisionColumns)->Arg(328)->Arg(1000)->Arg(5000)->Arg(20000);
 
 }  // namespace

@@ -25,13 +25,6 @@ la::Matrix TrainingRows(const FeedbackContext& ctx, size_t k,
                 : ctx.LogRows()->GatherDense(ids);
 }
 
-/// Modality k's decision values over the context's scan space.
-std::vector<double> ScanDecisions(const FeedbackContext& ctx, size_t k,
-                                  const svm::SvmModel& model) {
-  return k == 0 ? model.DecisionBatch(ctx.ScanFeatures())
-                : model.DecisionBatch(*ctx.ScanLogRows());
-}
-
 }  // namespace
 
 CoupledSvmScheme::CoupledSvmScheme(std::string name, bool use_log,
@@ -56,7 +49,7 @@ CsvmDiagnostics CoupledSvmScheme::AggregatedDiagnostics() const {
 }
 
 Result<SelectionResult> CoupledSvmScheme::SelectForContext(
-    const FeedbackContext& ctx) const {
+    const FeedbackContext& ctx, const ColumnStores& columns) const {
   const size_t num_modalities = modalities_.size();
   const size_t nl = ctx.labeled_ids.size();
   std::unordered_set<int> excluded(ctx.labeled_ids.begin(),
@@ -74,45 +67,47 @@ Result<SelectionResult> CoupledSvmScheme::SelectForContext(
     positions.push_back(pos);
     inputs.candidate_ids.push_back(id);
   }
-  const la::Matrix& scan_visual = ctx.ScanFeatures();
-  const la::SparseRows* log = num_modalities > 1 ? ctx.LogRows() : nullptr;
-  const la::SparseRows* scan_log =
-      num_modalities > 1 ? ctx.ScanLogRows() : nullptr;
 
   if (options_.selection == SelectionStrategy::kMostSimilar) {
     // Section 6.5: closeness to the labeled positives/negatives, measured
-    // by combined kernel similarity (no SVM training needed).
-    inputs.similarity_to_positives.reserve(positions.size());
-    inputs.similarity_to_negatives.reserve(positions.size());
-    const la::Matrix labeled_visual =
-        GatherRows(ctx.db->features(), ctx.labeled_ids);
-    std::vector<la::SparseRowView> labeled_log;
-    if (log != nullptr) {
-      for (int id : ctx.labeled_ids) {
-        labeled_log.push_back(log->Row(static_cast<size_t>(id)));
+    // by combined kernel similarity (no SVM training needed), summed over
+    // the labeled images' columns in label order.
+    std::vector<double> sim_pos(ctx.scan_size(), 0.0);
+    std::vector<double> sim_neg(ctx.scan_size(), 0.0);
+    std::vector<double> log_values;
+    for (size_t j = 0; j < nl; ++j) {
+      const int id = ctx.labeled_ids[j];
+      const std::vector<double>& visual = columns[0]->Column(id).values;
+      double* sim = (ctx.labels[j] > 0 ? sim_pos : sim_neg).data();
+      if (num_modalities == 1) {
+        for (size_t pos = 0; pos < visual.size(); ++pos) {
+          sim[pos] += visual[pos];
+        }
+        continue;
+      }
+      const svm::KernelColumn& log = columns[1]->Column(id);
+      if (log.sparse) {
+        log_values.assign(visual.size(), log.fill);
+        for (size_t i = 0; i < log.rows.size(); ++i) {
+          log_values[log.rows[i]] = log.values[i];
+        }
+      }
+      const double* log_sim =
+          log.sparse ? log_values.data() : log.values.data();
+      for (size_t pos = 0; pos < visual.size(); ++pos) {
+        sim[pos] += visual[pos] + options_.selection_log_weight * log_sim[pos];
       }
     }
-    std::vector<double> visual_sim(nl);
+    inputs.similarity_to_positives.reserve(positions.size());
+    inputs.similarity_to_negatives.reserve(positions.size());
     for (size_t pos : positions) {
-      svm::EvalKernelRowBatch(modalities_[0].kernel, labeled_visual,
-                              scan_visual.RowPtr(pos), visual_sim.data(), 0,
-                              nl);
-      double sim_pos = 0.0, sim_neg = 0.0;
-      for (size_t j = 0; j < nl; ++j) {
-        double sim = visual_sim[j];
-        if (log != nullptr) {
-          sim += options_.selection_log_weight *
-                 svm::EvalKernel(modalities_[1].kernel, labeled_log[j],
-                                 scan_log->Row(pos), log->cols());
-        }
-        (ctx.labels[j] > 0 ? sim_pos : sim_neg) += sim;
-      }
-      inputs.similarity_to_positives.push_back(sim_pos);
-      inputs.similarity_to_negatives.push_back(sim_neg);
+      inputs.similarity_to_positives.push_back(sim_pos[pos]);
+      inputs.similarity_to_negatives.push_back(sim_neg[pos]);
     }
   } else {
     // Fig. 1 literal: summed decision values of labeled-only SVMs, i.e. the
-    // coupled SVM with N' = 0.
+    // coupled SVM with N' = 0. Their support vectors are labeled images, so
+    // every column they read is held.
     std::vector<la::Matrix> labeled(num_modalities);
     std::vector<ModalityView> views = modalities_;
     for (size_t k = 0; k < num_modalities; ++k) {
@@ -122,21 +117,26 @@ Result<SelectionResult> CoupledSvmScheme::SelectForContext(
     CBIR_ASSIGN_OR_RETURN(
         MultiCoupledModel model,
         MultiCoupledSvm(options_.csvm).TrainViews(views, ctx.labels, {}));
+    std::vector<double> decisions =
+        columns[0]->SequentialDecisions(model.models[0], ctx.labeled_ids);
+    if (num_modalities > 1) {
+      const std::vector<double> log_decisions =
+          columns[1]->SequentialDecisions(model.models[1], ctx.labeled_ids);
+      for (size_t pos = 0; pos < decisions.size(); ++pos) {
+        decisions[pos] += log_decisions[pos];
+      }
+    }
     inputs.combined_decisions.reserve(positions.size());
     for (size_t pos : positions) {
-      double decision = model.models[0].Decision(scan_visual.Row(pos));
-      if (log != nullptr) {
-        decision += model.models[1].Decision(scan_log->Row(pos));
-      }
-      inputs.combined_decisions.push_back(decision);
+      inputs.combined_decisions.push_back(decisions[pos]);
     }
   }
   return SelectUnlabeled(options_.selection, inputs, options_.n_prime,
                          options_.selection_seed);
 }
 
-Result<MultiCoupledModel> CoupledSvmScheme::TrainForContext(
-    const FeedbackContext& ctx) const {
+Result<CoupledSvmScheme::ColumnStores> CoupledSvmScheme::BindColumns(
+    const FeedbackContext& ctx, std::vector<KernelColumnStore>* local) const {
   if (ctx.labeled_ids.empty()) {
     return Status::InvalidArgument(name_ + " requires labeled samples");
   }
@@ -145,12 +145,41 @@ Result<MultiCoupledModel> CoupledSvmScheme::TrainForContext(
     return Status::FailedPrecondition(name_ +
                                       " requires a user-feedback log");
   }
+  // A candidate pool's labeled columns carry into the session's next
+  // round; corpus-wide columns (scan size x 8 B each) live for this call.
+  SessionState* state = ctx.session_state;
+  const bool carry = state != nullptr && !ctx.scan_ids.empty();
+  if (carry && state->modalities.size() < num_modalities) {
+    state->modalities.resize(num_modalities);
+  }
+  local->resize(carry ? 0 : num_modalities);
+  ColumnStores columns(num_modalities);
+  for (size_t k = 0; k < num_modalities; ++k) {
+    columns[k] = carry ? &state->modalities[k].columns : &(*local)[k];
+    columns[k]->Bind(ctx, k, modalities_[k].kernel);
+    columns[k]->Hold(ctx.labeled_ids);
+  }
+  return columns;
+}
 
+Result<MultiCoupledModel> CoupledSvmScheme::TrainForContext(
+    const FeedbackContext& ctx) const {
+  std::vector<KernelColumnStore> local;
+  CBIR_ASSIGN_OR_RETURN(const ColumnStores columns, BindColumns(ctx, &local));
+  std::vector<int> row_ids;
+  return Train(ctx, columns, &row_ids);
+}
+
+Result<MultiCoupledModel> CoupledSvmScheme::Train(
+    const FeedbackContext& ctx, const ColumnStores& columns,
+    std::vector<int>* row_ids_out) const {
+  const size_t num_modalities = modalities_.size();
   SelectionResult selection;
   if (options_.n_prime > 0) {
-    CBIR_ASSIGN_OR_RETURN(selection, SelectForContext(ctx));
+    CBIR_ASSIGN_OR_RETURN(selection, SelectForContext(ctx, columns));
   }
-  std::vector<int> row_ids = ctx.labeled_ids;
+  std::vector<int>& row_ids = *row_ids_out;
+  row_ids = ctx.labeled_ids;
   row_ids.insert(row_ids.end(), selection.ids.begin(), selection.ids.end());
 
   // Warm start from the previous round of this session: rows whose image
@@ -211,11 +240,16 @@ Result<MultiCoupledModel> CoupledSvmScheme::TrainForContext(
 
 Result<std::vector<int>> CoupledSvmScheme::Rank(
     const FeedbackContext& ctx) const {
-  CBIR_ASSIGN_OR_RETURN(MultiCoupledModel model, TrainForContext(ctx));
-  std::vector<double> scores = ScanDecisions(ctx, 0, model.models[0]);
+  std::vector<KernelColumnStore> local;
+  CBIR_ASSIGN_OR_RETURN(const ColumnStores columns, BindColumns(ctx, &local));
+  std::vector<int> row_ids;
+  CBIR_ASSIGN_OR_RETURN(MultiCoupledModel model,
+                        Train(ctx, columns, &row_ids));
+  std::vector<double> scores =
+      columns[0]->Decisions(model.models[0], row_ids);
   for (size_t k = 1; k < model.models.size(); ++k) {
     const std::vector<double> modality_scores =
-        ScanDecisions(ctx, k, model.models[k]);
+        columns[k]->Decisions(model.models[k], row_ids);
     for (size_t i = 0; i < scores.size(); ++i) scores[i] += modality_scores[i];
   }
   return FinalizeRanking(ctx, scores);

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/feedback_scheme.h"
+#include "core/kernel_columns.h"
 #include "core/multi_coupled_svm.h"
 #include "core/unlabeled_selection.h"
 #include "util/sync.h"
@@ -40,6 +41,8 @@ struct LrfCsvmOptions {
 ///  - LRF-CSVM: K = 2, N' = LrfCsvmOptions::n_prime (the paper's Fig. 1).
 ///
 /// One Rank() round:
+/// 0. Hold every labeled image's kernel column over the scan space, per
+///    modality, in a KernelColumnStore; steps 1 and 3 both read them.
 /// 1. When N' > 0, select N' unlabeled images and their starting
 ///    pseudo-labels. The default is Section 6.5's most-similar rule: the
 ///    images closest, by summed kernel similarity, to the labeled
@@ -51,7 +54,16 @@ struct LrfCsvmOptions {
 ///    warm-started from the session's duals and kernel rows when a
 ///    SessionState is attached.
 /// 3. Rank every image by the summed decision, for K = 2 the paper's
-///    CSVM_Dist(x_i, r_i) = f_w(x_i) + f_u(r_i).
+///    CSVM_Dist(x_i, r_i) = f_w(x_i) + f_u(r_i), scored column by column:
+///    held columns are read, pseudo-labeled support vectors' columns
+///    streamed.
+///
+/// Column memory: N_l x scan size x 8 B per dense modality, and 12 B per
+/// co-marked row for a dot-product log kernel. A SessionState keeps a
+/// candidate pool's columns into the next round, where only the newly
+/// labeled images' columns are computed; a corpus-wide scan's columns are
+/// dropped when Rank returns. Nothing is kept in the scheme, which several
+/// threads share.
 ///
 /// Build through MakeScheme, which validates the options.
 class CoupledSvmScheme : public FeedbackScheme {
@@ -77,8 +89,23 @@ class CoupledSvmScheme : public FeedbackScheme {
   CsvmDiagnostics AggregatedDiagnostics() const;
 
  private:
+  /// One KernelColumnStore per modality, for one round.
+  using ColumnStores = std::vector<KernelColumnStore*>;
+
+  /// Checks the context and binds the round's column stores, holding the
+  /// labeled images' columns: the session's own stores when it carries
+  /// them, else `local`'s.
+  Result<ColumnStores> BindColumns(const FeedbackContext& ctx,
+                                   std::vector<KernelColumnStore>* local) const;
+
+  /// Steps 1 and 2; `row_ids` gets the image of every training row.
+  Result<MultiCoupledModel> Train(const FeedbackContext& ctx,
+                                  const ColumnStores& columns,
+                                  std::vector<int>* row_ids) const;
+
   /// Step 1 for N' > 0: picks the unlabeled rows and their pseudo-labels.
-  Result<SelectionResult> SelectForContext(const FeedbackContext& ctx) const;
+  Result<SelectionResult> SelectForContext(const FeedbackContext& ctx,
+                                           const ColumnStores& columns) const;
 
   std::string name_;
   /// Per-modality kernel and C; data, warm start and cache are per call.

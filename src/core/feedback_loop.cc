@@ -20,29 +20,44 @@ FeedbackSession::FeedbackSession(FeedbackContext ctx)
   ctx_.session_state = &warm_start_;
 }
 
-void FeedbackSession::SetFirstRound(std::vector<int> ranking) {
+void FeedbackSession::SetFirstRound(
+    std::vector<int> ranking, std::optional<std::vector<int>> candidates) {
   std::erase(ranking, ctx_.query_id);
   ranking_ = std::move(ranking);
   has_ranking_ = true;
+  first_candidates_ = std::move(candidates);
 }
 
 Status FeedbackSession::ApplyRound(const FeedbackScheme& scheme,
                                    const std::vector<logdb::LogEntry>& round) {
   if (!prepared_) {
     // One candidate scan narrows every round's scoring loops; deferred to
-    // the first round so a session that only queries never pays it.
-    CBIR_RETURN_NOT_OK(ctx_.Prepare());
+    // the first round so a session that only queries never pays it, and
+    // skipped when the first page's scan already produced the set.
+    CBIR_RETURN_NOT_OK(ctx_.Prepare(
+        first_candidates_ ? &*first_candidates_ : nullptr));
     prepared_ = true;
+    first_candidates_.reset();
   }
   logdb::LogSession record;
   record.query_image_id = ctx_.query_id;
+  const size_t labeled_before = ctx_.labeled_ids.size();
   for (const logdb::LogEntry& e : round) {
     if (!judged_.insert(e.image_id).second) continue;  // duplicate or query
     ctx_.labeled_ids.push_back(e.image_id);
     ctx_.labels.push_back(static_cast<double>(e.judgment));
     record.entries.push_back(e);
   }
-  CBIR_ASSIGN_OR_RETURN(ranking_, scheme.Rank(ctx_));
+  Result<std::vector<int>> ranked = scheme.Rank(ctx_);
+  if (!ranked.ok()) {
+    // Roll the round back: its judgments never steered a ranking, and a
+    // retry must find them unjudged to apply and record them.
+    ctx_.labeled_ids.resize(labeled_before);
+    ctx_.labels.resize(labeled_before);
+    for (const logdb::LogEntry& e : record.entries) judged_.erase(e.image_id);
+    return ranked.status();
+  }
+  ranking_ = std::move(ranked).value();
   has_ranking_ = true;
   // Recorded only after the round actually ranked: a failed round must not
   // end up in the persisted feedback log.
@@ -82,7 +97,10 @@ Result<FeedbackLoopResult> RunFeedbackSession(
                 options.rounds * options.judgments_per_round + 1;
   const int first_depth = FirstRoundDepth(db, ctx.candidate_depth);
   FeedbackSession session(std::move(ctx));
-  session.SetFirstRound(db.TopK(db.feature(query_id), first_depth));
+  std::vector<int> candidates;
+  std::vector<int> first_page =
+      db.TopK(db.feature(query_id), first_depth, &candidates);
+  session.SetFirstRound(std::move(first_page), std::move(candidates));
 
   const int query_category = db.category(query_id);
   const logdb::SimulatedUser user(db.categories(),

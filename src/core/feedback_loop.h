@@ -1,6 +1,7 @@
 #ifndef CBIR_CORE_FEEDBACK_LOOP_H_
 #define CBIR_CORE_FEEDBACK_LOOP_H_
 
+#include <optional>
 #include <unordered_set>
 #include <vector>
 
@@ -34,13 +35,19 @@ class FeedbackSession {
   FeedbackSession& operator=(const FeedbackSession&) = delete;
 
   /// Installs the caller's first-round ranking (a server's may come from a
-  /// cache), with the query id dropped.
-  void SetFirstRound(std::vector<int> ranking);
+  /// cache), with the query id dropped. `candidates`, when given, is the
+  /// candidate set the same index scan reranked for it (ImageDatabase::TopK
+  /// at FirstRoundDepth returns it); the first round's Prepare then uses it
+  /// instead of scanning the index a second time.
+  void SetFirstRound(std::vector<int> ranking,
+                     std::optional<std::vector<int>> candidates = {});
 
   /// Applies one round of judgments: drops already-judged and query ids,
   /// appends the rest as labels, prepares the context on the first round
   /// only, and re-ranks with `scheme`. The round is recorded for the log
-  /// only once Rank succeeded, and only if it judged something new.
+  /// only once Rank succeeded, and only if it judged something new. A
+  /// round whose Rank fails leaves the labels and the judged set as they
+  /// were, so a retry of the round applies it in full.
   Status ApplyRound(const FeedbackScheme& scheme,
                     const std::vector<logdb::LogEntry>& round);
 
@@ -59,6 +66,8 @@ class FeedbackSession {
   FeedbackContext ctx_;
   SessionState warm_start_;
   bool prepared_ = false;
+  /// The first page's candidate set, until the first round's Prepare.
+  std::optional<std::vector<int>> first_candidates_;
   std::unordered_set<int> judged_;
   std::vector<int> ranking_;
   bool has_ranking_ = false;

@@ -25,7 +25,7 @@ Status CheckQueryFeature(const retrieval::ImageDatabase& db,
   return Status::OK();
 }
 
-Status FeedbackContext::Prepare() {
+Status FeedbackContext::Prepare(const std::vector<int>* candidates) {
   if (db == nullptr) {
     return Status::InvalidArgument("feedback context: null database");
   }
@@ -50,6 +50,7 @@ Status FeedbackContext::Prepare() {
   scan_ids.clear();
   scan_features_ = la::Matrix();
   scan_log_rows_ = la::SparseRows();
+  scan_log_sessions_ = la::SparseRows();
   owned_log_rows_ = la::SparseRows();
   if (log_rows == nullptr && log_features != nullptr) {
     owned_log_rows_ = la::SparseRows::FromDense(*log_features);
@@ -64,11 +65,16 @@ Status FeedbackContext::Prepare() {
   if (db->index() != nullptr && candidate_depth > 0) {
     // Exhaustive indexes return the "every row" sentinel (empty), keeping
     // the corpus-wide path below — and its bit-identical rankings.
-    scan_ids = db->index()->Candidates(query_feature, candidate_depth);
+    scan_ids = candidates != nullptr
+                   ? *candidates
+                   : db->index()->Candidates(query_feature, candidate_depth);
   }
   if (scan_ids.empty()) {
     query_distances =
         retrieval::AllSquaredDistances(db->features(), query_feature);
+    if (const la::SparseRows* log = LogRows()) {
+      scan_log_sessions_ = log->Transpose();
+    }
     return Status::OK();
   }
 
@@ -85,6 +91,7 @@ Status FeedbackContext::Prepare() {
       retrieval::AllSquaredDistances(scan_features_, query_feature);
   if (const la::SparseRows* log = LogRows()) {
     scan_log_rows_ = log->Gather(scan_ids);
+    scan_log_sessions_ = scan_log_rows_.Transpose();
   }
   return Status::OK();
 }
@@ -113,6 +120,10 @@ const la::SparseRows* FeedbackContext::ScanLogRows() const {
   const la::SparseRows* log = LogRows();
   if (log == nullptr) return nullptr;
   return scan_ids.empty() ? log : &scan_log_rows_;
+}
+
+const la::SparseRows* FeedbackContext::ScanLogSessions() const {
+  return ScanLogRows() == nullptr ? nullptr : &scan_log_sessions_;
 }
 
 SchemeOptions MakeDefaultSchemeOptions(const retrieval::ImageDatabase& db,

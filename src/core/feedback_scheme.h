@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/kernel_columns.h"
 #include "core/session_cache.h"
 #include "la/matrix.h"
 #include "la/sparse_rows.h"
@@ -20,30 +21,39 @@ namespace cbir::core {
 /// \brief Mutable cross-round state owned by one feedback session.
 ///
 /// Successive rounds of a session retrain SVMs on nearly identical problems
-/// (the labeled set only grows); the SVM schemes stash two kinds of
-/// carry-over here per modality, both keyed by image id, and reuse them
+/// (the labeled set only grows); the SVM schemes stash three kinds of
+/// carry-over here per modality, all keyed by image id, and reuse them
 /// next round:
 ///  - their final dual variables, to warm-start the next round's solver;
 ///  - kernel rows (SessionKernelCache), so the stable part of the training
-///    set never recomputes its kernel entries.
+///    set never recomputes its kernel entries;
+///  - the labeled images' kernel columns over the scan space
+///    (KernelColumnStore), kept only when the scan is a candidate pool, so
+///    a round computes the columns of its newly labeled images only.
 /// Purely an accelerator: rankings are identical (within solver tolerance)
-/// with or without a state attached. Move-only (the kernel caches own
-/// slabs).
+/// with or without a state attached, and the columns leave them
+/// bit-identical. Move-only (the kernel caches own slabs).
 struct SessionState {
   /// One modality's carry-over; rows = labeled + selected unlabeled images.
   struct Modality {
     std::unordered_map<int, double> alpha;
     SessionKernelCache rows;
+    /// N_l columns x pool size x 8 B (visual, or an RBF log kernel); a
+    /// dot-product log column holds 12 B per co-marked pool row only.
+    KernelColumnStore columns;
   };
   /// Indexed like the scheme's modalities ([0] visual, [1] log); the scheme
   /// sizes it on first use.
   std::vector<Modality> modalities;
 
-  /// Bytes held by the kernel caches (slabs + gathered matrices); the
-  /// serving layer charges this against its session-memory accounting.
+  /// Bytes held by the kernel caches (slabs + gathered matrices) and the
+  /// carried kernel columns; the serving layer charges this against its
+  /// session-memory accounting.
   size_t AllocatedKernelBytes() const {
     size_t bytes = 0;
-    for (const Modality& m : modalities) bytes += m.rows.AllocatedBytes();
+    for (const Modality& m : modalities) {
+      bytes += m.rows.AllocatedBytes() + m.columns.AllocatedBytes();
+    }
     return bytes;
   }
 };
@@ -107,7 +117,12 @@ struct FeedbackContext {
   /// feature CheckQueryFeature refuses, labeled/labels arity mismatch,
   /// a log without one row per image) returns InvalidArgument instead of
   /// aborting — a bad request must never kill a serving process.
-  Status Prepare();
+  /// `candidates`, when given, is the index's
+  /// Candidates(query_feature, candidate_depth) set the caller already
+  /// holds from the same scan (retrieval::ImageDatabase::TopK returns it
+  /// with a first page); Prepare then narrows to it instead of scanning
+  /// the index again.
+  Status Prepare(const std::vector<int>* candidates = nullptr);
 
   /// The corpus's log rows (`log_rows`, or the context's conversion of
   /// `log_features`); null when no log, or an empty one, is attached.
@@ -123,10 +138,16 @@ struct FeedbackContext {
   const la::Matrix& ScanFeatures() const;
   /// Log rows of the scan space (null when no log is attached).
   const la::SparseRows* ScanLogRows() const;
+  /// The inverted lists of ScanLogRows(): row c holds the scan positions
+  /// that logged session c judged, ascending (null when no log is
+  /// attached). A log kernel column under a dot-product kernel is scored
+  /// only on the positions it lists.
+  const la::SparseRows* ScanLogSessions() const;
 
  private:
   la::Matrix scan_features_;      ///< gathered rows when scan_ids is set
   la::SparseRows scan_log_rows_;  ///< gathered log rows when scan_ids is set
+  la::SparseRows scan_log_sessions_;  ///< ScanLogRows()->Transpose()
   la::SparseRows owned_log_rows_;  ///< log_features converted by Prepare()
 };
 

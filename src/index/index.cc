@@ -13,4 +13,10 @@ std::vector<std::vector<int>> Index::QueryBatch(const la::Matrix& queries,
   return out;
 }
 
+std::vector<int> Index::QueryWithCandidates(
+    const la::Vec& query, int k, std::vector<int>* candidates) const {
+  if (candidates != nullptr) *candidates = Candidates(query, k);
+  return Query(query, k);
+}
+
 }  // namespace cbir::retrieval

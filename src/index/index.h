@@ -75,6 +75,13 @@ class Index {
   /// oversampled superset of Query(query, k)'s results.
   virtual std::vector<int> Candidates(const la::Vec& query, int k) const = 0;
 
+  /// Query(query, k) that also writes to `candidates` (when non-null) the
+  /// set Candidates(query, k) returns, from the same scan: a caller that
+  /// needs both a first page and its candidate pool scans once. The
+  /// default calls both; SignatureIndex returns the set it reranked.
+  virtual std::vector<int> QueryWithCandidates(
+      const la::Vec& query, int k, std::vector<int>* candidates) const;
+
   virtual IndexStats stats() const = 0;
   virtual void ResetStats() = 0;
 };

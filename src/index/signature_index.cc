@@ -198,7 +198,13 @@ std::vector<int> SignatureIndex::ExhaustiveQuery(const la::Vec& query,
 }
 
 std::vector<int> SignatureIndex::Query(const la::Vec& query, int k) const {
+  return QueryWithCandidates(query, k, nullptr);
+}
+
+std::vector<int> SignatureIndex::QueryWithCandidates(
+    const la::Vec& query, int k, std::vector<int>* candidates) const {
   CBIR_CHECK_EQ(query.size(), dims_);
+  if (candidates != nullptr) candidates->clear();
   queries_.fetch_add(1, std::memory_order_relaxed);
   if (rows_ == 0) return {};
   if (k <= 0) return ExhaustiveQuery(query, k);
@@ -206,7 +212,7 @@ std::vector<int> SignatureIndex::Query(const la::Vec& query, int k) const {
   std::vector<uint32_t> hamming;
   uint32_t cutoff = 0;
   bool truncated = false;
-  const std::vector<int> cand =
+  std::vector<int> cand =
       SelectCandidates(query, k, &hamming, &cutoff, &truncated);
 
   // Exact Euclidean rerank of the candidate set; ties break on the smaller
@@ -240,6 +246,7 @@ std::vector<int> SignatureIndex::Query(const la::Vec& query, int k) const {
   }
   results_returned_.fetch_add(out.size(), std::memory_order_relaxed);
   results_at_cutoff_.fetch_add(at_cutoff, std::memory_order_relaxed);
+  if (candidates != nullptr) *candidates = std::move(cand);
   return out;
 }
 

@@ -68,6 +68,11 @@ class SignatureIndex final : public Index {
 
   std::vector<int> Candidates(const la::Vec& query, int k) const override;
 
+  /// Query's own Hamming scan supplies the candidates: one scan, not two.
+  std::vector<int> QueryWithCandidates(
+      const la::Vec& query, int k,
+      std::vector<int>* candidates) const override;
+
   IndexStats stats() const override;
   void ResetStats() override;
 

@@ -59,6 +59,29 @@ Matrix SparseRows::GatherDense(const std::vector<int>& ids) const {
   return out;
 }
 
+SparseRows SparseRows::Transpose() const {
+  SparseRows out(rows());
+  // Counting sort by column: row_end_ first holds each column's count, then
+  // its running end; scanning the rows in order fills every column's list
+  // in ascending row order.
+  out.row_end_.assign(cols_, 0);
+  for (uint32_t c : index_) ++out.row_end_[c];
+  for (size_t c = 1; c < cols_; ++c) out.row_end_[c] += out.row_end_[c - 1];
+  out.index_.resize(nnz());
+  out.value_.resize(nnz());
+  std::vector<size_t> next(cols_, 0);
+  for (size_t c = 1; c < cols_; ++c) next[c] = out.row_end_[c - 1];
+  for (size_t r = 0; r < rows(); ++r) {
+    const SparseRowView row = Row(r);
+    for (size_t k = 0; k < row.nnz; ++k) {
+      const size_t slot = next[row.index[k]]++;
+      out.index_[slot] = static_cast<uint32_t>(r);
+      out.value_[slot] = row.value[k];
+    }
+  }
+  return out;
+}
+
 // Both merges add exactly the nonzero terms of the dense loops, to the same
 // lanes in the same order. A term the dense loop adds that is skipped here
 // is a product with a zero, i.e. +-0, and adding +-0 leaves a lane unchanged:

@@ -11,8 +11,8 @@ namespace cbir::la {
 
 /// \brief One row of a SparseRows: `nnz` (column, value) pairs with
 /// strictly ascending columns. Borrowed; valid while its owner is alive and
-/// unmodified. No default constructor, so a braced dense sample such as
-/// `model.Decision({})` still means a la::Vec.
+/// unmodified. No default constructor, so a braced dense argument such as
+/// `svm::EvalKernel(params, {}, {})` still means a la::Vec.
 struct SparseRowView {
   SparseRowView(const uint32_t* index_in, const double* value_in,
                 size_t nnz_in)
@@ -49,6 +49,10 @@ class SparseRows {
 
   /// Rows `ids` as a dense ids.size() x cols() matrix.
   Matrix GatherDense(const std::vector<int>& ids) const;
+
+  /// The cols() x rows() transpose: row c lists, in ascending order, the
+  /// rows holding a nonzero in column c (the inverted list of column c).
+  SparseRows Transpose() const;
 
  private:
   size_t cols_ = 0;

@@ -101,8 +101,12 @@ void ImageDatabase::BuildIndex(const IndexOptions& index_options) {
   index_->Build(features_);
 }
 
-std::vector<int> ImageDatabase::TopK(const la::Vec& query, int k) const {
-  if (index_ != nullptr) return index_->Query(query, k);
+std::vector<int> ImageDatabase::TopK(const la::Vec& query, int k,
+                                     std::vector<int>* candidates) const {
+  if (index_ != nullptr) {
+    return index_->QueryWithCandidates(query, k, candidates);
+  }
+  if (candidates != nullptr) candidates->clear();
   return RankByEuclidean(features_, query, k);
 }
 

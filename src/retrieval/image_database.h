@@ -84,7 +84,11 @@ class ImageDatabase {
   /// falls back to the exhaustive scan when none is attached. Every corpus
   /// ranking in the library goes through here so one BuildIndex call
   /// accelerates all of them.
-  std::vector<int> TopK(const la::Vec& query, int k = -1) const;
+  /// `candidates`, when non-null, gets the attached index's
+  /// Candidates(query, k) set from the same scan (empty, "every row",
+  /// without an index).
+  std::vector<int> TopK(const la::Vec& query, int k = -1,
+                        std::vector<int>* candidates = nullptr) const;
 
   const features::Normalizer& normalizer() const { return normalizer_; }
   const features::FeatureExtractor& extractor() const { return extractor_; }

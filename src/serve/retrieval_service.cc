@@ -200,7 +200,8 @@ uint64_t RetrievalService::RegisterSession(int query_id,
 }
 
 std::vector<int> RetrievalService::FirstRoundRanking(
-    const la::Vec& query_feature) {
+    const la::Vec& query_feature,
+    std::optional<std::vector<int>>* candidates) {
   const int depth = core::FirstRoundDepth(*db_, options_.candidate_depth);
   // Full-corpus rankings (depth <= 0) are never cached: the cache capacity
   // counts entries, so corpus-length vectors would turn it into
@@ -221,7 +222,9 @@ std::vector<int> RetrievalService::FirstRoundRanking(
     if (!hit) {
       const uint64_t epoch = cache_.epoch();
       ScopedIndexCounters index_counters(db_->index());
-      ranking = db_->TopK(query_feature, depth);
+      ranking = db_->TopK(query_feature, depth,
+                          candidates != nullptr ? &candidates->emplace()
+                                                : nullptr);
       cache_.Insert(key, ranking, epoch);
     }
     if (obs::RequestTrace* trace = obs::CurrentTrace(); trace != nullptr) {
@@ -334,8 +337,11 @@ Result<std::vector<int>> RetrievalService::Query(uint64_t session_id, int k) {
   }
   if (!session->feedback.has_ranking()) {
     obs::ScopedSpan scan_span("index_scan", stage_index_scan_);
-    session->feedback.SetFirstRound(
-        FirstRoundRanking(session->feedback.context().query_feature));
+    std::optional<std::vector<int>> candidates;
+    std::vector<int> ranking = FirstRoundRanking(
+        session->feedback.context().query_feature, &candidates);
+    session->feedback.SetFirstRound(std::move(ranking),
+                                    std::move(candidates));
   }
   Result<std::vector<int>> out = TopKOfRanking(*session, k);
   queries_->Increment();

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -187,7 +188,12 @@ class RetrievalService {
   /// The shared first-round retrieval: TopK at core::FirstRoundDepth,
   /// through the query cache when the depth is bounded. A session's first
   /// Query and FirstRoundCandidates build on it; each excludes its own id.
-  std::vector<int> FirstRoundRanking(const la::Vec& query_feature);
+  /// When `candidates` is non-null and the index scan runs (a cache miss
+  /// at a bounded depth), it gets the candidate set that scan reranked,
+  /// for the session's first round to reuse.
+  std::vector<int> FirstRoundRanking(
+      const la::Vec& query_feature,
+      std::optional<std::vector<int>>* candidates = nullptr);
 
   /// Finishes an ended/evicted session under its mutex: ends its
   /// FeedbackSession, moves the recorded rounds into the log store and

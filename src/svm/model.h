@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "la/matrix.h"
-#include "la/sparse_rows.h"
 #include "la/vector_ops.h"
 #include "svm/kernel.h"
 #include "util/result.h"
@@ -17,12 +16,17 @@ namespace cbir::svm {
 /// where coeff_s = alpha_s * y_s over the support vectors.
 ///
 /// Models are value types: copyable, serializable, safe to use from multiple
-/// threads concurrently (Decision is const).
+/// threads concurrently (Decision is const). Batches are scored column by
+/// column with DecisionLanes (core::KernelColumnStore over a scan space).
 class SvmModel {
  public:
   SvmModel() = default;
+  /// `support_rows`, when given, holds each support vector's row in the
+  /// training matrix (BuildModel records it); empty for a model that was
+  /// built or loaded without one.
   SvmModel(KernelParams kernel, la::Matrix support_vectors,
-           std::vector<double> coefficients, double bias);
+           std::vector<double> coefficients, double bias,
+           std::vector<size_t> support_rows = {});
 
   bool empty() const { return support_vectors_.rows() == 0; }
   size_t num_support_vectors() const { return support_vectors_.rows(); }
@@ -30,21 +34,11 @@ class SvmModel {
   double bias() const { return bias_; }
   const la::Matrix& support_vectors() const { return support_vectors_; }
   const std::vector<double>& coefficients() const { return coefficients_; }
+  /// Training-matrix row of each support vector (empty when unknown).
+  const std::vector<size_t>& support_rows() const { return support_rows_; }
 
   /// Signed decision value; the paper's `SVM_Dist`.
   double Decision(const la::Vec& x) const;
-
-  /// Decision value of a sparse sample whose columns lie below the support
-  /// vectors' dims; bit-identical to Decision on its dense form.
-  double Decision(la::SparseRowView x) const;
-
-  /// Decision values for every row of `batch`.
-  std::vector<double> DecisionBatch(const la::Matrix& batch) const;
-
-  /// Decision values for every row of a sparse `batch`, bit-identical to
-  /// DecisionBatch on its dense form; a kernel evaluation costs a merge of
-  /// the two rows' nonzeros instead of a pass over every column.
-  std::vector<double> DecisionBatch(const la::SparseRows& batch) const;
 
   /// Predicted label in {+1, -1} (ties resolve to +1).
   double Predict(const la::Vec& x) const {
@@ -58,10 +52,9 @@ class SvmModel {
  private:
   KernelParams kernel_;
   la::Matrix support_vectors_;
-  /// The same rows as CSR, for scoring sparse samples.
-  la::SparseRows sparse_support_vectors_;
   std::vector<double> coefficients_;  ///< alpha_s * y_s
   double bias_ = 0.0;
+  std::vector<size_t> support_rows_;
 };
 
 }  // namespace cbir::svm

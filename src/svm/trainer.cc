@@ -69,15 +69,18 @@ SvmModel BuildModel(const KernelParams& kernel, const la::Matrix& data,
   }
   la::Matrix sv(num_sv, data.cols());
   std::vector<double> coeffs(num_sv);
+  std::vector<size_t> rows(num_sv);
   size_t s = 0;
   for (size_t i = 0; i < data.rows(); ++i) {
     if (alpha[i] > kSvEps) {
       std::copy_n(data.RowPtr(i), data.cols(), sv.RowPtr(s));
       coeffs[s] = alpha[i] * labels[i];
+      rows[s] = i;
       ++s;
     }
   }
-  return SvmModel(kernel, std::move(sv), std::move(coeffs), bias);
+  return SvmModel(kernel, std::move(sv), std::move(coeffs), bias,
+                  std::move(rows));
 }
 
 }  // namespace cbir::svm

@@ -79,7 +79,8 @@ class SvmTrainer {
 };
 
 /// The model of a solve: the rows of `data` with alpha > 1e-12 as support
-/// vectors, in row order, with coefficients alpha * label.
+/// vectors, in row order, with coefficients alpha * label; the model's
+/// support_rows() records which rows they are.
 SvmModel BuildModel(const KernelParams& kernel, const la::Matrix& data,
                     const std::vector<double>& labels,
                     const std::vector<double>& alpha, double bias);

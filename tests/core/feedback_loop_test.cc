@@ -1,5 +1,6 @@
 #include "core/feedback_loop.h"
 
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -203,6 +204,86 @@ TEST_F(FeedbackLoopTest, SessionAppliesRoundsOnce) {
   EXPECT_EQ(recorded[0].entries[1].image_id, 40);
   EXPECT_EQ(session.kernel_bytes(), 0u);  // warm-start state released
   EXPECT_TRUE(session.End().empty());
+}
+
+/// Fails its first Rank call, then forwards to `inner`.
+class FailOnceScheme : public FeedbackScheme {
+ public:
+  explicit FailOnceScheme(std::shared_ptr<FeedbackScheme> inner)
+      : inner_(std::move(inner)) {}
+  std::string name() const override { return inner_->name(); }
+  Result<std::vector<int>> Rank(const FeedbackContext& ctx) const override {
+    if (!failed_) {
+      failed_ = true;
+      return Status::Internal("rank failed");
+    }
+    return inner_->Rank(ctx);
+  }
+
+ private:
+  std::shared_ptr<FeedbackScheme> inner_;
+  mutable bool failed_ = false;
+};
+
+TEST_F(FeedbackLoopTest, FailedRoundIsRolledBackAndRetried) {
+  FeedbackContext ctx;
+  ctx.db = db_;
+  ctx.query_id = 5;
+  FeedbackSession session(std::move(ctx));
+  session.SetFirstRound(db_->TopK(db_->feature(5)));
+  const FailOnceScheme scheme(MakeScheme("RF-SVM", *scheme_options_).value());
+  const std::vector<logdb::LogEntry> round = {{7, 1}, {40, -1}, {9, 1}};
+  // The failed round leaves no labels behind...
+  EXPECT_FALSE(session.ApplyRound(scheme, round).ok());
+  EXPECT_TRUE(session.context().labeled_ids.empty());
+  EXPECT_TRUE(session.context().labels.empty());
+  // ...so its retry is applied in full, ranked and recorded.
+  ASSERT_TRUE(session.ApplyRound(scheme, round).ok());
+  EXPECT_EQ(session.context().labeled_ids, (std::vector<int>{7, 40, 9}));
+  EXPECT_EQ(session.context().labels,
+            (std::vector<double>{1.0, -1.0, 1.0}));
+  EXPECT_EQ(session.ranking().size(),
+            static_cast<size_t>(db_->num_images() - 1));
+  const std::vector<logdb::LogSession> recorded = session.End();
+  ASSERT_EQ(recorded.size(), 1u);
+  ASSERT_EQ(recorded[0].entries.size(), 3u);
+  EXPECT_EQ(recorded[0].entries[2].image_id, 9);
+}
+
+TEST_F(FeedbackLoopTest, FirstPageCandidatesSpareTheSecondScan) {
+  retrieval::ImageDatabase db(*db_);  // copy: private index
+  retrieval::IndexOptions index_options;
+  index_options.mode = retrieval::IndexMode::kSignature;
+  db.BuildIndex(index_options);
+  const auto scheme = MakeScheme("RF-SVM", *scheme_options_).value();
+  const std::vector<logdb::LogEntry> round = {{7, 1}, {40, -1}, {2, 1}};
+  const auto run = [&](bool hand_over) {
+    FeedbackContext ctx;
+    ctx.db = &db;
+    ctx.query_id = 5;
+    ctx.candidate_depth = 10;
+    FeedbackSession session(std::move(ctx));
+    std::vector<int> candidates;
+    std::vector<int> page = db.TopK(db.feature(5), 10, &candidates);
+    EXPECT_EQ(candidates, db.index()->Candidates(db.feature(5), 10));
+    if (hand_over) {
+      session.SetFirstRound(std::move(page), std::move(candidates));
+    } else {
+      session.SetFirstRound(std::move(page));
+    }
+    const uint64_t scanned = db.index()->stats().signatures_scanned;
+    EXPECT_TRUE(session.ApplyRound(*scheme, round).ok());
+    EXPECT_FALSE(session.context().scan_ids.empty());
+    return std::make_pair(session.ranking(),
+                          db.index()->stats().signatures_scanned - scanned);
+  };
+  // The first round's Prepare scans the signatures again unless it is
+  // handed the first page's candidates; the rankings are the same.
+  const auto [scanned_ranking, rescanned] = run(false);
+  const auto [handed_ranking, not_rescanned] = run(true);
+  EXPECT_EQ(handed_ranking, scanned_ranking);
+  EXPECT_EQ(rescanned, static_cast<uint64_t>(db.num_images()));
+  EXPECT_EQ(not_rescanned, 0u);
 }
 
 TEST_F(FeedbackLoopTest, FirstRoundDepthNeedsAnIndexAndADepth) {

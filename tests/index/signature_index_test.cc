@@ -141,6 +141,25 @@ TEST(SignatureIndexTest, CandidatesAreAscendingOversampledSuperset) {
   EXPECT_TRUE(index.Candidates(query, 0).empty());
 }
 
+TEST(SignatureIndexTest, QueryWithCandidatesScansOnce) {
+  const la::Matrix corpus = ClusteredCorpus(600, 12, 12, 17);
+  SignatureIndex index(SignatureIndexOptions{});
+  index.Build(corpus);
+  const la::Vec query = corpus.Row(71);
+  const std::vector<int> page = index.Query(query, 15);
+  const std::vector<int> expected = index.Candidates(query, 15);
+  index.ResetStats();
+  std::vector<int> candidates = {-1};
+  EXPECT_EQ(index.QueryWithCandidates(query, 15, &candidates), page);
+  EXPECT_EQ(candidates, expected);
+  EXPECT_EQ(index.stats().queries, 1u);
+  EXPECT_EQ(index.stats().signatures_scanned, 600u);
+  // Full-depth requests rank exhaustively and keep the "every row" set.
+  EXPECT_EQ(index.QueryWithCandidates(query, 0, &candidates),
+            index.Query(query, 0));
+  EXPECT_TRUE(candidates.empty());
+}
+
 TEST(SignatureIndexTest, StatsCountScansAndReranks) {
   const la::Matrix corpus = ClusteredCorpus(400, 10, 8, 18);
   SignatureIndexOptions options;

@@ -1,5 +1,6 @@
 #include "la/sparse_rows.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -61,6 +62,29 @@ TEST(SparseRowsTest, EmptyShapes) {
   EXPECT_TRUE(SparseRows(7).empty());
   // Rows of zeros are not empty: the log exists, nobody judged them.
   EXPECT_FALSE(SparseRows::FromDense(Matrix(2, 3, 0.0)).empty());
+}
+
+TEST(SparseRowsTest, TransposeListsEachColumnsRows) {
+  Rng rng(8);
+  Matrix dense(14, 6);
+  for (size_t r = 0; r < dense.rows(); ++r) {
+    dense.SetRow(r, RandomRow(rng, dense.cols(), 0.3, false));
+  }
+  const SparseRows transposed = SparseRows::FromDense(dense).Transpose();
+  ASSERT_EQ(transposed.rows(), dense.cols());
+  ASSERT_EQ(transposed.cols(), dense.rows());
+  Matrix expected(dense.cols(), dense.rows());
+  for (size_t r = 0; r < dense.rows(); ++r) {
+    for (size_t c = 0; c < dense.cols(); ++c) {
+      expected.At(c, r) = dense.At(r, c);
+    }
+  }
+  for (size_t c = 0; c < dense.cols(); ++c) {
+    const SparseRowView row = transposed.Row(c);
+    EXPECT_TRUE(std::is_sorted(row.index, row.index + row.nnz));
+  }
+  EXPECT_EQ(transposed.GatherDense({0, 1, 2, 3, 4, 5}).data(), expected.data());
+  EXPECT_EQ(SparseRows(3).Transpose().rows(), 3u);
 }
 
 TEST(SparseRowsTest, GatherAndGatherDenseRoundTrip) {

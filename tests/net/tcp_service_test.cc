@@ -412,10 +412,13 @@ TEST_F(TcpServiceTest, ProfiledSessionCarriesSpansAndWorkCounters) {
   names = span_names(feedback_profile);
   EXPECT_NE(std::find(names.begin(), names.end(), "solve"), names.end());
   int64_t smo_iterations = -1;
+  int64_t columns_computed = -1;
   for (const api::ProfileCounter& c : feedback_profile.counters) {
     if (c.name == "smo_iterations") smo_iterations = c.value;
+    if (c.name == "kernel_columns_computed") columns_computed = c.value;
   }
   EXPECT_GT(smo_iterations, 0) << "solve ran, its counter must be attached";
+  EXPECT_GT(columns_computed, 0) << "ranking scored kernel columns";
 
   // Turning profiling off stops both the request flag and the cached block.
   client.EnableProfiling(false);

@@ -1,11 +1,13 @@
 #include "svm/model.h"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "svm/decision_lanes.h"
 #include "svm/trainer.h"
 #include "util/rng.h"
 
@@ -35,14 +37,47 @@ TEST(SvmModelTest, PredictSign) {
   EXPECT_EQ(m.Predict({-1.0, 0.0}), -1.0);
 }
 
+/// The per-row loop column scoring replaces: each row's kernel values
+/// against every support vector, dotted with the coefficients.
+std::vector<double> ReferenceScores(const SvmModel& m,
+                                    const la::Matrix& batch) {
+  const size_t num_sv = m.num_support_vectors();
+  std::vector<double> kernel_row(num_sv);
+  std::vector<double> out(batch.rows());
+  for (size_t r = 0; r < batch.rows(); ++r) {
+    EvalKernelRowBatch(m.kernel(), m.support_vectors(), batch.RowPtr(r),
+                       kernel_row.data(), 0, num_sv);
+    out[r] = m.bias() +
+             la::DotN(kernel_row.data(), m.coefficients().data(), num_sv);
+  }
+  return out;
+}
+
+/// Rows [begin, end) of `batch` scored column by column from dense
+/// columns.
+std::vector<double> ColumnScores(const SvmModel& m, const la::Matrix& batch,
+                                 size_t begin, size_t end) {
+  DecisionLanes lanes(begin, end, m.num_support_vectors());
+  std::vector<double> column(end - begin);
+  for (size_t s = 0; s < m.num_support_vectors(); ++s) {
+    EvalKernelRowBatch(m.kernel(), batch, m.support_vectors().RowPtr(s),
+                       column.data(), begin, end);
+    lanes.Add(m.coefficients()[s], column.data());
+  }
+  std::vector<double> out(end - begin);
+  lanes.Finish(m.bias(), out.data());
+  return out;
+}
+
 TEST(SvmModelTest, DecisionBatchMatchesScalar) {
   const SvmModel m = ToyModel();
   la::Matrix batch(3, 2);
   batch.SetRow(0, {0.5, 0.5});
   batch.SetRow(1, {-2.0, 1.0});
   batch.SetRow(2, {0.0, 0.0});
-  const std::vector<double> scores = m.DecisionBatch(batch);
+  const std::vector<double> scores = ColumnScores(m, batch, 0, 3);
   ASSERT_EQ(scores.size(), 3u);
+  EXPECT_EQ(scores, ReferenceScores(m, batch));
   for (size_t i = 0; i < 3; ++i) {
     EXPECT_NEAR(scores[i], m.Decision(batch.Row(i)), 1e-12);
   }
@@ -82,39 +117,105 @@ SparseCase RandomSparseCase(const KernelParams& kernel, size_t num_sv,
           std::move(batch)};
 }
 
+/// Support vector s's column over the sparse rows of `batch`, as the log
+/// side keeps it: a dot-product kernel lists only the rows sharing a
+/// nonzero column with the support vector and fills the rest with the
+/// kernel of two empty rows; RBF keeps every row.
+KernelColumn LogColumn(const KernelParams& kernel, const la::SparseRows& svs,
+                       size_t s, const la::SparseRows& batch) {
+  KernelColumn column;
+  const la::SparseRowView sv = svs.Row(s);
+  if (kernel.type == KernelType::kRbf) {
+    for (size_t r = 0; r < batch.rows(); ++r) {
+      column.values.push_back(
+          EvalKernel(kernel, sv, batch.Row(r), batch.cols()));
+    }
+    return column;
+  }
+  const la::SparseRowView empty(nullptr, nullptr, 0);
+  column.sparse = true;
+  column.fill = EvalKernel(kernel, empty, empty, batch.cols());
+  const la::SparseRows by_column = batch.Transpose();
+  for (size_t k = 0; k < sv.nnz; ++k) {
+    const la::SparseRowView rows = by_column.Row(sv.index[k]);
+    column.rows.insert(column.rows.end(), rows.index, rows.index + rows.nnz);
+  }
+  std::sort(column.rows.begin(), column.rows.end());
+  column.rows.erase(std::unique(column.rows.begin(), column.rows.end()),
+                    column.rows.end());
+  for (uint32_t r : column.rows) {
+    column.values.push_back(
+        EvalKernel(kernel, sv, batch.Row(r), batch.cols()));
+  }
+  return column;
+}
+
 TEST(SvmModelTest, SparseDecisionsAreBitIdenticalToDense) {
   for (const KernelParams& kernel :
        {KernelParams::Linear(), KernelParams::Rbf(0.02),
-        KernelParams::Polynomial(0.5, 1.0, 2)}) {
+        KernelParams::Polynomial(0.5, 1.0, 2),
+        KernelParams::Polynomial(0.5, 0.0, 2)}) {
     SCOPED_TRACE(kernel.ToString());
-    // A pool-sized batch scored on the calling thread, and a corpus-sized
-    // one whose work fans out across threads.
+    // Sparse log rows and nearly dense ones; 39 support vectors put the
+    // last three in the lane-0 tail.
     for (const auto& [rows, density] :
          {std::pair<size_t, double>{328, 0.02}, {400, 0.9}}) {
       const SparseCase c =
-          RandomSparseCase(kernel, 40, rows, 150, density, rows);
+          RandomSparseCase(kernel, 39, rows, 150, density, rows);
       const la::SparseRows sparse = la::SparseRows::FromDense(c.batch);
-      const std::vector<double> dense_scores = c.model.DecisionBatch(c.batch);
-      const std::vector<double> sparse_scores =
-          c.model.DecisionBatch(sparse);
-      ASSERT_EQ(sparse_scores.size(), rows);
-      for (size_t r = 0; r < rows; ++r) {
-        EXPECT_EQ(sparse_scores[r], dense_scores[r]) << "row " << r;
-        EXPECT_EQ(c.model.Decision(sparse.Row(r)),
-                  c.model.Decision(c.batch.Row(r)))
-            << "row " << r;
+      const la::SparseRows svs =
+          la::SparseRows::FromDense(c.model.support_vectors());
+      std::vector<KernelColumn> columns;
+      for (size_t s = 0; s < svs.rows(); ++s) {
+        columns.push_back(LogColumn(kernel, svs, s, sparse));
+      }
+      const std::vector<double> reference = ReferenceScores(c.model, c.batch);
+      // The whole batch at once, then in two uneven row ranges.
+      for (const auto& [begin, end] :
+           {std::pair<size_t, size_t>{0, rows}, {0, 77}, {77, rows}}) {
+        DecisionLanes lanes(begin, end, columns.size());
+        for (size_t s = 0; s < columns.size(); ++s) {
+          lanes.Add(c.model.coefficients()[s], columns[s]);
+        }
+        std::vector<double> scores(end - begin);
+        lanes.Finish(c.model.bias(), scores.data());
+        for (size_t r = begin; r < end; ++r) {
+          ASSERT_EQ(scores[r - begin], reference[r]) << "row " << r;
+        }
+      }
+      EXPECT_EQ(ColumnScores(c.model, c.batch, 0, rows), reference);
+      for (size_t s = 0; s < columns.size(); ++s) {
+        for (size_t r = 0; r < rows; r += 37) {
+          EXPECT_EQ(columns[s].At(r),
+                    EvalKernelRow(kernel, c.model.support_vectors(), s,
+                                  c.batch.Row(r)));
+        }
       }
     }
   }
 }
 
 TEST(SvmModelTest, SparseDecisionsOfEmptyModelAreBias) {
-  const SvmModel empty;
-  const la::SparseRows batch =
-      la::SparseRows::FromDense(la::Matrix(3, 4, 1.0));
-  EXPECT_EQ(empty.DecisionBatch(batch), std::vector<double>(3, 0.0));
-  EXPECT_EQ(empty.Decision(batch.Row(0)), 0.0);
-  EXPECT_TRUE(ToyModel().DecisionBatch(la::SparseRows(2)).empty());
+  DecisionLanes lanes(0, 3, 0);
+  std::vector<double> scores(3);
+  lanes.Finish(-0.25, scores.data());
+  EXPECT_EQ(scores, std::vector<double>(3, -0.25));
+  DecisionLanes no_rows(5, 5, 0);
+  no_rows.Finish(1.0, nullptr);
+}
+
+TEST(SvmModelTest, BuildModelRecordsSupportRows) {
+  la::Matrix data(4, 1);
+  data.SetRow(0, {1.0});
+  data.SetRow(1, {2.0});
+  data.SetRow(2, {3.0});
+  data.SetRow(3, {4.0});
+  const SvmModel m = BuildModel(KernelParams::Linear(), data,
+                                {1.0, -1.0, 1.0, -1.0},
+                                {0.5, 0.0, 1e-13, 0.25}, 0.0);
+  EXPECT_EQ(m.support_rows(), (std::vector<size_t>{0, 3}));
+  EXPECT_EQ(m.coefficients(), (std::vector<double>{0.5, -0.25}));
+  EXPECT_EQ(m.support_vectors().At(1, 0), 4.0);
 }
 
 TEST(SvmModelTest, SaveLoadRoundTrip) {
