@@ -1,14 +1,14 @@
 // Micro-benchmarks for the coupled SVM: alternating-optimization cost as a
 // function of the unlabeled-sample count N' and the rho annealing schedule,
-// plus kernel-cache sharing across the solve chain and the before/after
-// levels of carry-over across feedback rounds.
+// plus the Gram shared by the solve chain and the before/after levels of
+// carry-over across feedback rounds.
 #include <benchmark/benchmark.h>
 
+#include <numeric>
 #include <utility>
 #include <vector>
 
 #include "core/multi_coupled_svm.h"
-#include "core/session_cache.h"
 #include "util/rng.h"
 
 namespace {
@@ -70,6 +70,19 @@ cbir::Result<core::MultiCoupledModel> Train(const core::MultiCoupledSvm& csvm,
                          data.initial_unlabeled_labels);
 }
 
+// Sets the Gram counters from one training run's diagnostics, summed over
+// its modalities.
+void ReportGramEntries(benchmark::State& state,
+                       const core::CsvmDiagnostics& diag) {
+  double computed = 0.0, carried = 0.0;
+  for (const auto& m : diag.gram_entries) {
+    computed += static_cast<double>(m.computed);
+    carried += static_cast<double>(m.carried);
+  }
+  state.counters["gram_entries_computed"] = computed;
+  state.counters["gram_entries_carried"] = carried;
+}
+
 void BM_CoupledTrainByNPrime(benchmark::State& state) {
   const BenchData data = MakeData(20, static_cast<size_t>(state.range(0)), 3);
   const core::MultiCoupledSvm csvm({});
@@ -80,23 +93,32 @@ void BM_CoupledTrainByNPrime(benchmark::State& state) {
 }
 BENCHMARK(BM_CoupledTrainByNPrime)->Arg(0)->Arg(10)->Arg(20)->Arg(40);
 
-// ONE annealing/label-correction chain, which shares one kernel cache per
-// modality across all of its QP solves; the counters show the chain's
-// kernel-row reuse.
+// ONE annealing/label-correction chain on a Gram per modality carried
+// from the previous iteration's bind of the same 40 rows, the way a
+// session re-binds a training set that did not change: every solve of the
+// chain reads the carried matrix, and the counters show no entry computed.
 void BM_CoupledTrainCacheSharing(benchmark::State& state) {
   const BenchData data = MakeData(20, 20, 3);
   const core::MultiCoupledSvm csvm({});
-  double hit_rate = 0.0;
-  double misses = 0.0;
+  std::vector<int> ids(data.visual.rows());
+  std::iota(ids.begin(), ids.end(), 0);
+  std::vector<core::ModalityView> views = Views(data);
+  svm::Gram visual_gram, log_gram;
+  views[0].gram = &visual_gram;
+  views[1].gram = &log_gram;
+  core::CsvmDiagnostics diag;
   for (auto _ : state) {
-    auto model = Train(csvm, data);
+    if (!visual_gram.Bind(ids, data.visual, views[0].kernel).ok() ||
+        !log_gram.Bind(ids, data.log, views[1].kernel).ok()) {
+      state.SkipWithError("Gram bind failed");
+      break;
+    }
+    auto model = csvm.TrainViews(views, data.labels,
+                                 data.initial_unlabeled_labels);
     benchmark::DoNotOptimize(model);
-    hit_rate = model.value().diagnostics.cache_stats.hit_rate();
-    misses =
-        static_cast<double>(model.value().diagnostics.cache_stats.misses);
+    diag = model.value().diagnostics;
   }
-  state.counters["cache_hit_rate"] = hit_rate;
-  state.counters["cache_misses"] = misses;
+  ReportGramEntries(state, diag);
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CoupledTrainCacheSharing);
@@ -118,10 +140,9 @@ BENCHMARK(BM_CoupledTrainByRhoInit)->Arg(2)->Arg(64)->Arg(10000);
 // labeled samples plus a fixed unlabeled pool. range(0) selects the
 // carry-over level: 0 = cold rounds; 1 = warm-start every round from the
 // previous round's duals (alphas aligned by sample, new samples entering at
-// zero); 2 = warm duals PLUS per-modality session kernel caches
-// (core::SessionKernelCache) carrying kernel rows across rounds, remapped
-// by sample id — the full cross-round path LRF-CSVM serving uses. This is
-// the end-to-end pattern of a live relevance-feedback session.
+// zero); 2 = warm duals PLUS one svm::Gram per modality carried across
+// rounds by sample id — the full cross-round path LRF-CSVM serving uses.
+// This is the end-to-end pattern of a live relevance-feedback session.
 void BM_CoupledFeedbackSession(benchmark::State& state) {
   constexpr int kRounds = 4;
   const size_t step = 10;
@@ -129,12 +150,12 @@ void BM_CoupledFeedbackSession(benchmark::State& state) {
   const BenchData full = MakeData(step * kRounds, nu, 9);
   const core::MultiCoupledSvm csvm({});
   const bool warm = state.range(0) >= 1;
-  const bool session_cache = state.range(0) >= 2;
+  const bool carry_gram = state.range(0) >= 2;
   long total_smo_iters = 0;
-  double hit_rate = 0.0;
+  core::CsvmDiagnostics last_round;
   for (auto _ : state) {
     std::vector<double> carried_visual, carried_log;
-    core::SessionKernelCache visual_rows, log_rows;
+    svm::Gram visual_gram, log_gram;
     for (int r = 1; r <= kRounds; ++r) {
       const size_t nl = step * static_cast<size_t>(r);
       BenchData data;
@@ -167,32 +188,31 @@ void BM_CoupledFeedbackSession(benchmark::State& state) {
           data.initial_log_alpha[nl + j] = carried_log[prev_nl + j];
         }
       }
-      cbir::Result<core::MultiCoupledModel> model = [&] {
-        if (!session_cache) return Train(csvm, data);
+      cbir::Result<core::MultiCoupledModel> model =
+          [&]() -> cbir::Result<core::MultiCoupledModel> {
+        if (!carry_gram) return Train(csvm, data);
         // Rows keyed by their index in `full` (the bench's stand-in for
         // image ids): the labeled prefix and the unlabeled pool both carry
-        // over between rounds, so their kernel rows are remapped, and only
-        // the step new judgments cost kernel evaluations.
+        // over between rounds, so only pairs with the step new judgments
+        // cost kernel evaluations.
         std::vector<int> ids;
         ids.reserve(nl + nu);
         for (size_t i = 0; i < nl; ++i) ids.push_back(static_cast<int>(i));
         for (size_t j = 0; j < nu; ++j) {
           ids.push_back(static_cast<int>(full_nl + j));
         }
-        const size_t cache_rows = csvm.options().smo.cache_rows;
         std::vector<core::ModalityView> views = Views(data);
-        views[0].shared_cache = visual_rows.Bind(
-            ids, std::move(data.visual), views[0].kernel, cache_rows);
-        views[1].shared_cache = log_rows.Bind(
-            std::move(ids), std::move(data.log), views[1].kernel, cache_rows);
-        views[0].data = &visual_rows.data();
-        views[1].data = &log_rows.data();
+        CBIR_RETURN_NOT_OK(visual_gram.Bind(ids, data.visual, views[0].kernel));
+        CBIR_RETURN_NOT_OK(
+            log_gram.Bind(std::move(ids), data.log, views[1].kernel));
+        views[0].gram = &visual_gram;
+        views[1].gram = &log_gram;
         return csvm.TrainViews(views, data.labels,
                                data.initial_unlabeled_labels);
       }();
       benchmark::DoNotOptimize(model);
       total_smo_iters += model.value().diagnostics.total_smo_iterations;
-      hit_rate = model.value().diagnostics.cache_stats.hit_rate();
+      last_round = model.value().diagnostics;
       if (warm) {
         carried_visual = std::move(model.value().alphas[0]);
         carried_log = std::move(model.value().alphas[1]);
@@ -202,7 +222,9 @@ void BM_CoupledFeedbackSession(benchmark::State& state) {
   state.counters["smo_iters_per_session"] =
       static_cast<double>(total_smo_iters) /
       static_cast<double>(state.iterations());
-  state.counters["cache_hit_rate"] = hit_rate;
+  // The last round's kernel work: 40 labeled + 20 unlabeled rows, of which
+  // /2 carries all but the pairs with the round's 10 new judgments.
+  ReportGramEntries(state, last_round);
 }
 BENCHMARK(BM_CoupledFeedbackSession)->Arg(0)->Arg(1)->Arg(2);
 

@@ -1,8 +1,9 @@
 // Micro-benchmarks for the SMO solver: scaling in training-set size, C and
 // kernel type, plus before/after comparisons for the training-core
-// optimizations (slab kernel cache, shrinking, warm-starting). Relevance
-// feedback solves many small QPs per query, so the n <= 100 region is the
-// one that matters; the larger sizes exercise shrinking and cache eviction.
+// optimizations (shrinking, warm-starting). Every timed Train builds the
+// training set's Gram and solves on it. Relevance feedback solves many
+// small QPs per query, so the n <= 100 region is the one that matters; the
+// larger sizes exercise shrinking.
 #include <benchmark/benchmark.h>
 
 #include "svm/decision_lanes.h"
@@ -32,14 +33,11 @@ Problem MakeProblem(size_t n, size_t dims, double gap, uint64_t seed) {
   return p;
 }
 
-// Reports solver diagnostics (iterations, cache hit rate) as bench counters
-// so before/after runs can be compared on work done, not just wall time.
+// Reports the solver's iterations as a bench counter so before/after runs
+// can be compared on work done, not just wall time.
 void ReportSolveCounters(benchmark::State& state,
                          const svm::TrainOutput& out) {
   state.counters["iters"] = static_cast<double>(out.iterations);
-  state.counters["cache_hit_rate"] = out.cache_stats.hit_rate();
-  state.counters["cache_evictions"] =
-      static_cast<double>(out.cache_stats.evictions);
 }
 
 void BM_SmoSolveRbf(benchmark::State& state) {
@@ -103,22 +101,6 @@ BENCHMARK(BM_SmoSolveShrinking)
     ->Args({200, 1})
     ->Args({500, 0})
     ->Args({500, 1});
-
-// Bounded cache on a problem whose kernel matrix does not fit: the slab
-// cache's eviction path and batched GetRows are the subject here.
-void BM_SmoSolveTinyCache(benchmark::State& state) {
-  const Problem p = MakeProblem(300, 36, 0.8, 31);
-  svm::TrainOptions options;
-  options.kernel = svm::KernelParams::Rbf(1.0 / 36.0);
-  options.c = 10.0;
-  options.smo.cache_rows = static_cast<size_t>(state.range(0));
-  const svm::SvmTrainer trainer(options);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(trainer.Train(p.data, p.labels));
-  }
-  ReportSolveCounters(state, trainer.Train(p.data, p.labels).value());
-}
-BENCHMARK(BM_SmoSolveTinyCache)->Arg(0)->Arg(64)->Arg(16);
 
 // Multi-round relevance-feedback simulation: each round adds `step` newly
 // judged samples. range(1) == 1 carries alphas across rounds (warm start),

@@ -289,27 +289,28 @@ Result<PointRun> ReadPoint(const Flags& flags) {
         core::RunExperiment(db, &log_features, schemes, exp_options);
     std::cout << core::FormatPaperTable(result);
 
-    // Kernel-cache behaviour of the coupled-SVM solve chains, aggregated
-    // over every query's training run (per-modality split: [0] = visual,
+    // Kernel work of the coupled-SVM solve chains, aggregated over every
+    // query's training run: Gram entries computed and carried from a
+    // session's previous round (per-modality split: [0] = visual,
     // [1] = log).
     for (const auto& scheme : schemes) {
       if (scheme->name() != "LRF-CSVM") continue;
       const core::CsvmDiagnostics diag =
           static_cast<const core::CoupledSvmScheme&>(*scheme)
               .AggregatedDiagnostics();
+      core::CsvmDiagnostics::GramEntries total;
+      for (const auto& m : diag.gram_entries) {
+        total.computed += m.computed;
+        total.carried += m.carried;
+      }
       std::cerr << "csvm cache stats: smo_iters=" << diag.total_smo_iterations
-                << " hits=" << diag.cache_stats.hits
-                << " misses=" << diag.cache_stats.misses
-                << " evictions=" << diag.cache_stats.evictions
-                << " hit_rate="
-                << FormatDouble(diag.cache_stats.hit_rate(), 3);
+                << " computed=" << total.computed
+                << " carried=" << total.carried;
       static constexpr const char* kModalityNames[] = {"visual", "log"};
-      for (size_t k = 0; k < diag.modality_cache_stats.size(); ++k) {
-        const svm::CacheStats& m = diag.modality_cache_stats[k];
+      for (size_t k = 0; k < diag.gram_entries.size(); ++k) {
+        const auto& m = diag.gram_entries[k];
         std::cerr << " | " << (k < 2 ? kModalityNames[k] : "modality")
-                  << " hits=" << m.hits << " misses=" << m.misses
-                  << " evictions=" << m.evictions
-                  << " hit_rate=" << FormatDouble(m.hit_rate(), 3);
+                  << " computed=" << m.computed << " carried=" << m.carried;
       }
       std::cerr << std::endl;
     }

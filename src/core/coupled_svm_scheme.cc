@@ -140,6 +140,12 @@ Result<CoupledSvmScheme::ColumnStores> CoupledSvmScheme::BindColumns(
   if (ctx.labeled_ids.empty()) {
     return Status::InvalidArgument(name_ + " requires labeled samples");
   }
+  // The training set's bound, checked before any column is computed.
+  if (ctx.labeled_ids.size() > svm::kMaxTrainingRows) {
+    return Status::InvalidArgument(
+        name_ + ": more than " + std::to_string(svm::kMaxTrainingRows) +
+        " labeled samples");
+  }
   const size_t num_modalities = modalities_.size();
   if (num_modalities > 1 && ctx.LogRows() == nullptr) {
     return Status::FailedPrecondition(name_ +
@@ -185,11 +191,10 @@ Result<MultiCoupledModel> CoupledSvmScheme::Train(
   // Warm start from the previous round of this session: rows whose image
   // was already in last round's training set inherit its dual variables,
   // fresh rows start at zero (exactly the carried/new split the solver
-  // projects back to feasibility). The session state also takes ownership
-  // of the gathered matrices so the kernel caches bound to them survive
-  // between rounds: rows of carried-over images keep their cached kernel
-  // entries (remapped by image id), and only pairs involving new images
-  // cost kernel evaluations.
+  // projects back to feasibility). The session's Grams are bound to this
+  // round's rows by image id: pairs of carried-over images keep their
+  // kernel entries, and only pairs involving new images are computed.
+  // Without a session, TrainViews builds one Gram per modality.
   SessionState* state = ctx.session_state;
   if (state != nullptr && state->modalities.size() < num_modalities) {
     state->modalities.resize(num_modalities);
@@ -212,10 +217,8 @@ Result<MultiCoupledModel> CoupledSvmScheme::Train(
         }
       }
     }
-    views[k].shared_cache =
-        carried.rows.Bind(row_ids, std::move(rows[k]), views[k].kernel,
-                          options_.csvm.smo.cache_rows);
-    views[k].data = &carried.rows.data();
+    CBIR_RETURN_NOT_OK(carried.gram.Bind(row_ids, rows[k], views[k].kernel));
+    views[k].gram = &carried.gram;
   }
 
   auto model = MultiCoupledSvm(options_.csvm)
@@ -226,7 +229,7 @@ Result<MultiCoupledModel> CoupledSvmScheme::Train(
     aggregated_diagnostics_.Accumulate(model->diagnostics);
   }
   if (state != nullptr) {
-    // Only the duals are rebuilt; the kernel caches carry on to next round.
+    // Only the duals are rebuilt; the Grams carry on to next round.
     for (size_t k = 0; k < num_modalities; ++k) {
       std::unordered_map<int, double>& alpha = state->modalities[k].alpha;
       alpha.clear();

@@ -51,7 +51,7 @@ struct LrfCsvmOptions {
 ///    minimal summed decision values.
 /// 2. Train the coupled SVM (rho annealing and Delta-gated label
 ///    correction; with N' = 0 this is one plain SVM solve per modality),
-///    warm-started from the session's duals and kernel rows when a
+///    warm-started from the session's duals, on its carried Gram, when a
 ///    SessionState is attached.
 /// 3. Rank every image by the summed decision, for K = 2 the paper's
 ///    CSVM_Dist(x_i, r_i) = f_w(x_i) + f_u(r_i), scored column by column:
@@ -83,8 +83,8 @@ class CoupledSvmScheme : public FeedbackScheme {
   Result<MultiCoupledModel> TrainForContext(const FeedbackContext& ctx) const;
 
   /// Diagnostics summed over every coupled training this scheme instance
-  /// ran (all queries, all rounds) — counters sum, cache stats aggregate
-  /// per modality. Thread-safe; the experiment driver prints LRF-CSVM's
+  /// ran (all queries, all rounds) — counters sum, Gram entries per
+  /// modality. Thread-safe; the experiment driver prints LRF-CSVM's
   /// next to the index stats.
   CsvmDiagnostics AggregatedDiagnostics() const;
 
@@ -108,7 +108,7 @@ class CoupledSvmScheme : public FeedbackScheme {
                                            const ColumnStores& columns) const;
 
   std::string name_;
-  /// Per-modality kernel and C; data, warm start and cache are per call.
+  /// Per-modality kernel and C; data, warm start and Gram are per call.
   std::vector<ModalityView> modalities_;
   LrfCsvmOptions options_;
 

@@ -52,14 +52,14 @@ class FeedbackSession {
                     const std::vector<logdb::LogEntry>& round);
 
   /// Ends the session: returns its recorded rounds, in order, and releases
-  /// the warm-start duals and kernel-cache slabs.
+  /// the warm-start duals, Grams and kernel columns.
   std::vector<logdb::LogSession> End();
 
   const FeedbackContext& context() const { return ctx_; }
   bool has_ranking() const { return has_ranking_; }
   /// The current ranking, query id excluded.
   const std::vector<int>& ranking() const { return ranking_; }
-  /// Bytes of warm-start kernel-cache memory held.
+  /// Bytes of carried kernel values held (Grams and kernel columns).
   size_t kernel_bytes() const { return warm_start_.AllocatedKernelBytes(); }
 
  private:

@@ -7,11 +7,11 @@
 #include <vector>
 
 #include "core/kernel_columns.h"
-#include "core/session_cache.h"
 #include "la/matrix.h"
 #include "la/sparse_rows.h"
 #include "la/vector_ops.h"
 #include "retrieval/image_database.h"
+#include "svm/gram.h"
 #include "svm/kernel.h"
 #include "svm/smo_solver.h"
 #include "util/result.h"
@@ -25,19 +25,20 @@ namespace cbir::core {
 /// carry-over here per modality, all keyed by image id, and reuse them
 /// next round:
 ///  - their final dual variables, to warm-start the next round's solver;
-///  - kernel rows (SessionKernelCache), so the stable part of the training
-///    set never recomputes its kernel entries;
+///  - the training set's Gram (svm::Gram), so a pair of images that stays
+///    in the training set never recomputes its kernel entry;
 ///  - the labeled images' kernel columns over the scan space
 ///    (KernelColumnStore), kept only when the scan is a candidate pool, so
 ///    a round computes the columns of its newly labeled images only.
-/// Purely an accelerator: rankings are identical (within solver tolerance)
-/// with or without a state attached, and the columns leave them
-/// bit-identical. Move-only (the kernel caches own slabs).
+/// Carried kernel values are bit-identical to computed ones; only the
+/// warm-start duals move rankings, within solver tolerance.
 struct SessionState {
-  /// One modality's carry-over; rows = labeled + selected unlabeled images.
+  /// One modality's carry-over; training rows = labeled + selected
+  /// unlabeled images.
   struct Modality {
     std::unordered_map<int, double> alpha;
-    SessionKernelCache rows;
+    /// (N_l + N')^2 x 8 B.
+    svm::Gram gram;
     /// N_l columns x pool size x 8 B (visual, or an RBF log kernel); a
     /// dot-product log column holds 12 B per co-marked pool row only.
     KernelColumnStore columns;
@@ -46,13 +47,12 @@ struct SessionState {
   /// sizes it on first use.
   std::vector<Modality> modalities;
 
-  /// Bytes held by the kernel caches (slabs + gathered matrices) and the
-  /// carried kernel columns; the serving layer charges this against its
-  /// session-memory accounting.
+  /// Bytes held by the Grams and the carried kernel columns; the serving
+  /// layer charges this against its session-memory accounting.
   size_t AllocatedKernelBytes() const {
     size_t bytes = 0;
     for (const Modality& m : modalities) {
-      bytes += m.rows.AllocatedBytes() + m.columns.AllocatedBytes();
+      bytes += m.gram.AllocatedBytes() + m.columns.AllocatedBytes();
     }
     return bytes;
   }

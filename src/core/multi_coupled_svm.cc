@@ -1,7 +1,6 @@
 #include "core/multi_coupled_svm.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "svm/trainer.h"
 #include "util/logging.h"
@@ -66,6 +65,13 @@ Result<MultiCoupledModel> MultiCoupledSvm::TrainViews(
     if (modalities[k].c <= 0.0) {
       return Status::InvalidArgument("coupled SVM: non-positive C");
     }
+    const svm::Gram* gram = modalities[k].gram;
+    if (gram != nullptr &&
+        (gram->n() != n || !(gram->kernel() == modalities[k].kernel))) {
+      return Status::InvalidArgument(
+          "coupled SVM: modality " + std::to_string(k) +
+          " Gram must be N_l + N' square under the modality's kernel");
+    }
     const std::vector<double>* warm_start = modalities[k].initial_alpha;
     if (warm_start != nullptr && !warm_start->empty() &&
         warm_start->size() != n) {
@@ -82,7 +88,6 @@ Result<MultiCoupledModel> MultiCoupledSvm::TrainViews(
   MultiCoupledModel model;
   CsvmDiagnostics& diag = model.diagnostics;
   const size_t num_modalities = modalities.size();
-  diag.modality_cache_stats.resize(num_modalities);
   std::vector<svm::TrainOutput> outputs(num_modalities);
   // Successive solves of one modality differ only in rho_star or a few
   // flipped pseudo-labels; warm-start each from its predecessor, seeded
@@ -94,19 +99,20 @@ Result<MultiCoupledModel> MultiCoupledSvm::TrainViews(
     }
   }
 
-  // One kernel cache per modality serves every QP of the chain: the kernel
-  // matrix depends only on (data, kernel params), both constant here — the
-  // chain's solves differ only in labels, C bounds and warm starts. Callers
-  // may inject their own longer-lived cache through ModalityView.
-  std::vector<std::unique_ptr<svm::KernelCache>> chain_caches(num_modalities);
-  std::vector<svm::KernelCache*> caches(num_modalities);
+  // One Gram per modality serves every QP of the chain: the kernel matrix
+  // depends only on the rows and the kernel, both constant here; the
+  // chain's solves differ only in labels, C bounds and warm starts.
+  std::vector<svm::Gram> built(num_modalities);
+  std::vector<const svm::Gram*> grams(num_modalities);
+  diag.gram_entries.resize(num_modalities);
   for (size_t k = 0; k < num_modalities; ++k) {
-    caches[k] = modalities[k].shared_cache;
-    if (caches[k] == nullptr) {
-      chain_caches[k] = std::make_unique<svm::KernelCache>(
-          *modalities[k].data, modalities[k].kernel, options_.smo.cache_rows);
-      caches[k] = chain_caches[k].get();
+    grams[k] = modalities[k].gram;
+    if (grams[k] == nullptr) {
+      CBIR_ASSIGN_OR_RETURN(
+          built[k], svm::Gram::Of(*modalities[k].data, modalities[k].kernel));
+      grams[k] = &built[k];
     }
+    diag.gram_entries[k] = {grams[k]->computed(), grams[k]->carried()};
   }
 
   auto solve_all = [&](double rho_star) -> Status {
@@ -116,18 +122,14 @@ Result<MultiCoupledModel> MultiCoupledSvm::TrainViews(
         c_bounds[i] = (i < nl ? 1.0 : rho_star) * modalities[k].c;
       }
       svm::TrainOptions train_options;
-      train_options.kernel = modalities[k].kernel;
       train_options.smo = options_.smo;
-      train_options.smo.initial_alpha = warm[k];
-      train_options.smo.shared_cache = caches[k];
+      train_options.smo.initial_alpha = std::move(warm[k]);
       svm::SvmTrainer trainer(train_options);
-      auto out = trainer.SolveWeighted(*modalities[k].data, y, c_bounds);
+      auto out = trainer.SolveWeighted(*grams[k], y, c_bounds);
       if (!out.ok()) return out.status();
       outputs[k] = std::move(out).value();
       warm[k] = outputs[k].alpha;
       diag.total_smo_iterations += outputs[k].iterations;
-      diag.cache_stats.Accumulate(outputs[k].cache_stats);
-      diag.modality_cache_stats[k].Accumulate(outputs[k].cache_stats);
     }
     return Status::OK();
   };

@@ -20,7 +20,7 @@ struct TraceSpan {
 };
 
 /// \brief One named work counter attached to a request's trace (SMO
-/// iterations, index rows scanned, kernel-cache hits...). Counters are
+/// iterations, index rows scanned, kernel entries computed...). Counters are
 /// per-request deltas, not process aggregates: they answer "what did THIS
 /// request cost", the question the EXPLAIN profile block exists for.
 struct TraceCounter {

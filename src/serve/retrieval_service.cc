@@ -399,8 +399,8 @@ Result<std::vector<int>> RetrievalService::Feedback(
     obs::ScopedSpan solve_span("solve", stage_solve_);
     CBIR_RETURN_NOT_OK(session->feedback.ApplyRound(*scheme_, round));
   }
-  // Settle this session's kernel-cache memory against the service-wide
-  // counter (the round may have grown the caches' slabs or, on the first
+  // Settle this session's carried kernel memory against the service-wide
+  // gauge (the round may have grown its Grams and columns or, on the first
   // round, created them).
   const size_t kernel_bytes = session->feedback.kernel_bytes();
   session_kernel_bytes_->Add(
@@ -440,7 +440,7 @@ void RetrievalService::FlushSessionLocked(ServeSession& session) {
   util::AssertRankNotHeld(util::LockRank::kSessionManager,
                           "flushing a session to the log store");
   // The session is ended (or evicted): End() hands over its recorded rounds
-  // and releases its warm-start duals and kernel-cache slabs — eviction must
+  // and releases its warm-start duals, Grams and columns — eviction must
   // actually bound memory — so refund the accounted bytes.
   std::vector<logdb::LogSession> rounds = session.feedback.End();
   if (log_store_ != nullptr) {

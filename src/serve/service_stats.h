@@ -15,7 +15,7 @@ using LatencySummary = obs::LatencySummary;
 using LatencyHistogram = obs::LatencyHistogram;
 
 /// \brief One coherent snapshot of everything the serving layer counts,
-/// surfaced the way IndexStats / CacheStats are for the lower layers.
+/// surfaced the way IndexStats is for the index layer.
 struct ServiceStats {
   // Request counters.
   uint64_t queries = 0;        ///< first-round Query() calls answered
@@ -45,9 +45,9 @@ struct ServiceStats {
   uint64_t requests_shed_deadline = 0;  ///< kDeadlineExceeded on arrival
   uint64_t feedback_replays = 0;        ///< duplicate seq answered from cache
 
-  // Session memory: bytes held by per-session cross-round kernel caches
-  // (slabs + gathered training matrices) across all live sessions. Grows
-  // with feedback rounds, returns to zero as sessions end or are evicted.
+  // Session memory: bytes of the kernel values sessions carry across rounds
+  // (Grams and kernel columns) across all live sessions. Grows with
+  // feedback rounds, returns to zero as sessions end or are evicted.
   uint64_t session_kernel_cache_bytes = 0;
 
   double elapsed_seconds = 0.0;  ///< since service start

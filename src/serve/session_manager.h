@@ -31,7 +31,7 @@ struct ServeSession {
 
   /// Set by EndSession or eviction; requests on an ended session fail.
   bool ended CBIR_GUARDED_BY(mu) = false;
-  /// Bytes of the feedback session's kernel-cache memory currently charged
+  /// Bytes of the feedback session's carried kernel values currently charged
   /// to the service's aggregate counter (updated after every feedback round,
   /// zeroed on flush).
   size_t accounted_kernel_bytes CBIR_GUARDED_BY(mu) = 0;

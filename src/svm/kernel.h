@@ -38,8 +38,8 @@ struct KernelParams {
     return {KernelType::kPolynomial, gamma, coef0, degree};
   }
 
-  /// Exact parameter equality; a KernelCache may only be shared between
-  /// solves whose KernelParams compare equal.
+  /// Exact parameter equality; a Gram or kernel column carries its values
+  /// into a new bind only under an equal kernel.
   friend bool operator==(const KernelParams& a, const KernelParams& b) {
     return a.type == b.type && a.gamma == b.gamma && a.coef0 == b.coef0 &&
            a.degree == b.degree;
@@ -62,8 +62,8 @@ double EvalKernelRow(const KernelParams& params, const la::Matrix& rows,
                      size_t i, const la::Vec& b);
 
 /// Evaluates out[r - begin] = K(rows[r], b) for r in [begin, end) in one
-/// blocked pass; `b` holds `rows.cols()` doubles. The batched form feeds the
-/// kernel-cache row fill and model scoring without per-element dispatch.
+/// blocked pass; `b` holds `rows.cols()` doubles. The batched form fills
+/// Gram rows and kernel columns without per-element dispatch.
 void EvalKernelRowBatch(const KernelParams& params, const la::Matrix& rows,
                         const double* b, double* out, size_t begin,
                         size_t end);

@@ -7,7 +7,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "svm/kernel_cache.h"
 #include "util/logging.h"
 
 namespace cbir::svm {
@@ -24,9 +23,6 @@ struct SolverMetrics {
   obs::Counter* shrink_passes;
   obs::Counter* gradient_reconstructions;
   obs::Counter* unconverged;
-  obs::Counter* cache_hits;
-  obs::Counter* cache_misses;
-  obs::Counter* cache_evictions;
 };
 
 const SolverMetrics& Metrics() {
@@ -39,25 +35,19 @@ const SolverMetrics& Metrics() {
     m.gradient_reconstructions =
         r.GetCounter("cbir_svm_gradient_reconstructions_total");
     m.unconverged = r.GetCounter("cbir_svm_unconverged_total");
-    m.cache_hits = r.GetCounter("cbir_svm_kernel_cache_hits_total");
-    m.cache_misses = r.GetCounter("cbir_svm_kernel_cache_misses_total");
-    m.cache_evictions = r.GetCounter("cbir_svm_kernel_cache_evictions_total");
     return m;
   }();
   return metrics;
 }
 }  // namespace
 
-SmoSolver::SmoSolver(const la::Matrix& data, std::vector<double> labels,
-                     std::vector<double> c_bounds, const KernelParams& kernel,
-                     const SmoOptions& options)
-    : data_(data),
+SmoSolver::SmoSolver(const Gram& gram, std::vector<double> labels,
+                     std::vector<double> c_bounds, const SmoOptions& options)
+    : gram_(gram),
       y_(std::move(labels)),
       c_(std::move(c_bounds)),
-      kernel_params_(kernel),
       options_(options),
-      n_(data.rows()) {
-  CBIR_CHECK_EQ(y_.size(), n_);
+      n_(y_.size()) {
   CBIR_CHECK_EQ(c_.size(), n_);
 }
 
@@ -94,9 +84,7 @@ Status SmoSolver::InitializeState() {
   }
 
   // grad_t = y_t * sum_s y_s a_s K_ts - 1, accumulated over the support
-  // vectors of the warm start (their rows land in the cache exactly where
-  // the first iterations will look for them). Rows are fetched in pairs so
-  // uncached pairs are computed in one pass over the data.
+  // vectors of the warm start.
   AccumulateSupportRows(0, n_);
   return Status::OK();
 }
@@ -111,9 +99,8 @@ void SmoSolver::AccumulateSupportRows(size_t grad_begin, size_t grad_end) {
   for (; k + 2 <= svs.size(); k += 2) {
     const size_t s0 = svs[k];
     const size_t s1 = svs[k + 1];
-    const double* K0;
-    const double* K1;
-    cache_->GetRows(s0, s1, &K0, &K1);
+    const double* K0 = gram_.RowPtr(s0);
+    const double* K1 = gram_.RowPtr(s1);
     const double c0 = alpha_[s0] * y_[s0];
     const double c1 = alpha_[s1] * y_[s1];
     for (size_t p = grad_begin; p < grad_end; ++p) {
@@ -123,7 +110,7 @@ void SmoSolver::AccumulateSupportRows(size_t grad_begin, size_t grad_end) {
   }
   if (k < svs.size()) {
     const size_t s = svs[k];
-    const double* Ks = cache_->GetRow(s);
+    const double* Ks = gram_.RowPtr(s);
     const double coef = alpha_[s] * y_[s];
     for (size_t p = grad_begin; p < grad_end; ++p) {
       const size_t t = active_[p];
@@ -149,7 +136,7 @@ bool SmoSolver::SelectWorkingSet(size_t* out_i, size_t* out_j) {
   }
   if (i == n_) return false;
 
-  const double* Ki = cache_->GetRow(i);
+  const double* Ki = gram_.RowPtr(i);
 
   // j: second-order selection among violating I_low members.
   size_t j = n_;
@@ -163,7 +150,7 @@ bool SmoSolver::SelectWorkingSet(size_t* out_i, size_t* out_j) {
     if (b_it <= 0.0) continue;  // not violating against i
     // Curvature along the feasible pair direction; the label signs cancel,
     // leaving ||phi(x_i) - phi(x_t)||^2 >= 0 for any Mercer kernel.
-    double a_it = cache_->Diag(i) + cache_->Diag(t) - 2.0 * Ki[t];
+    double a_it = gram_.Diag(i) + gram_.Diag(t) - 2.0 * Ki[t];
     if (a_it <= 0.0) a_it = kTau;
     const double gain = -(b_it * b_it) / a_it;
     if (gain < best_gain) {
@@ -222,8 +209,7 @@ void SmoSolver::ReconstructGradient(int* reconstructions) {
   ++*reconstructions;
   // Inactive gradients are stale; recompute them from scratch using the
   // kernel rows of the current support vectors (K is symmetric, so row s
-  // supplies K(t, s) for every inactive t). Pairwise fetches let uncached
-  // SV rows be computed in one pass over the data.
+  // supplies K(t, s) for every inactive t).
   for (size_t p = active_size_; p < n_; ++p) {
     grad_[active_[p]] = -1.0;
   }
@@ -241,29 +227,10 @@ Result<SmoSolution> SmoSolver::Solve() {
       return Status::InvalidArgument("SMO: non-positive C bound");
     }
   }
-  if (options_.shared_cache != nullptr) {
-    // The injected cache must serve rows of exactly the problem being
-    // solved: same matrix object (kernel rows are addressed by row index)
-    // and same kernel parameters.
-    if (options_.shared_cache->data() != &data_ ||
-        options_.shared_cache->n() != n_) {
-      // The row-count check catches a cache left stale by reassigning the
-      // bound matrix object to a different size without a Rebind.
-      return Status::InvalidArgument(
-          "SMO: shared kernel cache is not bound to this training matrix");
-    }
-    if (!(options_.shared_cache->params() == kernel_params_)) {
-      return Status::InvalidArgument(
-          "SMO: shared kernel cache kernel params mismatch");
-    }
-    cache_ = options_.shared_cache;
-  } else {
-    owned_cache_ =
-        std::make_unique<KernelCache>(data_, kernel_params_,
-                                      options_.cache_rows);
-    cache_ = owned_cache_.get();
+  if (gram_.n() != n_) {
+    return Status::InvalidArgument(
+        "SMO: the Gram is not n x n for this training set");
   }
-  const CacheStats cache_stats_at_entry = cache_->stats();
   CBIR_RETURN_NOT_OK(InitializeState());
 
   const long max_iter =
@@ -299,13 +266,11 @@ Result<SmoSolution> SmoSolver::Solve() {
     }
     ++iter;
 
-    // Both rows stay valid together: the slab cache pins i while fetching j.
-    const double* Ki;
-    const double* Kj;
-    cache_->GetRows(i, j, &Ki, &Kj);
+    const double* Ki = gram_.RowPtr(i);
+    const double* Kj = gram_.RowPtr(j);
 
     const double yi = y_[i], yj = y_[j];
-    double a_ij = cache_->Diag(i) + cache_->Diag(j) - 2.0 * Ki[j];
+    double a_ij = gram_.Diag(i) + gram_.Diag(j) - 2.0 * Ki[j];
     if (a_ij <= 0.0) a_ij = kTau;
 
     const double old_ai = alpha_[i];
@@ -378,10 +343,6 @@ Result<SmoSolution> SmoSolver::Solve() {
   sol.bias = ComputeBias();
   sol.objective = ComputeObjective();
   sol.iterations = iter;
-  // Only this solve's traffic: a shared cache carries counters (and rows)
-  // from earlier solves in the chain.
-  sol.cache_stats = CacheStats::DeltaSince(cache_->stats(),
-                                           cache_stats_at_entry);
   // f(x_t) recovered from the gradient identity grad_t = y_t (f_t - b) - 1.
   sol.train_decisions.resize(n_);
   for (size_t t = 0; t < n_; ++t) {
@@ -397,18 +358,11 @@ Result<SmoSolution> SmoSolver::Solve() {
       static_cast<uint64_t>(sol.shrink_passes));
   Metrics().gradient_reconstructions->Increment(
       static_cast<uint64_t>(sol.gradient_reconstructions));
-  Metrics().cache_hits->Increment(sol.cache_stats.hits);
-  Metrics().cache_misses->Increment(sol.cache_stats.misses);
-  Metrics().cache_evictions->Increment(sol.cache_stats.evictions);
   // Attach this solve's work to the request being traced (if any): a
-  // feedback round runs several coupled solves, so the counters accumulate
-  // into per-request totals for the EXPLAIN profile.
+  // feedback round runs several coupled solves, so the counter accumulates
+  // into a per-request total for the EXPLAIN profile.
   if (obs::RequestTrace* trace = obs::CurrentTrace(); trace != nullptr) {
     trace->AddCounter("smo_iterations", static_cast<int64_t>(iter));
-    trace->AddCounter("kernel_cache_hits",
-                      static_cast<int64_t>(sol.cache_stats.hits));
-    trace->AddCounter("kernel_cache_misses",
-                      static_cast<int64_t>(sol.cache_stats.misses));
   }
   return sol;
 }

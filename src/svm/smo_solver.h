@@ -1,12 +1,9 @@
 #ifndef CBIR_SVM_SMO_SOLVER_H_
 #define CBIR_SVM_SMO_SOLVER_H_
 
-#include <memory>
 #include <vector>
 
-#include "la/matrix.h"
-#include "svm/kernel.h"
-#include "svm/kernel_cache.h"
+#include "svm/gram.h"
 #include "util/result.h"
 
 namespace cbir::svm {
@@ -17,31 +14,6 @@ struct SmoOptions {
   double eps = 1e-3;
   /// Hard iteration cap; <= 0 selects max(10'000'000, 100 * n).
   long max_iterations = -1;
-  /// Kernel-cache row budget; 0 selects KernelCache's default of all rows
-  /// up to a 128 MiB slab (see kernel_cache.h), not an unlimited cache.
-  /// Ignored when `shared_cache` is set (the shared cache was built with its
-  /// own budget).
-  size_t cache_rows = 0;
-  /// External kernel cache injection point. Null (the default) keeps the
-  /// internal path: the solver builds its own cache for the solve. Non-null
-  /// makes the solve fetch kernel rows from the caller's cache, so a chain
-  /// of solves over the same training data (rho annealing, label
-  /// correction, successive feedback rounds after a RebindRemapped) computes
-  /// each row once instead of once per QP — kernel rows depend only on
-  /// (data, kernel params), never on labels, C bounds, or warm starts.
-  ///
-  /// Aliasing / lifetime rules:
-  ///  - the cache must outlive the solve and is mutated by it;
-  ///  - it must be bound to the *same* la::Matrix object the solver was
-  ///    constructed with (pointer identity, not just equal contents) and to
-  ///    equal KernelParams — Solve() returns InvalidArgument otherwise;
-  ///  - ownership stays with the caller; the solver never frees or rebinds
-  ///    it;
-  ///  - neither KernelCache nor the solver is thread-safe: concurrent
-  ///    solves must use distinct caches.
-  /// SmoSolution::cache_stats reports only this solve's traffic (a delta of
-  /// the shared cache's lifetime counters).
-  KernelCache* shared_cache = nullptr;
   /// LIBSVM-style shrinking: periodically drop examples that are pinned at a
   /// bound and KKT-consistent from the active set; the full gradient is
   /// reconstructed and optimality re-verified over all examples before the
@@ -68,8 +40,6 @@ struct SmoSolution {
   /// Decision values f(x_i) on the training set, recovered from the final
   /// gradient for free (no O(n * n_sv) kernel re-evaluation).
   std::vector<double> train_decisions;
-  /// Kernel-cache behaviour during this solve.
-  CacheStats cache_stats;
   /// Shrinking passes executed and full-gradient reconstructions performed.
   int shrink_passes = 0;
   int gradient_reconstructions = 0;
@@ -90,17 +60,21 @@ struct SmoSolution {
 /// among violating indices in I_low. With options.shrinking the selection
 /// scans only the active set; convergence is always verified on the full set
 /// after gradient reconstruction.
+///
+/// Every kernel value is read from the training set's Gram: the solves of
+/// one coupled-SVM chain differ only in labels, C bounds and warm starts,
+/// so they all read one matrix.
 class SmoSolver {
  public:
-  /// `data` rows are training vectors; `labels` in {+1,-1}; `c_bounds` gives
-  /// each sample's upper bound (> 0). All sizes must agree.
-  SmoSolver(const la::Matrix& data, std::vector<double> labels,
-            std::vector<double> c_bounds, const KernelParams& kernel,
-            const SmoOptions& options = {});
+  /// `gram` is the training set's kernel matrix and must outlive the
+  /// solver; `labels` in {+1,-1}; `c_bounds` gives each sample's upper
+  /// bound (> 0). `labels` and `c_bounds` must have equal sizes.
+  SmoSolver(const Gram& gram, std::vector<double> labels,
+            std::vector<double> c_bounds, const SmoOptions& options = {});
 
   /// Runs the optimization. Returns an error for degenerate inputs (e.g.
   /// single-class data is allowed and yields all-alpha-at-bound solutions,
-  /// but empty data is not).
+  /// but an empty training set, or a Gram that is not n x n, is not).
   Result<SmoSolution> Solve();
 
  private:
@@ -120,8 +94,7 @@ class SmoSolver {
   Status InitializeState();
 
   /// Adds y_t * sum_s y_s a_s K_ts to grad_[active_[p]] for p in
-  /// [grad_begin, grad_end), fetching support-vector rows in pairs so
-  /// uncached pairs are filled in one pass over the data.
+  /// [grad_begin, grad_end), two support-vector rows per pass.
   void AccumulateSupportRows(size_t grad_begin, size_t grad_end);
 
   /// Selects the (i, j) working pair from the active set; returns false at
@@ -138,17 +111,12 @@ class SmoSolver {
   double ComputeBias() const;
   double ComputeObjective() const;
 
-  const la::Matrix& data_;
+  const Gram& gram_;
   std::vector<double> y_;
   std::vector<double> c_;
-  KernelParams kernel_params_;
   SmoOptions options_;
   size_t n_;
 
-  /// Either options_.shared_cache or owned_cache_ (built lazily in Solve()
-  /// so degenerate inputs fail with a Status before any slab work).
-  KernelCache* cache_ = nullptr;
-  std::unique_ptr<KernelCache> owned_cache_;
   std::vector<double> alpha_;
   std::vector<double> grad_;    ///< grad_i = (Qa)_i - 1 (active entries fresh)
   std::vector<size_t> active_;  ///< permutation; first active_size_ are active

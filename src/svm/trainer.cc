@@ -20,23 +20,28 @@ Result<TrainOutput> SvmTrainer::Train(const la::Matrix& data,
 Result<TrainOutput> SvmTrainer::TrainWeighted(
     const la::Matrix& data, const std::vector<double>& labels,
     const std::vector<double>& c_bounds) const {
+  if (labels.size() != data.rows() || c_bounds.size() != data.rows()) {
+    return Status::InvalidArgument("labels/c_bounds size mismatch");
+  }
+  CBIR_ASSIGN_OR_RETURN(const Gram gram, Gram::Of(data, options_.kernel));
   CBIR_ASSIGN_OR_RETURN(TrainOutput out,
-                        SolveWeighted(data, labels, c_bounds));
+                        SolveWeighted(gram, labels, c_bounds));
   out.model = BuildModel(options_.kernel, data, labels, out.alpha, out.bias);
   return out;
 }
 
 Result<TrainOutput> SvmTrainer::SolveWeighted(
-    const la::Matrix& data, const std::vector<double>& labels,
+    const Gram& gram, const std::vector<double>& labels,
     const std::vector<double>& c_bounds) const {
-  if (data.rows() == 0) {
+  const size_t n = gram.n();
+  if (n == 0) {
     return Status::InvalidArgument("training set is empty");
   }
-  if (labels.size() != data.rows() || c_bounds.size() != data.rows()) {
+  if (labels.size() != n || c_bounds.size() != n) {
     return Status::InvalidArgument("labels/c_bounds size mismatch");
   }
 
-  SmoSolver solver(data, labels, c_bounds, options_.kernel, options_.smo);
+  SmoSolver solver(gram, labels, c_bounds, options_.smo);
   CBIR_ASSIGN_OR_RETURN(SmoSolution sol, solver.Solve());
 
   TrainOutput out;
@@ -44,13 +49,12 @@ Result<TrainOutput> SvmTrainer::SolveWeighted(
   out.objective = sol.objective;
   out.iterations = sol.iterations;
   out.converged = sol.converged;
-  out.cache_stats = sol.cache_stats;
 
   // Training decisions come straight out of the solver's final gradient
   // instead of an O(n * n_sv * d) kernel re-evaluation pass.
   out.train_decisions = std::move(sol.train_decisions);
-  out.slacks.resize(data.rows());
-  for (size_t i = 0; i < data.rows(); ++i) {
+  out.slacks.resize(n);
+  for (size_t i = 0; i < n; ++i) {
     out.slacks[i] = std::max(0.0, 1.0 - labels[i] * out.train_decisions[i]);
   }
   out.alpha = std::move(sol.alpha);

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "la/matrix.h"
+#include "svm/gram.h"
 #include "svm/model.h"
 #include "svm/smo_solver.h"
 #include "util/result.h"
@@ -11,14 +12,6 @@
 namespace cbir::svm {
 
 /// \brief Training configuration.
-///
-/// `smo.shared_cache` is the trainer-level kernel-cache injection point:
-/// when set, every solve launched through this trainer fetches kernel rows
-/// from that caller-owned cache instead of building its own. The cache must
-/// be bound (KernelCache ctor / Rebind) to the exact `data` matrix object
-/// passed to Train/TrainWeighted with `kernel`-equal params, must outlive
-/// the call, and must not be used by concurrent solves — see
-/// SmoOptions::shared_cache for the full aliasing/lifetime rules.
 struct TrainOptions {
   KernelParams kernel = KernelParams::Rbf(1.0);
   /// Default per-sample bound; overridden sample-by-sample via
@@ -44,10 +37,6 @@ struct TrainOutput {
   double objective = 0.0;
   long iterations = 0;
   bool converged = false;
-  /// Kernel-cache counters from the underlying SMO solve. With an injected
-  /// shared cache this is the solve's own traffic only (delta of the shared
-  /// cache's lifetime counters).
-  CacheStats cache_stats;
 };
 
 /// \brief Trains binary C-SVC models with optional per-sample C bounds.
@@ -58,19 +47,22 @@ class SvmTrainer {
   const TrainOptions& options() const { return options_; }
 
   /// Uniform-C training. `labels` in {+1, -1}; one row of `data` per sample.
+  /// At most kMaxTrainingRows rows, else InvalidArgument.
   Result<TrainOutput> Train(const la::Matrix& data,
                             const std::vector<double>& labels) const;
 
   /// Per-sample-C training: the coupled SVM passes bound C for labeled and
-  /// rho*C for unlabeled samples.
+  /// rho*C for unlabeled samples. Builds the Gram of `data` under
+  /// options().kernel and solves on it.
   Result<TrainOutput> TrainWeighted(const la::Matrix& data,
                                     const std::vector<double>& labels,
                                     const std::vector<double>& c_bounds) const;
 
-  /// TrainWeighted without the model: duals, bias, slacks and decisions
-  /// only. A chain of solves (the coupled SVM's rho annealing) builds the
-  /// model once, from its last solve, with BuildModel.
-  Result<TrainOutput> SolveWeighted(const la::Matrix& data,
+  /// TrainWeighted on a Gram the caller holds, without the model: duals,
+  /// bias, slacks and decisions only. A chain of solves (the coupled SVM's
+  /// rho annealing) reads one Gram and builds the model once, from its last
+  /// solve, with BuildModel.
+  Result<TrainOutput> SolveWeighted(const Gram& gram,
                                     const std::vector<double>& labels,
                                     const std::vector<double>& c_bounds) const;
 

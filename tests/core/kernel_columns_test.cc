@@ -245,7 +245,7 @@ TEST_F(KernelColumnsTest, HoldComputesOnlyNewColumnsAndCounts) {
 }
 
 /// Forwards to `inner` after dropping the session's warm-start duals and
-/// kernel rows, so every round solves cold, exactly like a round without a
+/// Grams, so every round solves cold, exactly like a round without a
 /// SessionState; only the carried kernel columns survive.
 class ColdSolveScheme : public FeedbackScheme {
  public:
@@ -255,7 +255,7 @@ class ColdSolveScheme : public FeedbackScheme {
   Result<std::vector<int>> Rank(const FeedbackContext& ctx) const override {
     for (SessionState::Modality& modality : ctx.session_state->modalities) {
       modality.alpha.clear();
-      modality.rows.Clear();
+      modality.gram.Clear();
     }
     return inner_->Rank(ctx);
   }

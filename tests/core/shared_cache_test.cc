@@ -1,11 +1,12 @@
-// Equivalence gates for kernel-cache sharing across the coupled-SVM solve
-// chain and across feedback rounds: shared-cache training must reproduce
-// per-solve-cache models and rankings (within solver tolerance) for
-// MultiCoupledSvm and RunFeedbackSession — including after label flips,
-// labeled-set growth across rounds, and under eviction pressure.
+// Equivalence gates for the Gram shared by the coupled-SVM solve chain and
+// carried across feedback rounds: training on a carried Gram must reproduce
+// training on a fresh one exactly for MultiCoupledSvm (including label
+// flips and labeled-set growth across rounds), and rankings within solver
+// tolerance for RunFeedbackSession, where the carried duals also differ.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,7 +14,6 @@
 #include "core/feedback_loop.h"
 #include "core/multi_coupled_svm.h"
 #include "core/scheme_factory.h"
-#include "core/session_cache.h"
 #include "logdb/log_store.h"
 #include "logdb/simulated_user.h"
 #include "two_modality_problem.h"
@@ -21,56 +21,67 @@
 namespace cbir::core {
 namespace {
 
-using testutil::Decision;
 using testutil::TestOptions;
 using testutil::Train;
 using testutil::TwoModalityData;
 using testutil::TwoModalityProblem;
 using testutil::Views;
 
-// Trains `views` with a two-row cache per modality, which keeps almost no
-// row from one solve of the chain to the next (the minimum budget; see
-// svm::KernelCache), and with the default cache per modality shared across
-// the solve chain, and checks that sharing changes nothing but the cache
-// traffic.
+// Trains `views` once on the Gram the chain builds per modality and once on
+// caller Grams carried from an earlier bind of the first half of the rows,
+// and checks that carrying changes nothing but the kernel work.
 void ExpectChainSharingMatchesPerSolve(const TwoModalityData& data,
                                        const std::vector<ModalityView>& views) {
-  MultiCsvmOptions per_solve = TestOptions();
-  per_solve.smo.cache_rows = 2;
-  auto cold = MultiCoupledSvm(per_solve).TrainViews(
-      views, data.labels, data.initial_unlabeled_labels);
-  ASSERT_TRUE(cold.ok()) << cold.status();
+  const MultiCoupledSvm csvm(TestOptions());
+  auto built = csvm.TrainViews(views, data.labels,
+                               data.initial_unlabeled_labels);
+  ASSERT_TRUE(built.ok()) << built.status();
 
-  MultiCsvmOptions shared = TestOptions();
-  auto hot = MultiCoupledSvm(shared).TrainViews(views, data.labels,
-                                                data.initial_unlabeled_labels);
-  ASSERT_TRUE(hot.ok());
+  const size_t n = data.visual.rows();
+  const size_t half = n / 2;
+  std::vector<int> ids(n);
+  std::iota(ids.begin(), ids.end(), 0);
+  std::vector<svm::Gram> grams(views.size());
+  std::vector<ModalityView> carried_views = views;
+  for (size_t k = 0; k < views.size(); ++k) {
+    la::Matrix first(half, views[k].data->cols());
+    for (size_t i = 0; i < half; ++i) first.SetRow(i, views[k].data->Row(i));
+    ASSERT_TRUE(grams[k]
+                    .Bind(std::vector<int>(ids.begin(), ids.begin() + half),
+                          first, views[k].kernel)
+                    .ok());
+    ASSERT_TRUE(grams[k].Bind(ids, *views[k].data, views[k].kernel).ok());
+    carried_views[k].gram = &grams[k];
+  }
+  auto carried = csvm.TrainViews(carried_views, data.labels,
+                                 data.initial_unlabeled_labels);
+  ASSERT_TRUE(carried.ok()) << carried.status();
 
-  // Kernel entries are identical whichever fill path produced them, so the
+  // Carried kernel entries are bit-identical to computed ones, so the
   // chains solve literally the same QPs: labels, duals and decisions match.
-  EXPECT_EQ(hot->unlabeled_labels, cold->unlabeled_labels);
-  ASSERT_EQ(hot->alphas.size(), views.size());
-  EXPECT_EQ(hot->alphas, cold->alphas);
-  for (size_t i = 0; i < data.visual.rows(); ++i) {
+  EXPECT_EQ(carried->unlabeled_labels, built->unlabeled_labels);
+  ASSERT_EQ(carried->alphas.size(), views.size());
+  EXPECT_EQ(carried->alphas, built->alphas);
+  for (size_t i = 0; i < n; ++i) {
     std::vector<la::Vec> sample;
     for (const ModalityView& view : views) {
       sample.push_back(view.data->Row(i));
     }
-    EXPECT_NEAR(hot->Decision(sample), cold->Decision(sample), 1e-9);
+    EXPECT_EQ(carried->Decision(sample), built->Decision(sample));
   }
-  // The whole point: one cache per modality turns the chain's repeated row
-  // computations into hits.
-  EXPECT_GT(hot->diagnostics.cache_stats.hit_rate(),
-            cold->diagnostics.cache_stats.hit_rate());
-  EXPECT_LT(hot->diagnostics.cache_stats.misses,
-            cold->diagnostics.cache_stats.misses);
-  // The per-modality split is populated and sums to the aggregate.
-  ASSERT_EQ(hot->diagnostics.modality_cache_stats.size(), views.size());
-  size_t modality_hits = 0;
-  for (const svm::CacheStats& stats : hot->diagnostics.modality_cache_stats) {
-    modality_hits += stats.hits;
+  // The kernel work per modality: the chain's own Gram computes the upper
+  // triangle once; the carried one only the pairs with the second half.
+  const size_t entries = n * (n + 1) / 2;
+  const size_t half_entries = half * (half + 1) / 2;
+  ASSERT_EQ(built->diagnostics.gram_entries.size(), views.size());
+  ASSERT_EQ(carried->diagnostics.gram_entries.size(), views.size());
+  for (size_t k = 0; k < views.size(); ++k) {
+    EXPECT_EQ(built->diagnostics.gram_entries[k].computed, entries);
+    EXPECT_EQ(built->diagnostics.gram_entries[k].carried, 0u);
+    EXPECT_EQ(carried->diagnostics.gram_entries[k].computed,
+              entries - half_entries);
+    EXPECT_EQ(carried->diagnostics.gram_entries[k].carried, half_entries);
   }
-  EXPECT_EQ(modality_hits, hot->diagnostics.cache_stats.hits);
 }
 
 TEST(CsvmSharedCacheTest, ChainSharingReproducesPerSolveCaches) {
@@ -90,34 +101,16 @@ TEST(MultiCsvmSharedCacheTest, ThreeModalitySharingMatchesPerSolve) {
   ExpectChainSharingMatchesPerSolve(data, views);
 }
 
-TEST(CsvmSharedCacheTest, TinyCacheBudgetStaysCorrect) {
-  const TwoModalityData data = TwoModalityProblem(8, 8, 1.0, 0.8, 33);
-  MultiCsvmOptions roomy = TestOptions();
-  auto reference = Train(MultiCoupledSvm(roomy), data);
-  ASSERT_TRUE(reference.ok());
-
-  MultiCsvmOptions squeezed = TestOptions();
-  squeezed.smo.cache_rows = 2;  // minimum budget: constant eviction churn
-  auto model = Train(MultiCoupledSvm(squeezed), data);
-  ASSERT_TRUE(model.ok());
-  EXPECT_GT(model->diagnostics.cache_stats.evictions, 0u);
-  EXPECT_EQ(model->unlabeled_labels, reference->unlabeled_labels);
-  for (size_t i = 0; i < data.visual.rows(); ++i) {
-    EXPECT_NEAR(Decision(*model, data, i), Decision(*reference, data, i),
-                1e-9);
-  }
-}
-
 TEST(CsvmSharedCacheTest, InjectedSessionCachesAcrossGrowingRounds) {
   // The cross-round serving pattern, driven directly: round 2 grows the
-  // labeled set; the session caches remap by id and the trained model must
-  // match a cache-free training of the same round-2 problem.
+  // labeled set; the session Grams carry by id and the trained model must
+  // match a training of the same round-2 problem on fresh Grams.
   const TwoModalityData full = TwoModalityProblem(10, 8, 1.0, 0.8, 37);
   const size_t nl_full = 20;
   const size_t nu = 8;
   const MultiCoupledSvm csvm(TestOptions());
 
-  SessionKernelCache visual_rows, log_rows;
+  svm::Gram visual_gram, log_gram;
   // Interleave the classes so the round-1 prefix is balanced: labeled slot t
   // maps to image t/2 of the positive (even t) or negative (odd t) class.
   const auto labeled_id = [&](size_t t) {
@@ -141,12 +134,12 @@ TEST(CsvmSharedCacheTest, InjectedSessionCachesAcrossGrowingRounds) {
       log.SetRow(nl + j, full.log.Row(nl_full + j));
     }
     std::vector<ModalityView> views = Views(full);
-    views[0].shared_cache =
-        visual_rows.Bind(ids, std::move(visual), views[0].kernel, 0);
-    views[1].shared_cache =
-        log_rows.Bind(std::move(ids), std::move(log), views[1].kernel, 0);
-    views[0].data = &visual_rows.data();
-    views[1].data = &log_rows.data();
+    CBIR_RETURN_NOT_OK(visual_gram.Bind(ids, visual, views[0].kernel));
+    CBIR_RETURN_NOT_OK(log_gram.Bind(std::move(ids), log, views[1].kernel));
+    views[0].data = &visual;
+    views[1].data = &log;
+    views[0].gram = &visual_gram;
+    views[1].gram = &log_gram;
     return csvm.TrainViews(views, labels, full.initial_unlabeled_labels);
   };
 
@@ -155,7 +148,7 @@ TEST(CsvmSharedCacheTest, InjectedSessionCachesAcrossGrowingRounds) {
   ASSERT_TRUE(carried.ok());
 
   // Reference: the identical round-2 problem (same interleaved row order),
-  // trained without any carried caches.
+  // trained on fresh Grams.
   TwoModalityData round2;
   round2.visual = la::Matrix(nl_full + nu, full.visual.cols());
   round2.log = la::Matrix(nl_full + nu, full.log.cols());
@@ -175,13 +168,17 @@ TEST(CsvmSharedCacheTest, InjectedSessionCachesAcrossGrowingRounds) {
 
   EXPECT_EQ(carried->unlabeled_labels, reference->unlabeled_labels);
   EXPECT_EQ(carried->alphas, reference->alphas);
-  // Round 2 recomputed kernel rows only against the 10 new labeled images:
-  // strictly fewer misses than the cache-free training.
-  EXPECT_LT(carried->diagnostics.cache_stats.misses,
-            reference->diagnostics.cache_stats.misses);
+  // Round 2 holds all 18 images of round 1 (171 pairs, carried) plus the
+  // 10 new labeled images, whose pairs alone are computed: 406 - 171.
+  ASSERT_EQ(carried->diagnostics.gram_entries.size(), 2u);
+  for (const auto& entries : carried->diagnostics.gram_entries) {
+    EXPECT_EQ(entries.carried, 171u);
+    EXPECT_EQ(entries.computed, 235u);
+  }
+  EXPECT_EQ(reference->diagnostics.gram_entries[0].computed, 406u);
 }
 
-// ---- Feedback-loop level: full sessions with and without the caches. ------
+// ---- Feedback-loop level: full sessions with and without carried Grams. ---
 
 class SessionCacheFeedbackTest : public ::testing::Test {
  protected:
@@ -226,9 +223,9 @@ retrieval::ImageDatabase* SessionCacheFeedbackTest::db_ = nullptr;
 la::Matrix* SessionCacheFeedbackTest::log_features_ = nullptr;
 la::SparseRows* SessionCacheFeedbackTest::log_rows_ = nullptr;
 
-/// The reference for the cross-round kernel caches: forwards to `inner` but
-/// drops the session's carried kernel rows before every round, keeping the
-/// warm-start duals, so each round computes its kernel rows afresh.
+/// The reference for the cross-round Grams: forwards to `inner` but drops
+/// the session's carried Grams before every round, keeping the warm-start
+/// duals, so each round computes its kernel entries afresh.
 class FreshKernelRowsScheme : public FeedbackScheme {
  public:
   explicit FreshKernelRowsScheme(std::shared_ptr<FeedbackScheme> inner)
@@ -239,7 +236,7 @@ class FreshKernelRowsScheme : public FeedbackScheme {
   Result<std::vector<int>> Rank(const FeedbackContext& ctx) const override {
     if (ctx.session_state != nullptr) {
       for (SessionState::Modality& modality : ctx.session_state->modalities) {
-        modality.rows.Clear();
+        modality.gram.Clear();
       }
     }
     return inner_->Rank(ctx);
@@ -270,35 +267,13 @@ TEST_F(SessionCacheFeedbackTest, LrfCsvmSessionMatchesWithoutCaches) {
   }
 }
 
-TEST_F(SessionCacheFeedbackTest, LrfCsvmSessionUnderEvictionPressure) {
-  FeedbackLoopOptions loop;
-  loop.rounds = 2;
-  loop.judgments_per_round = 10;
-  loop.scopes = {10};
-
-  SchemeOptions base = SchemeOpts();
-  LrfCsvmOptions csvm;
-  csvm.n_prime = 10;
-  const auto reference = MakeScheme("LRF-CSVM", base, csvm).value();
-
-  SchemeOptions tiny = base;
-  tiny.smo.cache_rows = 2;  // eviction churn in every solve, every round
-  const auto squeezed = MakeScheme("LRF-CSVM", tiny, csvm).value();
-
-  auto a = RunFeedbackSession(*db_, log_rows_, *reference, 11, loop);
-  auto b = RunFeedbackSession(*db_, log_rows_, *squeezed, 11, loop);
-  ASSERT_TRUE(a.ok()) << a.status();
-  ASSERT_TRUE(b.ok()) << b.status();
-  EXPECT_EQ(a->precision, b->precision);
-}
-
 TEST_F(SessionCacheFeedbackTest, RfSvmSessionMatchesWithoutCaches) {
   FeedbackLoopOptions loop;
   loop.rounds = 3;
   loop.judgments_per_round = 12;
   loop.scopes = {10, 20};
 
-  // RF-SVM runs visual-only; LRF-2SVMs carries both modalities' rows.
+  // RF-SVM runs visual-only; LRF-2SVMs carries both modalities' Grams.
   for (const char* name : {"RF-SVM", "LRF-2SVMs"}) {
     const la::SparseRows* log =
         std::string(name) == "RF-SVM" ? nullptr : log_rows_;
@@ -331,11 +306,13 @@ TEST_F(SessionCacheFeedbackTest, AggregatedDiagnosticsAccumulate) {
       RunFeedbackSession(*db_, log_rows_, scheme, 7, loop).ok());
   const CsvmDiagnostics diag = scheme.AggregatedDiagnostics();
   EXPECT_GT(diag.total_smo_iterations, 0);
-  EXPECT_GT(diag.cache_stats.hits + diag.cache_stats.misses, 0u);
-  ASSERT_EQ(diag.modality_cache_stats.size(), 2u);
-  EXPECT_EQ(diag.modality_cache_stats[0].hits +
-                diag.modality_cache_stats[1].hits,
-            diag.cache_stats.hits);
+  // Both modalities computed their first round's Gram and carried the
+  // images that stayed into the second.
+  ASSERT_EQ(diag.gram_entries.size(), 2u);
+  for (const auto& entries : diag.gram_entries) {
+    EXPECT_GT(entries.computed, 0u);
+    EXPECT_GT(entries.carried, 0u);
+  }
 }
 
 }  // namespace

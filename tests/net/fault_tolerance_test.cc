@@ -273,22 +273,29 @@ TEST_F(FaultToleranceTest, StopNeverTearsAResponseFrame) {
     query.k = 1 + i % kDepth;
     ASSERT_TRUE(client->Send(api::Request(query)).ok());
   }
+  // Stop only once the server is answering: a Stop() that closed the
+  // connection before the server read any request would cut nothing.
+  Result<api::Response> first = client->Receive();
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_NE(std::get_if<api::QueryResponse>(&first.value()), nullptr);
   std::thread stopper([&] { stack.server->Stop(); });
 
   // Every response that arrives must be a complete frame; the cut, when it
-  // comes, must be a clean EOF at a frame boundary — a half-written frame
-  // would decode garbage or die mid-body.
-  int complete = 0;
-  for (int i = 0; i < kBurst; ++i) {
+  // comes, must be a clean close at a frame boundary — a half-written frame
+  // would decode garbage or end the connection mid-frame.
+  Status cut;
+  for (int i = 1; i < kBurst; ++i) {
     Result<api::Response> response = client->Receive();
-    if (!response.ok()) break;
+    if (!response.ok()) {
+      cut = response.status();
+      break;
+    }
     auto* typed = std::get_if<api::QueryResponse>(&response.value());
     ASSERT_NE(typed, nullptr) << "mid-stream frame corrupted at " << i;
-    ++complete;
   }
   stopper.join();
-  // At least the response being written when Stop() hit must have finished.
-  EXPECT_GE(complete, 1);
+  EXPECT_EQ(cut.message().find("mid-frame"), std::string::npos)
+      << cut.ToString();
 }
 
 // ------------------------------------------- chaos + retry: the full loop --

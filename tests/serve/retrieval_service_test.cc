@@ -385,10 +385,10 @@ TEST_F(RetrievalServiceTest, TtlEvictionExpiresIdleSessions) {
   EXPECT_EQ(service->stats().sessions_evicted_ttl, 1u);
 }
 
-// Sessions accumulate cross-round kernel-cache memory (slabs + gathered
-// training matrices) as they run feedback rounds; the service accounts for
-// it, and ending or evicting a session must release its share — eviction
-// has to actually bound memory.
+// Sessions accumulate cross-round kernel memory (Grams and kernel columns)
+// as they run feedback rounds; the service accounts for it, and ending or
+// evicting a session must release its share — eviction has to actually
+// bound memory.
 TEST_F(RetrievalServiceTest, SessionKernelCacheMemoryIsAccountedAndFreed) {
   ServiceOptions options;
   options.scheme = "LRF-CSVM";
@@ -437,45 +437,6 @@ TEST_F(RetrievalServiceTest, SessionKernelCacheMemoryIsAccountedAndFreed) {
   ASSERT_TRUE(s4.ok());
   EXPECT_EQ(service->stats().sessions_evicted_capacity, 1u);
   EXPECT_EQ(service->stats().session_kernel_cache_bytes, 0u);
-}
-
-// A serve session re-ranked with a tiny kernel-cache row budget (constant
-// eviction churn inside every solve) stays rank-identical to the default
-// configuration: eviction pressure is a perf knob, never a results knob.
-TEST_F(RetrievalServiceTest, TinyKernelCacheBudgetKeepsRankingsIdentical) {
-  const auto run_session = [&](core::SchemeOptions scheme_options) {
-    ServiceOptions options;
-    options.scheme = "LRF-CSVM";
-    options.csvm.n_prime = 10;
-    options.candidate_depth = 60;
-    auto service =
-        RetrievalService::Create(db_, log_features_, nullptr, scheme_options,
-                                 options);
-    EXPECT_TRUE(service.ok()) << service.status();
-    logdb::SimulatedUser user(db_->categories(), logdb::UserModel{0.0});
-    Rng rng(9);
-    auto sid = service.value()->StartSession(5);
-    EXPECT_TRUE(sid.ok());
-    std::vector<int> last;
-    for (int round = 0; round < 2; ++round) {
-      auto ranking = service.value()->Query(sid.value(), 60);
-      EXPECT_TRUE(ranking.ok());
-      std::vector<logdb::LogEntry> entries;
-      for (int id : ranking.value()) {
-        if (entries.size() >= 10) break;
-        entries.push_back(
-            logdb::LogEntry{id, user.Judge(id, db_->category(5), &rng)});
-      }
-      auto result = service.value()->Feedback(sid.value(), entries, 60);
-      EXPECT_TRUE(result.ok()) << result.status();
-      last = result.value();
-    }
-    return last;
-  };
-
-  core::SchemeOptions tiny = SchemeOpts();
-  tiny.smo.cache_rows = 2;
-  EXPECT_EQ(run_session(SchemeOpts()), run_session(tiny));
 }
 
 // Tentpole gate: a session opened with a raw feature vector (an image the

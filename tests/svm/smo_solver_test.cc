@@ -20,7 +20,8 @@ TEST(SmoSolverTest, TwoPointAnalyticSolution) {
   // Max-margin solution: f(x) = 1 - x, alpha_1 = alpha_2 = 0.5,
   // dual objective = -0.5.
   const la::Matrix data = MatrixFromRows({{0.0}, {2.0}});
-  SmoSolver solver(data, {1.0, -1.0}, {10.0, 10.0}, KernelParams::Linear());
+  const Gram gram = Gram::Of(data, KernelParams::Linear()).value();
+  SmoSolver solver(gram, {1.0, -1.0}, {10.0, 10.0});
   auto sol = solver.Solve();
   ASSERT_TRUE(sol.ok()) << sol.status();
   EXPECT_TRUE(sol->converged);
@@ -41,7 +42,8 @@ TEST(SmoSolverTest, EqualityConstraintHolds) {
       data.At(i, d) = rng.Gaussian() + (y[i] > 0 ? 1.0 : -1.0);
     }
   }
-  SmoSolver solver(data, y, c, KernelParams::Rbf(0.5));
+  const Gram gram = Gram::Of(data, KernelParams::Rbf(0.5)).value();
+  SmoSolver solver(gram, y, c);
   auto sol = solver.Solve();
   ASSERT_TRUE(sol.ok());
   double constraint = 0.0;
@@ -61,7 +63,8 @@ TEST(SmoSolverTest, BoxConstraintsRespected) {
     data.At(i, 0) = rng.Gaussian() + 0.2 * y[i];
     data.At(i, 1) = rng.Gaussian();
   }
-  SmoSolver solver(data, y, c, KernelParams::Rbf(1.0));
+  const Gram gram = Gram::Of(data, KernelParams::Rbf(1.0)).value();
+  SmoSolver solver(gram, y, c);
   auto sol = solver.Solve();
   ASSERT_TRUE(sol.ok());
   for (size_t i = 0; i < n; ++i) {
@@ -105,7 +108,8 @@ TEST(SmoSolverTest, KktConditionsOnSeparableData) {
     data.At(i, 1) = rng.Gaussian();
   }
   const KernelParams kernel = KernelParams::Linear();
-  SmoSolver solver(data, y, c, kernel);
+  const Gram gram = Gram::Of(data, kernel).value();
+  SmoSolver solver(gram, y, c);
   auto sol = solver.Solve();
   ASSERT_TRUE(sol.ok());
   EXPECT_TRUE(sol->converged);
@@ -124,7 +128,8 @@ TEST(SmoSolverTest, KktConditionsOnOverlappingDataRbf) {
     }
   }
   const KernelParams kernel = KernelParams::Rbf(0.7);
-  SmoSolver solver(data, y, c, kernel);
+  const Gram gram = Gram::Of(data, kernel).value();
+  SmoSolver solver(gram, y, c);
   auto sol = solver.Solve();
   ASSERT_TRUE(sol.ok());
   CheckKkt(data, y, c, kernel, *sol, 0.02);
@@ -135,7 +140,8 @@ TEST(SmoSolverTest, XorSolvableWithRbf) {
       MatrixFromRows({{0, 0}, {1, 1}, {0, 1}, {1, 0}});
   const std::vector<double> y{1.0, 1.0, -1.0, -1.0};
   const KernelParams kernel = KernelParams::Rbf(2.0);
-  SmoSolver solver(data, y, {50, 50, 50, 50}, kernel);
+  const Gram gram = Gram::Of(data, kernel).value();
+  SmoSolver solver(gram, y, {50, 50, 50, 50});
   auto sol = solver.Solve();
   ASSERT_TRUE(sol.ok());
   for (size_t i = 0; i < 4; ++i) {
@@ -150,7 +156,8 @@ TEST(SmoSolverTest, XorSolvableWithRbf) {
 
 TEST(SmoSolverTest, SingleClassDataConverges) {
   const la::Matrix data = MatrixFromRows({{0.0}, {1.0}, {2.0}});
-  SmoSolver solver(data, {1.0, 1.0, 1.0}, {1, 1, 1}, KernelParams::Linear());
+  const Gram gram = Gram::Of(data, KernelParams::Linear()).value();
+  SmoSolver solver(gram, {1.0, 1.0, 1.0}, {1, 1, 1});
   auto sol = solver.Solve();
   ASSERT_TRUE(sol.ok());
   // With all labels equal, the equality constraint forces alpha = 0.
@@ -161,7 +168,8 @@ TEST(SmoSolverTest, SingleClassDataConverges) {
 TEST(SmoSolverTest, DuplicateContradictoryPointsSaturate) {
   // The same point labeled both ways: both alphas hit the box bound.
   const la::Matrix data = MatrixFromRows({{1.0}, {1.0}});
-  SmoSolver solver(data, {1.0, -1.0}, {0.7, 0.7}, KernelParams::Linear());
+  const Gram gram = Gram::Of(data, KernelParams::Linear()).value();
+  SmoSolver solver(gram, {1.0, -1.0}, {0.7, 0.7});
   auto sol = solver.Solve();
   ASSERT_TRUE(sol.ok());
   EXPECT_NEAR(sol->alpha[0], 0.7, 1e-6);
@@ -172,7 +180,8 @@ TEST(SmoSolverTest, PerSampleBoundLimitsInfluence) {
   // Same geometry, but one sample's C is tiny: its alpha must stay small.
   const la::Matrix data = MatrixFromRows({{0.0}, {0.1}, {2.0}});
   const std::vector<double> y{1.0, 1.0, -1.0};
-  SmoSolver solver(data, y, {10.0, 0.01, 10.0}, KernelParams::Linear());
+  const Gram gram = Gram::Of(data, KernelParams::Linear()).value();
+  SmoSolver solver(gram, y, {10.0, 0.01, 10.0});
   auto sol = solver.Solve();
   ASSERT_TRUE(sol.ok());
   EXPECT_LE(sol->alpha[1], 0.01 + 1e-12);
@@ -181,11 +190,13 @@ TEST(SmoSolverTest, PerSampleBoundLimitsInfluence) {
 TEST(SmoSolverTest, RejectsBadInputs) {
   const la::Matrix data = MatrixFromRows({{0.0}, {1.0}});
   {
-    SmoSolver s(data, {1.0, 0.5}, {1, 1}, KernelParams::Linear());
+    const Gram s_gram = Gram::Of(data, KernelParams::Linear()).value();
+    SmoSolver s(s_gram, {1.0, 0.5}, {1, 1});
     EXPECT_FALSE(s.Solve().ok());  // label not +-1
   }
   {
-    SmoSolver s(data, {1.0, -1.0}, {1, 0}, KernelParams::Linear());
+    const Gram s_gram = Gram::Of(data, KernelParams::Linear()).value();
+    SmoSolver s(s_gram, {1.0, -1.0}, {1, 0});
     EXPECT_FALSE(s.Solve().ok());  // non-positive C
   }
 }
@@ -201,7 +212,8 @@ TEST(SmoSolverTest, ObjectiveMatchesDirectComputation) {
     data.At(i, 1) = rng.Gaussian();
   }
   const KernelParams kernel = KernelParams::Rbf(0.4);
-  SmoSolver solver(data, y, c, kernel);
+  const Gram gram = Gram::Of(data, kernel).value();
+  SmoSolver solver(gram, y, c);
   auto sol = solver.Solve();
   ASSERT_TRUE(sol.ok());
   // 0.5 a'Qa - e'a computed directly.
@@ -245,7 +257,8 @@ TEST(SmoSolverTest, ShrinkingMatchesNoShrinkingSolution) {
 
   SmoOptions no_shrink;
   no_shrink.shrinking = false;
-  SmoSolver cold(p.data, p.y, p.c, kernel, no_shrink);
+  const Gram cold_gram = Gram::Of(p.data, kernel).value();
+  SmoSolver cold(cold_gram, p.y, p.c, no_shrink);
   auto base = cold.Solve();
   ASSERT_TRUE(base.ok());
   ASSERT_TRUE(base->converged);
@@ -253,7 +266,8 @@ TEST(SmoSolverTest, ShrinkingMatchesNoShrinkingSolution) {
   SmoOptions shrink;
   shrink.shrinking = true;
   shrink.shrink_interval = 10;  // force many shrink passes on a small problem
-  SmoSolver fast(p.data, p.y, p.c, kernel, shrink);
+  const Gram fast_gram = Gram::Of(p.data, kernel).value();
+  SmoSolver fast(fast_gram, p.y, p.c, shrink);
   auto sol = fast.Solve();
   ASSERT_TRUE(sol.ok());
   ASSERT_TRUE(sol->converged);
@@ -271,34 +285,38 @@ TEST(SmoSolverTest, ShrinkingWithTinyCacheStaysCorrect) {
   const DenseProblem p = MakeDenseProblem(50, 0.5, 10.0, 43);
   const KernelParams kernel = KernelParams::Rbf(0.4);
 
+  // Both solves read one Gram; frequent shrinking passes must still reach
+  // the unshrunk reference's optimum.
+  const Gram gram = Gram::Of(p.data, kernel).value();
   SmoOptions reference;
   reference.shrinking = false;
-  SmoSolver ref_solver(p.data, p.y, p.c, kernel, reference);
+  SmoSolver ref_solver(gram, p.y, p.c, reference);
   auto ref = ref_solver.Solve();
   ASSERT_TRUE(ref.ok());
 
   SmoOptions tiny;
   tiny.shrinking = true;
   tiny.shrink_interval = 7;
-  tiny.cache_rows = 3;  // heavy eviction under the slab cache
-  SmoSolver solver(p.data, p.y, p.c, kernel, tiny);
+  SmoSolver solver(gram, p.y, p.c, tiny);
   auto sol = solver.Solve();
   ASSERT_TRUE(sol.ok());
   EXPECT_NEAR(sol->objective, ref->objective, 1e-6);
-  EXPECT_GT(sol->cache_stats.evictions, 0u);
+  EXPECT_GT(sol->shrink_passes, 0);
 }
 
 TEST(SmoSolverTest, WarmStartFromOwnSolutionConvergesInstantly) {
   const DenseProblem p = MakeDenseProblem(40, 0.6, 10.0, 47);
   const KernelParams kernel = KernelParams::Rbf(0.5);
 
-  SmoSolver cold(p.data, p.y, p.c, kernel);
+  const Gram cold_gram = Gram::Of(p.data, kernel).value();
+  SmoSolver cold(cold_gram, p.y, p.c);
   auto base = cold.Solve();
   ASSERT_TRUE(base.ok());
 
   SmoOptions warm_options;
   warm_options.initial_alpha = base->alpha;
-  SmoSolver warm(p.data, p.y, p.c, kernel, warm_options);
+  const Gram warm_gram = Gram::Of(p.data, kernel).value();
+  SmoSolver warm(warm_gram, p.y, p.c, warm_options);
   auto sol = warm.Solve();
   ASSERT_TRUE(sol.ok());
   EXPECT_TRUE(sol->converged);
@@ -321,18 +339,21 @@ TEST(SmoSolverTest, WarmStartMatchesColdStartAfterGrowth) {
   for (size_t i = 0; i < 30; ++i) first.data.SetRow(i, full.data.Row(i));
   first.y.assign(full.y.begin(), full.y.begin() + 30);
   first.c.assign(full.c.begin(), full.c.begin() + 30);
-  SmoSolver round0(first.data, first.y, first.c, kernel);
+  const Gram round0_gram = Gram::Of(first.data, kernel).value();
+  SmoSolver round0(round0_gram, first.y, first.c);
   auto sol0 = round0.Solve();
   ASSERT_TRUE(sol0.ok());
 
   SmoOptions warm_options;
   warm_options.initial_alpha = sol0->alpha;
   warm_options.initial_alpha.resize(40, 0.0);  // new samples enter at zero
-  SmoSolver warm(full.data, full.y, full.c, kernel, warm_options);
+  const Gram warm_gram = Gram::Of(full.data, kernel).value();
+  SmoSolver warm(warm_gram, full.y, full.c, warm_options);
   auto warm_sol = warm.Solve();
   ASSERT_TRUE(warm_sol.ok());
 
-  SmoSolver cold(full.data, full.y, full.c, kernel);
+  const Gram cold_gram = Gram::Of(full.data, kernel).value();
+  SmoSolver cold(cold_gram, full.y, full.c);
   auto cold_sol = cold.Solve();
   ASSERT_TRUE(cold_sol.ok());
 
@@ -354,7 +375,8 @@ TEST(SmoSolverTest, WarmStartRepairsInfeasibleInitialAlpha) {
 
   SmoOptions warm_options;
   warm_options.initial_alpha.assign(30, 1e9);  // clamped to C, then projected
-  SmoSolver warm(p.data, p.y, p.c, kernel, warm_options);
+  const Gram warm_gram = Gram::Of(p.data, kernel).value();
+  SmoSolver warm(warm_gram, p.y, p.c, warm_options);
   auto sol = warm.Solve();
   ASSERT_TRUE(sol.ok());
   ASSERT_TRUE(sol->converged);
@@ -366,7 +388,8 @@ TEST(SmoSolverTest, WarmStartRepairsInfeasibleInitialAlpha) {
   }
   EXPECT_NEAR(constraint, 0.0, 1e-9);
 
-  SmoSolver cold(p.data, p.y, p.c, kernel);
+  const Gram cold_gram = Gram::Of(p.data, kernel).value();
+  SmoSolver cold(cold_gram, p.y, p.c);
   auto base = cold.Solve();
   ASSERT_TRUE(base.ok());
   EXPECT_NEAR(sol->objective, base->objective, 1e-6);
@@ -376,15 +399,16 @@ TEST(SmoSolverTest, WarmStartSizeMismatchRejected) {
   const la::Matrix data = MatrixFromRows({{0.0}, {2.0}});
   SmoOptions options;
   options.initial_alpha = {0.5};  // wrong size
-  SmoSolver solver(data, {1.0, -1.0}, {10.0, 10.0}, KernelParams::Linear(),
-                   options);
+  const Gram gram = Gram::Of(data, KernelParams::Linear()).value();
+  SmoSolver solver(gram, {1.0, -1.0}, {10.0, 10.0}, options);
   EXPECT_FALSE(solver.Solve().ok());
 }
 
 TEST(SmoSolverTest, TrainDecisionsMatchDirectEvaluation) {
   const DenseProblem p = MakeDenseProblem(24, 0.8, 5.0, 61);
   const KernelParams kernel = KernelParams::Rbf(0.6);
-  SmoSolver solver(p.data, p.y, p.c, kernel);
+  const Gram gram = Gram::Of(p.data, kernel).value();
+  SmoSolver solver(gram, p.y, p.c);
   auto sol = solver.Solve();
   ASSERT_TRUE(sol.ok());
   for (size_t i = 0; i < 24; ++i) {
@@ -410,7 +434,8 @@ TEST(SmoSolverTest, LargerCReducesTrainingError) {
   }
   const KernelParams kernel = KernelParams::Rbf(0.8);
   auto hinge_at = [&](double c_value) {
-    SmoSolver solver(data, y, std::vector<double>(n, c_value), kernel);
+    const Gram gram = Gram::Of(data, kernel).value();
+    SmoSolver solver(gram, y, std::vector<double>(n, c_value));
     auto sol = solver.Solve();
     EXPECT_TRUE(sol.ok());
     double hinge = 0.0;

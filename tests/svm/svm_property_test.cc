@@ -66,7 +66,8 @@ class SmoPropertyTest : public ::testing::TestWithParam<ProblemConfig> {
 
 TEST_P(SmoPropertyTest, DualFeasibility) {
   BuildProblem(101);
-  SmoSolver solver(data_, y_, c_, kernel_);
+  const Gram gram = Gram::Of(data_, kernel_).value();
+  SmoSolver solver(gram, y_, c_);
   auto sol = solver.Solve();
   ASSERT_TRUE(sol.ok());
   double eq = 0.0;
@@ -80,7 +81,8 @@ TEST_P(SmoPropertyTest, DualFeasibility) {
 
 TEST_P(SmoPropertyTest, KktWithinTolerance) {
   BuildProblem(103);
-  SmoSolver solver(data_, y_, c_, kernel_);
+  const Gram gram = Gram::Of(data_, kernel_).value();
+  SmoSolver solver(gram, y_, c_);
   auto sol = solver.Solve();
   ASSERT_TRUE(sol.ok());
   ASSERT_TRUE(sol->converged);
@@ -100,7 +102,8 @@ TEST_P(SmoPropertyTest, KktWithinTolerance) {
 TEST_P(SmoPropertyTest, ObjectiveIsNonPositive) {
   // alpha = 0 is feasible with objective 0, so the optimum is <= 0.
   BuildProblem(107);
-  SmoSolver solver(data_, y_, c_, kernel_);
+  const Gram gram = Gram::Of(data_, kernel_).value();
+  SmoSolver solver(gram, y_, c_);
   auto sol = solver.Solve();
   ASSERT_TRUE(sol.ok());
   EXPECT_LE(sol->objective, 1e-12);
@@ -108,8 +111,10 @@ TEST_P(SmoPropertyTest, ObjectiveIsNonPositive) {
 
 TEST_P(SmoPropertyTest, DeterministicSolve) {
   BuildProblem(109);
-  SmoSolver s1(data_, y_, c_, kernel_);
-  SmoSolver s2(data_, y_, c_, kernel_);
+  const Gram s1_gram = Gram::Of(data_, kernel_).value();
+  SmoSolver s1(s1_gram, y_, c_);
+  const Gram s2_gram = Gram::Of(data_, kernel_).value();
+  SmoSolver s2(s2_gram, y_, c_);
   auto a = s1.Solve();
   auto b = s2.Solve();
   ASSERT_TRUE(a.ok());

@@ -96,7 +96,8 @@ TEST(TrainerTest, SolveThenBuildModelEqualsTrainWeighted) {
   options.kernel = KernelParams::Rbf(0.5);
   const SvmTrainer trainer(options);
   auto trained = trainer.TrainWeighted(data, y, c_bounds);
-  auto solved = trainer.SolveWeighted(data, y, c_bounds);
+  auto solved = trainer.SolveWeighted(Gram::Of(data, options.kernel).value(),
+                                      y, c_bounds);
   ASSERT_TRUE(trained.ok() && solved.ok());
   EXPECT_TRUE(solved->model.empty());
   EXPECT_EQ(solved->alpha, trained->alpha);
@@ -119,6 +120,16 @@ TEST(TrainerTest, InputValidation) {
   la::Matrix data(2, 1);
   EXPECT_FALSE(trainer.Train(data, {1.0}).ok());           // label count
   EXPECT_FALSE(trainer.TrainWeighted(data, {1.0, -1.0}, {1.0}).ok());
+}
+
+TEST(TrainerTest, RejectsTrainingSetsAboveTheBound) {
+  // One column keeps the refused input small: the bound is checked before
+  // any n^2 Gram is allocated.
+  const la::Matrix data(kMaxTrainingRows + 1, 1);
+  std::vector<double> y(data.rows(), 1.0);
+  for (size_t i = 0; i < y.size(); i += 2) y[i] = -1.0;
+  auto out = SvmTrainer().Train(data, y);
+  EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(TrainerTest, ConvergedFlagSet) {
