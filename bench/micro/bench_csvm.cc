@@ -1,10 +1,9 @@
 // Micro-benchmarks for the coupled SVM: alternating-optimization cost as a
 // function of the unlabeled-sample count N' and the rho annealing schedule,
-// plus the Gram shared by the solve chain and the before/after levels of
-// carry-over across feedback rounds.
+// plus the before/after levels of warm-start carry-over across feedback
+// rounds.
 #include <benchmark/benchmark.h>
 
-#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -70,19 +69,6 @@ cbir::Result<core::MultiCoupledModel> Train(const core::MultiCoupledSvm& csvm,
                          data.initial_unlabeled_labels);
 }
 
-// Sets the Gram counters from one training run's diagnostics, summed over
-// its modalities.
-void ReportGramEntries(benchmark::State& state,
-                       const core::CsvmDiagnostics& diag) {
-  double computed = 0.0, carried = 0.0;
-  for (const auto& m : diag.gram_entries) {
-    computed += static_cast<double>(m.computed);
-    carried += static_cast<double>(m.carried);
-  }
-  state.counters["gram_entries_computed"] = computed;
-  state.counters["gram_entries_carried"] = carried;
-}
-
 void BM_CoupledTrainByNPrime(benchmark::State& state) {
   const BenchData data = MakeData(20, static_cast<size_t>(state.range(0)), 3);
   const core::MultiCoupledSvm csvm({});
@@ -92,36 +78,6 @@ void BM_CoupledTrainByNPrime(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CoupledTrainByNPrime)->Arg(0)->Arg(10)->Arg(20)->Arg(40);
-
-// ONE annealing/label-correction chain on a Gram per modality carried
-// from the previous iteration's bind of the same 40 rows, the way a
-// session re-binds a training set that did not change: every solve of the
-// chain reads the carried matrix, and the counters show no entry computed.
-void BM_CoupledTrainCacheSharing(benchmark::State& state) {
-  const BenchData data = MakeData(20, 20, 3);
-  const core::MultiCoupledSvm csvm({});
-  std::vector<int> ids(data.visual.rows());
-  std::iota(ids.begin(), ids.end(), 0);
-  std::vector<core::ModalityView> views = Views(data);
-  svm::Gram visual_gram, log_gram;
-  views[0].gram = &visual_gram;
-  views[1].gram = &log_gram;
-  core::CsvmDiagnostics diag;
-  for (auto _ : state) {
-    if (!visual_gram.Bind(ids, data.visual, views[0].kernel).ok() ||
-        !log_gram.Bind(ids, data.log, views[1].kernel).ok()) {
-      state.SkipWithError("Gram bind failed");
-      break;
-    }
-    auto model = csvm.TrainViews(views, data.labels,
-                                 data.initial_unlabeled_labels);
-    benchmark::DoNotOptimize(model);
-    diag = model.value().diagnostics;
-  }
-  ReportGramEntries(state, diag);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CoupledTrainCacheSharing);
 
 void BM_CoupledTrainByRhoInit(benchmark::State& state) {
   // Larger rho_init -> fewer annealing steps -> proportionally cheaper.
@@ -140,9 +96,8 @@ BENCHMARK(BM_CoupledTrainByRhoInit)->Arg(2)->Arg(64)->Arg(10000);
 // labeled samples plus a fixed unlabeled pool. range(0) selects the
 // carry-over level: 0 = cold rounds; 1 = warm-start every round from the
 // previous round's duals (alphas aligned by sample, new samples entering at
-// zero); 2 = warm duals PLUS one svm::Gram per modality carried across
-// rounds by sample id — the full cross-round path LRF-CSVM serving uses.
-// This is the end-to-end pattern of a live relevance-feedback session.
+// zero) — the cross-round path LRF-CSVM serving uses. This is the
+// end-to-end pattern of a live relevance-feedback session.
 void BM_CoupledFeedbackSession(benchmark::State& state) {
   constexpr int kRounds = 4;
   const size_t step = 10;
@@ -150,12 +105,9 @@ void BM_CoupledFeedbackSession(benchmark::State& state) {
   const BenchData full = MakeData(step * kRounds, nu, 9);
   const core::MultiCoupledSvm csvm({});
   const bool warm = state.range(0) >= 1;
-  const bool carry_gram = state.range(0) >= 2;
   long total_smo_iters = 0;
-  core::CsvmDiagnostics last_round;
   for (auto _ : state) {
     std::vector<double> carried_visual, carried_log;
-    svm::Gram visual_gram, log_gram;
     for (int r = 1; r <= kRounds; ++r) {
       const size_t nl = step * static_cast<size_t>(r);
       BenchData data;
@@ -188,31 +140,9 @@ void BM_CoupledFeedbackSession(benchmark::State& state) {
           data.initial_log_alpha[nl + j] = carried_log[prev_nl + j];
         }
       }
-      cbir::Result<core::MultiCoupledModel> model =
-          [&]() -> cbir::Result<core::MultiCoupledModel> {
-        if (!carry_gram) return Train(csvm, data);
-        // Rows keyed by their index in `full` (the bench's stand-in for
-        // image ids): the labeled prefix and the unlabeled pool both carry
-        // over between rounds, so only pairs with the step new judgments
-        // cost kernel evaluations.
-        std::vector<int> ids;
-        ids.reserve(nl + nu);
-        for (size_t i = 0; i < nl; ++i) ids.push_back(static_cast<int>(i));
-        for (size_t j = 0; j < nu; ++j) {
-          ids.push_back(static_cast<int>(full_nl + j));
-        }
-        std::vector<core::ModalityView> views = Views(data);
-        CBIR_RETURN_NOT_OK(visual_gram.Bind(ids, data.visual, views[0].kernel));
-        CBIR_RETURN_NOT_OK(
-            log_gram.Bind(std::move(ids), data.log, views[1].kernel));
-        views[0].gram = &visual_gram;
-        views[1].gram = &log_gram;
-        return csvm.TrainViews(views, data.labels,
-                               data.initial_unlabeled_labels);
-      }();
+      cbir::Result<core::MultiCoupledModel> model = Train(csvm, data);
       benchmark::DoNotOptimize(model);
       total_smo_iters += model.value().diagnostics.total_smo_iterations;
-      last_round = model.value().diagnostics;
       if (warm) {
         carried_visual = std::move(model.value().alphas[0]);
         carried_log = std::move(model.value().alphas[1]);
@@ -222,11 +152,8 @@ void BM_CoupledFeedbackSession(benchmark::State& state) {
   state.counters["smo_iters_per_session"] =
       static_cast<double>(total_smo_iters) /
       static_cast<double>(state.iterations());
-  // The last round's kernel work: 40 labeled + 20 unlabeled rows, of which
-  // /2 carries all but the pairs with the round's 10 new judgments.
-  ReportGramEntries(state, last_round);
 }
-BENCHMARK(BM_CoupledFeedbackSession)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_CoupledFeedbackSession)->Arg(0)->Arg(1);
 
 void BM_CoupledDecision(benchmark::State& state) {
   const BenchData data = MakeData(20, 20, 7);

@@ -289,30 +289,15 @@ Result<PointRun> ReadPoint(const Flags& flags) {
         core::RunExperiment(db, &log_features, schemes, exp_options);
     std::cout << core::FormatPaperTable(result);
 
-    // Kernel work of the coupled-SVM solve chains, aggregated over every
-    // query's training run: Gram entries computed and carried from a
-    // session's previous round (per-modality split: [0] = visual,
-    // [1] = log).
+    // Solver work of the coupled-SVM chains, summed over every query's
+    // training run.
     for (const auto& scheme : schemes) {
       if (scheme->name() != "LRF-CSVM") continue;
       const core::CsvmDiagnostics diag =
           static_cast<const core::CoupledSvmScheme&>(*scheme)
               .AggregatedDiagnostics();
-      core::CsvmDiagnostics::GramEntries total;
-      for (const auto& m : diag.gram_entries) {
-        total.computed += m.computed;
-        total.carried += m.carried;
-      }
       std::cerr << "csvm cache stats: smo_iters=" << diag.total_smo_iterations
-                << " computed=" << total.computed
-                << " carried=" << total.carried;
-      static constexpr const char* kModalityNames[] = {"visual", "log"};
-      for (size_t k = 0; k < diag.gram_entries.size(); ++k) {
-        const auto& m = diag.gram_entries[k];
-        std::cerr << " | " << (k < 2 ? kModalityNames[k] : "modality")
-                  << " computed=" << m.computed << " carried=" << m.carried;
-      }
-      std::cerr << std::endl;
+                << std::endl;
     }
     return result;
   });

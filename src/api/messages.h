@@ -339,7 +339,7 @@ struct ProfileSpan {
 };
 
 /// One named per-request work counter (smo_iterations,
-/// kernel_cache_hits, index_rows_scanned...) — a delta for THIS request,
+/// kernel_cache_misses, index_rows_scanned...) — a delta for THIS request,
 /// not a process aggregate.
 struct ProfileCounter {
   std::string name;

@@ -1,6 +1,7 @@
 #include "core/coupled_svm_scheme.h"
 
 #include <algorithm>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -49,7 +50,7 @@ CsvmDiagnostics CoupledSvmScheme::AggregatedDiagnostics() const {
 }
 
 Result<SelectionResult> CoupledSvmScheme::SelectForContext(
-    const FeedbackContext& ctx, const ColumnStores& columns) const {
+    const FeedbackContext& ctx) const {
   const size_t num_modalities = modalities_.size();
   const size_t nl = ctx.labeled_ids.size();
   std::unordered_set<int> excluded(ctx.labeled_ids.begin(),
@@ -77,7 +78,8 @@ Result<SelectionResult> CoupledSvmScheme::SelectForContext(
     std::vector<double> log_values;
     for (size_t j = 0; j < nl; ++j) {
       const int id = ctx.labeled_ids[j];
-      const std::vector<double>& visual = columns[0]->Column(id).values;
+      const std::vector<double>& visual =
+          ctx.KernelColumns(0).Column(id).values;
       double* sim = (ctx.labels[j] > 0 ? sim_pos : sim_neg).data();
       if (num_modalities == 1) {
         for (size_t pos = 0; pos < visual.size(); ++pos) {
@@ -85,7 +87,7 @@ Result<SelectionResult> CoupledSvmScheme::SelectForContext(
         }
         continue;
       }
-      const svm::KernelColumn& log = columns[1]->Column(id);
+      const svm::KernelColumn& log = ctx.KernelColumns(1).Column(id);
       if (log.sparse) {
         log_values.assign(visual.size(), log.fill);
         for (size_t i = 0; i < log.rows.size(); ++i) {
@@ -117,11 +119,12 @@ Result<SelectionResult> CoupledSvmScheme::SelectForContext(
     CBIR_ASSIGN_OR_RETURN(
         MultiCoupledModel model,
         MultiCoupledSvm(options_.csvm).TrainViews(views, ctx.labels, {}));
-    std::vector<double> decisions =
-        columns[0]->SequentialDecisions(model.models[0], ctx.labeled_ids);
+    std::vector<double> decisions = ctx.KernelColumns(0).SequentialDecisions(
+        model.models[0], ctx.labeled_ids);
     if (num_modalities > 1) {
       const std::vector<double> log_decisions =
-          columns[1]->SequentialDecisions(model.models[1], ctx.labeled_ids);
+          ctx.KernelColumns(1).SequentialDecisions(model.models[1],
+                                                   ctx.labeled_ids);
       for (size_t pos = 0; pos < decisions.size(); ++pos) {
         decisions[pos] += log_decisions[pos];
       }
@@ -135,8 +138,7 @@ Result<SelectionResult> CoupledSvmScheme::SelectForContext(
                          options_.selection_seed);
 }
 
-Result<CoupledSvmScheme::ColumnStores> CoupledSvmScheme::BindColumns(
-    const FeedbackContext& ctx, std::vector<KernelColumnStore>* local) const {
+Status CoupledSvmScheme::BindColumns(const FeedbackContext& ctx) const {
   if (ctx.labeled_ids.empty()) {
     return Status::InvalidArgument(name_ + " requires labeled samples");
   }
@@ -151,38 +153,27 @@ Result<CoupledSvmScheme::ColumnStores> CoupledSvmScheme::BindColumns(
     return Status::FailedPrecondition(name_ +
                                       " requires a user-feedback log");
   }
-  // A candidate pool's labeled columns carry into the session's next
-  // round; corpus-wide columns (scan size x 8 B each) live for this call.
-  SessionState* state = ctx.session_state;
-  const bool carry = state != nullptr && !ctx.scan_ids.empty();
-  if (carry && state->modalities.size() < num_modalities) {
-    state->modalities.resize(num_modalities);
-  }
-  local->resize(carry ? 0 : num_modalities);
-  ColumnStores columns(num_modalities);
   for (size_t k = 0; k < num_modalities; ++k) {
-    columns[k] = carry ? &state->modalities[k].columns : &(*local)[k];
-    columns[k]->Bind(ctx, k, modalities_[k].kernel);
-    columns[k]->Hold(ctx.labeled_ids);
+    KernelColumnStore& columns = ctx.KernelColumns(k);
+    columns.Bind(ctx, k, modalities_[k].kernel);
+    columns.Hold(ctx.labeled_ids);
   }
-  return columns;
+  return Status::OK();
 }
 
 Result<MultiCoupledModel> CoupledSvmScheme::TrainForContext(
     const FeedbackContext& ctx) const {
-  std::vector<KernelColumnStore> local;
-  CBIR_ASSIGN_OR_RETURN(const ColumnStores columns, BindColumns(ctx, &local));
+  CBIR_RETURN_NOT_OK(BindColumns(ctx));
   std::vector<int> row_ids;
-  return Train(ctx, columns, &row_ids);
+  return Train(ctx, &row_ids);
 }
 
 Result<MultiCoupledModel> CoupledSvmScheme::Train(
-    const FeedbackContext& ctx, const ColumnStores& columns,
-    std::vector<int>* row_ids_out) const {
+    const FeedbackContext& ctx, std::vector<int>* row_ids_out) const {
   const size_t num_modalities = modalities_.size();
   SelectionResult selection;
   if (options_.n_prime > 0) {
-    CBIR_ASSIGN_OR_RETURN(selection, SelectForContext(ctx, columns));
+    CBIR_ASSIGN_OR_RETURN(selection, SelectForContext(ctx));
   }
   std::vector<int>& row_ids = *row_ids_out;
   row_ids = ctx.labeled_ids;
@@ -191,13 +182,10 @@ Result<MultiCoupledModel> CoupledSvmScheme::Train(
   // Warm start from the previous round of this session: rows whose image
   // was already in last round's training set inherit its dual variables,
   // fresh rows start at zero (exactly the carried/new split the solver
-  // projects back to feasibility). The session's Grams are bound to this
-  // round's rows by image id: pairs of carried-over images keep their
-  // kernel entries, and only pairs involving new images are computed.
-  // Without a session, TrainViews builds one Gram per modality.
+  // projects back to feasibility).
   SessionState* state = ctx.session_state;
-  if (state != nullptr && state->modalities.size() < num_modalities) {
-    state->modalities.resize(num_modalities);
+  if (state != nullptr && state->alphas.size() < num_modalities) {
+    state->alphas.resize(num_modalities);
   }
   std::vector<la::Matrix> rows(num_modalities);
   std::vector<std::vector<double>> initial_alpha(num_modalities);
@@ -206,19 +194,14 @@ Result<MultiCoupledModel> CoupledSvmScheme::Train(
     rows[k] = TrainingRows(ctx, k, row_ids);
     views[k].data = &rows[k];
     views[k].initial_alpha = &initial_alpha[k];
-    if (state == nullptr) continue;
-    SessionState::Modality& carried = state->modalities[k];
-    if (!carried.alpha.empty()) {
-      initial_alpha[k].assign(row_ids.size(), 0.0);
-      for (size_t i = 0; i < row_ids.size(); ++i) {
-        if (auto it = carried.alpha.find(row_ids[i]);
-            it != carried.alpha.end()) {
-          initial_alpha[k][i] = it->second;
-        }
+    if (state == nullptr || state->alphas[k].empty()) continue;
+    const std::unordered_map<int, double>& carried = state->alphas[k];
+    initial_alpha[k].assign(row_ids.size(), 0.0);
+    for (size_t i = 0; i < row_ids.size(); ++i) {
+      if (auto it = carried.find(row_ids[i]); it != carried.end()) {
+        initial_alpha[k][i] = it->second;
       }
     }
-    CBIR_RETURN_NOT_OK(carried.gram.Bind(row_ids, rows[k], views[k].kernel));
-    views[k].gram = &carried.gram;
   }
 
   auto model = MultiCoupledSvm(options_.csvm)
@@ -229,9 +212,8 @@ Result<MultiCoupledModel> CoupledSvmScheme::Train(
     aggregated_diagnostics_.Accumulate(model->diagnostics);
   }
   if (state != nullptr) {
-    // Only the duals are rebuilt; the Grams carry on to next round.
     for (size_t k = 0; k < num_modalities; ++k) {
-      std::unordered_map<int, double>& alpha = state->modalities[k].alpha;
+      std::unordered_map<int, double>& alpha = state->alphas[k];
       alpha.clear();
       for (size_t i = 0; i < row_ids.size(); ++i) {
         alpha[row_ids[i]] = model->alphas[k][i];
@@ -243,16 +225,14 @@ Result<MultiCoupledModel> CoupledSvmScheme::Train(
 
 Result<std::vector<int>> CoupledSvmScheme::Rank(
     const FeedbackContext& ctx) const {
-  std::vector<KernelColumnStore> local;
-  CBIR_ASSIGN_OR_RETURN(const ColumnStores columns, BindColumns(ctx, &local));
+  CBIR_RETURN_NOT_OK(BindColumns(ctx));
   std::vector<int> row_ids;
-  CBIR_ASSIGN_OR_RETURN(MultiCoupledModel model,
-                        Train(ctx, columns, &row_ids));
+  CBIR_ASSIGN_OR_RETURN(MultiCoupledModel model, Train(ctx, &row_ids));
   std::vector<double> scores =
-      columns[0]->Decisions(model.models[0], row_ids);
+      ctx.KernelColumns(0).Decisions(model.models[0], row_ids);
   for (size_t k = 1; k < model.models.size(); ++k) {
     const std::vector<double> modality_scores =
-        columns[k]->Decisions(model.models[k], row_ids);
+        ctx.KernelColumns(k).Decisions(model.models[k], row_ids);
     for (size_t i = 0; i < scores.size(); ++i) scores[i] += modality_scores[i];
   }
   return FinalizeRanking(ctx, scores);

@@ -42,7 +42,8 @@ struct LrfCsvmOptions {
 ///
 /// One Rank() round:
 /// 0. Hold every labeled image's kernel column over the scan space, per
-///    modality, in a KernelColumnStore; steps 1 and 3 both read them.
+///    modality, in the context's KernelColumnStore; steps 1 and 3 both
+///    read them.
 /// 1. When N' > 0, select N' unlabeled images and their starting
 ///    pseudo-labels. The default is Section 6.5's most-similar rule: the
 ///    images closest, by summed kernel similarity, to the labeled
@@ -50,20 +51,22 @@ struct LrfCsvmOptions {
 ///    instead trains labeled-only SVMs and takes the N'/2 maximal and N'/2
 ///    minimal summed decision values.
 /// 2. Train the coupled SVM (rho annealing and Delta-gated label
-///    correction; with N' = 0 this is one plain SVM solve per modality),
-///    warm-started from the session's duals, on its carried Gram, when a
-///    SessionState is attached.
+///    correction; with N' = 0 this is one plain SVM solve per modality, and
+///    every solve of a modality reads one svm::Gram), warm-started from the
+///    session's duals when a SessionState is attached.
 /// 3. Rank every image by the summed decision, for K = 2 the paper's
 ///    CSVM_Dist(x_i, r_i) = f_w(x_i) + f_u(r_i), scored column by column:
 ///    held columns are read, pseudo-labeled support vectors' columns
 ///    streamed.
 ///
 /// Column memory: N_l x scan size x 8 B per dense modality, and 12 B per
-/// co-marked row for a dot-product log kernel. A SessionState keeps a
-/// candidate pool's columns into the next round, where only the newly
-/// labeled images' columns are computed; a corpus-wide scan's columns are
-/// dropped when Rank returns. Nothing is kept in the scheme, which several
-/// threads share.
+/// co-marked row for a dot-product log kernel, held on the context until
+/// its next Prepare() or ReleaseKernelColumns(). Every scheme ranking the
+/// context reads them, so RF-SVM, LRF-2SVMs and LRF-CSVM on one query
+/// compute each labeled column once, and a session's next round computes
+/// only its newly labeled images' columns (FeedbackSession releases a
+/// corpus-wide scan's columns after each round). Nothing is kept in the
+/// scheme, which several threads share.
 ///
 /// Build through MakeScheme, which validates the options.
 class CoupledSvmScheme : public FeedbackScheme {
@@ -83,32 +86,25 @@ class CoupledSvmScheme : public FeedbackScheme {
   Result<MultiCoupledModel> TrainForContext(const FeedbackContext& ctx) const;
 
   /// Diagnostics summed over every coupled training this scheme instance
-  /// ran (all queries, all rounds) — counters sum, Gram entries per
-  /// modality. Thread-safe; the experiment driver prints LRF-CSVM's
-  /// next to the index stats.
+  /// ran (all queries, all rounds). Thread-safe; the experiment driver
+  /// prints LRF-CSVM's next to the index stats.
   CsvmDiagnostics AggregatedDiagnostics() const;
 
  private:
-  /// One KernelColumnStore per modality, for one round.
-  using ColumnStores = std::vector<KernelColumnStore*>;
+  /// Checks the context, binds its column store of every modality to this
+  /// scheme's kernel and holds the labeled images' columns there.
+  Status BindColumns(const FeedbackContext& ctx) const;
 
-  /// Checks the context and binds the round's column stores, holding the
-  /// labeled images' columns: the session's own stores when it carries
-  /// them, else `local`'s.
-  Result<ColumnStores> BindColumns(const FeedbackContext& ctx,
-                                   std::vector<KernelColumnStore>* local) const;
-
-  /// Steps 1 and 2; `row_ids` gets the image of every training row.
+  /// Steps 1 and 2, after BindColumns; `row_ids` gets the image of every
+  /// training row.
   Result<MultiCoupledModel> Train(const FeedbackContext& ctx,
-                                  const ColumnStores& columns,
                                   std::vector<int>* row_ids) const;
 
   /// Step 1 for N' > 0: picks the unlabeled rows and their pseudo-labels.
-  Result<SelectionResult> SelectForContext(const FeedbackContext& ctx,
-                                           const ColumnStores& columns) const;
+  Result<SelectionResult> SelectForContext(const FeedbackContext& ctx) const;
 
   std::string name_;
-  /// Per-modality kernel and C; data, warm start and Gram are per call.
+  /// Per-modality kernel and C; data and warm start are per call.
   std::vector<ModalityView> modalities_;
   LrfCsvmOptions options_;
 

@@ -82,6 +82,8 @@ ExperimentResult RunExperiment(
           ctx.labels.push_back(db.category(id) == query_category ? 1.0 : -1.0);
         }
 
+        // Every scheme ranks this one context, so the SVM schemes share its
+        // labeled images' kernel columns: each is computed once per query.
         for (size_t s = 0; s < schemes.size(); ++s) {
           Result<std::vector<int>> ranked = schemes[s]->Rank(ctx);
           CBIR_CHECK(ranked.ok())

@@ -49,6 +49,10 @@ Status FeedbackSession::ApplyRound(const FeedbackScheme& scheme,
     record.entries.push_back(e);
   }
   Result<std::vector<int>> ranked = scheme.Rank(ctx_);
+  // A candidate pool's kernel columns carry into the next round, where
+  // only the newly labeled images' columns are computed; a corpus-wide
+  // scan's (scan size x 8 B each) do not outlive the round.
+  if (ctx_.scan_ids.empty()) ctx_.ReleaseKernelColumns();
   if (!ranked.ok()) {
     // Roll the round back: its judgments never steered a ranking, and a
     // retry must find them unjudged to apply and record them.
@@ -66,7 +70,8 @@ Status FeedbackSession::ApplyRound(const FeedbackScheme& scheme,
 }
 
 std::vector<logdb::LogSession> FeedbackSession::End() {
-  warm_start_.modalities.clear();
+  warm_start_.alphas.clear();
+  ctx_.ReleaseKernelColumns();
   return std::exchange(recorded_, {});
 }
 

@@ -21,11 +21,12 @@ int FirstRoundDepth(const retrieval::ImageDatabase& db, int candidate_depth);
 /// 2: "the relevance feedback procedures are repeated again and again until
 /// the targets are found").
 ///
-/// Owns what a session carries across rounds: the context, the warm-start
-/// state, the judged set (query included), the current ranking and the
-/// rounds recorded for the log. The serving layer and RunFeedbackSession
-/// both apply rounds through it. Not thread-safe; not movable (the context
-/// points at the owned warm-start state).
+/// Owns what a session carries across rounds: the context (with a
+/// candidate pool's kernel columns), the warm-start state, the judged set
+/// (query included), the current ranking and the rounds recorded for the
+/// log. The serving layer and RunFeedbackSession both apply rounds through
+/// it. Not thread-safe; not movable (the context points at the owned
+/// warm-start state).
 class FeedbackSession {
  public:
   /// `ctx` names the database, log rows, query (a corpus id, or -1 with an
@@ -44,7 +45,8 @@ class FeedbackSession {
 
   /// Applies one round of judgments: drops already-judged and query ids,
   /// appends the rest as labels, prepares the context on the first round
-  /// only, and re-ranks with `scheme`. The round is recorded for the log
+  /// only, and re-ranks with `scheme`; a corpus-wide scan's kernel columns
+  /// are released after the ranking. The round is recorded for the log
   /// only once Rank succeeded, and only if it judged something new. A
   /// round whose Rank fails leaves the labels and the judged set as they
   /// were, so a retry of the round applies it in full.
@@ -52,15 +54,15 @@ class FeedbackSession {
                     const std::vector<logdb::LogEntry>& round);
 
   /// Ends the session: returns its recorded rounds, in order, and releases
-  /// the warm-start duals, Grams and kernel columns.
+  /// the warm-start duals and kernel columns.
   std::vector<logdb::LogSession> End();
 
   const FeedbackContext& context() const { return ctx_; }
   bool has_ranking() const { return has_ranking_; }
   /// The current ranking, query id excluded.
   const std::vector<int>& ranking() const { return ranking_; }
-  /// Bytes of carried kernel values held (Grams and kernel columns).
-  size_t kernel_bytes() const { return warm_start_.AllocatedKernelBytes(); }
+  /// Bytes of the kernel columns the context holds between rounds.
+  size_t kernel_bytes() const { return ctx_.KernelColumnBytes(); }
 
  private:
   FeedbackContext ctx_;

@@ -48,6 +48,7 @@ Status FeedbackContext::Prepare(const std::vector<int>* candidates) {
   }
 
   scan_ids.clear();
+  ReleaseKernelColumns();
   scan_features_ = la::Matrix();
   scan_log_rows_ = la::SparseRows();
   scan_log_sessions_ = la::SparseRows();
@@ -124,6 +125,20 @@ const la::SparseRows* FeedbackContext::ScanLogRows() const {
 
 const la::SparseRows* FeedbackContext::ScanLogSessions() const {
   return ScanLogRows() == nullptr ? nullptr : &scan_log_sessions_;
+}
+
+KernelColumnStore& FeedbackContext::KernelColumns(size_t modality) const {
+  return kernel_columns_.at(modality);
+}
+
+void FeedbackContext::ReleaseKernelColumns() { kernel_columns_ = {}; }
+
+size_t FeedbackContext::KernelColumnBytes() const {
+  size_t bytes = 0;
+  for (const KernelColumnStore& store : kernel_columns_) {
+    bytes += store.AllocatedBytes();
+  }
+  return bytes;
 }
 
 SchemeOptions MakeDefaultSchemeOptions(const retrieval::ImageDatabase& db,

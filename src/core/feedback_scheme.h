@@ -1,6 +1,7 @@
 #ifndef CBIR_CORE_FEEDBACK_SCHEME_H_
 #define CBIR_CORE_FEEDBACK_SCHEME_H_
 
+#include <array>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -11,7 +12,6 @@
 #include "la/sparse_rows.h"
 #include "la/vector_ops.h"
 #include "retrieval/image_database.h"
-#include "svm/gram.h"
 #include "svm/kernel.h"
 #include "svm/smo_solver.h"
 #include "util/result.h"
@@ -21,41 +21,16 @@ namespace cbir::core {
 /// \brief Mutable cross-round state owned by one feedback session.
 ///
 /// Successive rounds of a session retrain SVMs on nearly identical problems
-/// (the labeled set only grows); the SVM schemes stash three kinds of
-/// carry-over here per modality, all keyed by image id, and reuse them
-/// next round:
-///  - their final dual variables, to warm-start the next round's solver;
-///  - the training set's Gram (svm::Gram), so a pair of images that stays
-///    in the training set never recomputes its kernel entry;
-///  - the labeled images' kernel columns over the scan space
-///    (KernelColumnStore), kept only when the scan is a candidate pool, so
-///    a round computes the columns of its newly labeled images only.
-/// Carried kernel values are bit-identical to computed ones; only the
-/// warm-start duals move rankings, within solver tolerance.
+/// (the labeled set only grows); the SVM schemes keep each modality's final
+/// dual variables here, keyed by image id, and warm-start the next round's
+/// solver from them. They are the one carry-over that moves rankings, within
+/// solver tolerance. The kernel columns a round reads live on the
+/// FeedbackContext, which a session keeps across its rounds too.
 struct SessionState {
-  /// One modality's carry-over; training rows = labeled + selected
-  /// unlabeled images.
-  struct Modality {
-    std::unordered_map<int, double> alpha;
-    /// (N_l + N')^2 x 8 B.
-    svm::Gram gram;
-    /// N_l columns x pool size x 8 B (visual, or an RBF log kernel); a
-    /// dot-product log column holds 12 B per co-marked pool row only.
-    KernelColumnStore columns;
-  };
   /// Indexed like the scheme's modalities ([0] visual, [1] log); the scheme
-  /// sizes it on first use.
-  std::vector<Modality> modalities;
-
-  /// Bytes held by the Grams and the carried kernel columns; the serving
-  /// layer charges this against its session-memory accounting.
-  size_t AllocatedKernelBytes() const {
-    size_t bytes = 0;
-    for (const Modality& m : modalities) {
-      bytes += m.gram.AllocatedBytes() + m.columns.AllocatedBytes();
-    }
-    return bytes;
-  }
+  /// sizes it on first use. Training rows = labeled + selected unlabeled
+  /// images.
+  std::vector<std::unordered_map<int, double>> alphas;
 };
 
 /// Checks an external query feature against the corpus: it must have the
@@ -112,7 +87,8 @@ struct FeedbackContext {
   /// Squared query distance per scanned row, parallel to the scan space.
   std::vector<double> query_distances;
 
-  /// Computes the derived members; must be called once before Rank().
+  /// Computes the derived members and drops the held kernel columns; must
+  /// be called once before Rank().
   /// Malformed input (null db, out-of-range query id, an external query
   /// feature CheckQueryFeature refuses, labeled/labels arity mismatch,
   /// a log without one row per image) returns InvalidArgument instead of
@@ -144,11 +120,26 @@ struct FeedbackContext {
   /// only on the positions it lists.
   const la::SparseRows* ScanLogSessions() const;
 
+  // --- Kernel columns: derived from the scan space, like its rows. -------
+  /// Modality `modality`'s kernel column store over the scan space
+  /// ([0] visual features, [1] log rows). The SVM schemes bind and fill it
+  /// from Rank() despite constness, so a labeled image's column computed
+  /// for one scheme or round is read by every later one under the same
+  /// kernel, until Prepare() or ReleaseKernelColumns() drops it. Hence one
+  /// thread ranks a given context at a time.
+  KernelColumnStore& KernelColumns(size_t modality) const;
+  /// Drops every held kernel column.
+  void ReleaseKernelColumns();
+  /// Bytes of the held kernel columns; a session charges them to its
+  /// memory.
+  size_t KernelColumnBytes() const;
+
  private:
   la::Matrix scan_features_;      ///< gathered rows when scan_ids is set
   la::SparseRows scan_log_rows_;  ///< gathered log rows when scan_ids is set
   la::SparseRows scan_log_sessions_;  ///< ScanLogRows()->Transpose()
   la::SparseRows owned_log_rows_;  ///< log_features converted by Prepare()
+  mutable std::array<KernelColumnStore, 2> kernel_columns_;
 };
 
 /// \brief Shared hyper-parameters for the SVM-based schemes.
@@ -170,7 +161,9 @@ SchemeOptions MakeDefaultSchemeOptions(const retrieval::ImageDatabase& db,
 ///
 /// Rank() returns every image id except the query itself, ordered from most
 /// to least relevant. Implementations must be const-thread-safe: the
-/// experiment harness calls Rank concurrently for different queries.
+/// experiment harness calls Rank concurrently for different queries, each
+/// on its own context. A context is ranked by one thread at a time, since
+/// Rank may fill its kernel columns.
 class FeedbackScheme {
  public:
   virtual ~FeedbackScheme() = default;

@@ -35,9 +35,11 @@ struct FeedbackContext;
 ///
 /// Memory: held columns x scan size x 8 B for the visual modality (and an
 /// RBF log kernel); a dot-product log column holds 12 B (value + row) per
-/// co-marked row only. A SessionState carries the store of a candidate
-/// pool into the next round; otherwise it lives for one Rank call.
-/// Not thread-safe; one round uses it at a time.
+/// co-marked row only. The stores live on their FeedbackContext
+/// (FeedbackContext::KernelColumns), so every scheme and round that ranks
+/// the context reads the same columns: a session keeps a candidate pool's
+/// into its next round, and releases a corpus-wide scan's after each
+/// round. Not thread-safe; one round uses it at a time.
 class KernelColumnStore {
  public:
   /// Points the store at modality `modality` (0 = visual features, 1 = log

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "svm/gram.h"
 #include "svm/trainer.h"
 #include "util/logging.h"
 
@@ -65,13 +66,6 @@ Result<MultiCoupledModel> MultiCoupledSvm::TrainViews(
     if (modalities[k].c <= 0.0) {
       return Status::InvalidArgument("coupled SVM: non-positive C");
     }
-    const svm::Gram* gram = modalities[k].gram;
-    if (gram != nullptr &&
-        (gram->n() != n || !(gram->kernel() == modalities[k].kernel))) {
-      return Status::InvalidArgument(
-          "coupled SVM: modality " + std::to_string(k) +
-          " Gram must be N_l + N' square under the modality's kernel");
-    }
     const std::vector<double>* warm_start = modalities[k].initial_alpha;
     if (warm_start != nullptr && !warm_start->empty() &&
         warm_start->size() != n) {
@@ -102,17 +96,10 @@ Result<MultiCoupledModel> MultiCoupledSvm::TrainViews(
   // One Gram per modality serves every QP of the chain: the kernel matrix
   // depends only on the rows and the kernel, both constant here; the
   // chain's solves differ only in labels, C bounds and warm starts.
-  std::vector<svm::Gram> built(num_modalities);
-  std::vector<const svm::Gram*> grams(num_modalities);
-  diag.gram_entries.resize(num_modalities);
+  std::vector<svm::Gram> grams(num_modalities);
   for (size_t k = 0; k < num_modalities; ++k) {
-    grams[k] = modalities[k].gram;
-    if (grams[k] == nullptr) {
-      CBIR_ASSIGN_OR_RETURN(
-          built[k], svm::Gram::Of(*modalities[k].data, modalities[k].kernel));
-      grams[k] = &built[k];
-    }
-    diag.gram_entries[k] = {grams[k]->computed(), grams[k]->carried()};
+    CBIR_ASSIGN_OR_RETURN(
+        grams[k], svm::Gram::Of(*modalities[k].data, modalities[k].kernel));
   }
 
   auto solve_all = [&](double rho_star) -> Status {
@@ -125,7 +112,7 @@ Result<MultiCoupledModel> MultiCoupledSvm::TrainViews(
       train_options.smo = options_.smo;
       train_options.smo.initial_alpha = std::move(warm[k]);
       svm::SvmTrainer trainer(train_options);
-      auto out = trainer.SolveWeighted(*grams[k], y, c_bounds);
+      auto out = trainer.SolveWeighted(grams[k], y, c_bounds);
       if (!out.ok()) return out.status();
       outputs[k] = std::move(out).value();
       warm[k] = outputs[k].alpha;

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "la/matrix.h"
-#include "svm/gram.h"
 #include "svm/kernel.h"
 #include "svm/model.h"
 #include "svm/smo_solver.h"
@@ -63,15 +62,6 @@ struct CsvmDiagnostics {
   /// SMO iterations summed across every QP solve of the alternating
   /// optimization (all modalities); the cost driver warm-starting attacks.
   long total_smo_iterations = 0;
-  /// Kernel entries of one modality's Gram (svm::Gram::computed() and
-  /// carried()): computed for the training set, or carried from the
-  /// session's previous round.
-  struct GramEntries {
-    size_t computed = 0;
-    size_t carried = 0;
-  };
-  /// Per modality (LRF-CSVM: [0] = visual, [1] = log).
-  std::vector<GramEntries> gram_entries;
 
   /// Folds another run's diagnostics in (counters sum, objectives keep the
   /// other run's values); used to aggregate across many queries/rounds.
@@ -83,19 +73,12 @@ struct CsvmDiagnostics {
     visual_objective = other.visual_objective;
     log_objective = other.log_objective;
     total_smo_iterations += other.total_smo_iterations;
-    if (gram_entries.size() < other.gram_entries.size()) {
-      gram_entries.resize(other.gram_entries.size());
-    }
-    for (size_t k = 0; k < other.gram_entries.size(); ++k) {
-      gram_entries[k].computed += other.gram_entries[k].computed;
-      gram_entries[k].carried += other.gram_entries[k].carried;
-    }
   }
 };
 
 /// \brief One information modality in a multi-modal coupled problem. Borrows
-/// the sample matrix, warm start and Gram, which must outlive the
-/// TrainViews call.
+/// the sample matrix and warm start, which must outlive the TrainViews
+/// call.
 struct ModalityView {
   /// Required. (N_l + N') x dims sample matrix; labeled rows first, in the
   /// shared sample order used by every modality.
@@ -107,10 +90,6 @@ struct ModalityView {
   /// entries): this modality's dual variables from a previous round's
   /// model, zero for rows new this round.
   const std::vector<double>* initial_alpha = nullptr;
-  /// Optional Gram of *data under `kernel`, which a session binds to its
-  /// round's training set to carry the entries of its previous round;
-  /// diagnostics count its last bind. Null builds one for the call.
-  const svm::Gram* gram = nullptr;
 };
 
 /// \brief Trained multi-modal coupled model: one SVM per modality plus the
@@ -161,10 +140,10 @@ class MultiCoupledSvm {
 
   /// `labels` are the N_l user labels; `initial_unlabeled_labels` the N'
   /// starting pseudo-labels. Every modality must have N_l + N' rows, at
-  /// most svm::kMaxTrainingRows, a positive C and, when given, a Gram of
-  /// that size under its kernel; violations return InvalidArgument. The
-  /// referenced matrices/vectors must stay alive for the duration of the
-  /// call.
+  /// most svm::kMaxTrainingRows, and a positive C; violations return
+  /// InvalidArgument. One svm::Gram per modality serves every QP of the
+  /// chain. The referenced matrices/vectors must stay alive for the
+  /// duration of the call.
   Result<MultiCoupledModel> TrainViews(
       const std::vector<ModalityView>& modalities,
       const std::vector<double>& labels,

@@ -14,7 +14,10 @@ std::string Iso8601Now() {
                       1000;
   std::tm utc{};
   gmtime_r(&seconds, &utc);
-  char buffer[40];
+  // Sized for the widest output the int fields can produce (78 bytes with
+  // the terminator), not just the 24 a real date takes, so it never
+  // truncates.
+  char buffer[80];
   std::snprintf(buffer, sizeof(buffer), "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
                 utc.tm_year + 1900, utc.tm_mon + 1, utc.tm_mday, utc.tm_hour,
                 utc.tm_min, utc.tm_sec, static_cast<int>(millis));

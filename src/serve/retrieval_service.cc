@@ -400,7 +400,7 @@ Result<std::vector<int>> RetrievalService::Feedback(
     CBIR_RETURN_NOT_OK(session->feedback.ApplyRound(*scheme_, round));
   }
   // Settle this session's carried kernel memory against the service-wide
-  // gauge (the round may have grown its Grams and columns or, on the first
+  // gauge (the round may have grown its kernel columns or, on the first
   // round, created them).
   const size_t kernel_bytes = session->feedback.kernel_bytes();
   session_kernel_bytes_->Add(
@@ -440,7 +440,7 @@ void RetrievalService::FlushSessionLocked(ServeSession& session) {
   util::AssertRankNotHeld(util::LockRank::kSessionManager,
                           "flushing a session to the log store");
   // The session is ended (or evicted): End() hands over its recorded rounds
-  // and releases its warm-start duals, Grams and columns — eviction must
+  // and releases its warm-start duals and kernel columns — eviction must
   // actually bound memory — so refund the accounted bytes.
   std::vector<logdb::LogSession> rounds = session.feedback.End();
   if (log_store_ != nullptr) {

@@ -249,9 +249,9 @@ class RetrievalService {
   obs::Counter* shed_overload_ = nullptr;
   obs::Counter* shed_deadline_ = nullptr;
   obs::Counter* feedback_replays_ = nullptr;
-  /// Sum over live sessions of their accounted_kernel_bytes (carried Grams
-  /// and kernel columns); updated after each feedback round and settled to
-  /// zero per session on end/eviction.
+  /// Sum over live sessions of their accounted_kernel_bytes (the kernel
+  /// columns of their candidate pools); updated after each feedback round
+  /// and settled to zero per session on end/eviction.
   obs::Gauge* session_kernel_bytes_ = nullptr;
   /// Latency of every Query, Feedback and candidate call.
   obs::LatencyHistogram* request_us_ = nullptr;

@@ -45,9 +45,10 @@ struct ServiceStats {
   uint64_t requests_shed_deadline = 0;  ///< kDeadlineExceeded on arrival
   uint64_t feedback_replays = 0;        ///< duplicate seq answered from cache
 
-  // Session memory: bytes of the kernel values sessions carry across rounds
-  // (Grams and kernel columns) across all live sessions. Grows with
-  // feedback rounds, returns to zero as sessions end or are evicted.
+  // Session memory: bytes of the kernel columns sessions carry across
+  // rounds (a candidate pool's; a corpus-wide scan's are released after
+  // each round) across all live sessions. Grows with feedback rounds,
+  // returns to zero as sessions end or are evicted.
   uint64_t session_kernel_cache_bytes = 0;
 
   double elapsed_seconds = 0.0;  ///< since service start

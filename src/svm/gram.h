@@ -2,7 +2,6 @@
 #define CBIR_SVM_GRAM_H_
 
 #include <cstddef>
-#include <vector>
 
 #include "la/matrix.h"
 #include "svm/kernel.h"
@@ -15,7 +14,7 @@ namespace cbir::svm {
 inline constexpr size_t kMaxTrainingRows = 4096;
 
 /// \brief The dense n x n kernel matrix of one training set under one
-/// kernel, with the image id of every row.
+/// kernel.
 ///
 /// Relevance feedback trains on the N_l labeled plus N' pseudo-labeled
 /// images, a few dozen rows, so the SMO solver reads every K(x_i, x_j)
@@ -23,50 +22,22 @@ inline constexpr size_t kMaxTrainingRows = 4096;
 /// with EvalKernelRowBatch (row i against rows [i, n)) and mirrored: the
 /// dot product and the squared distance are symmetric in their arguments,
 /// so entry (j, i) is bit-identical to K(x_i, x_j) evaluated either way.
-///
-/// A feedback session keeps its Gram between rounds. Bind() copies every
-/// pair whose two images were both in the previous bind under an equal
-/// kernel and computes the rest, so a round pays only for the pairs that
-/// involve its new images; a fresh bind is the same code with nothing to
-/// carry. Not thread-safe.
+/// A coupled-SVM chain builds one per modality and every QP of the chain
+/// reads it. A default-constructed Gram is empty (n() == 0).
 class Gram {
  public:
-  /// A fresh Gram of `rows`, row i keyed by id i.
+  /// The Gram of `rows` under `kernel`; InvalidArgument above
+  /// kMaxTrainingRows rows. `rows` is only read during the call.
   static Result<Gram> Of(const la::Matrix& rows, const KernelParams& kernel);
 
-  /// Binds the Gram to a training set: `ids[i]` is the image of row i of
-  /// `rows` (unique). Returns InvalidArgument, and keeps the previous bind,
-  /// when the sizes disagree or the set exceeds kMaxTrainingRows. `rows`
-  /// is only read during the call.
-  Status Bind(std::vector<int> ids, const la::Matrix& rows,
-              const KernelParams& kernel);
-
-  size_t n() const { return ids_.size(); }
+  size_t n() const { return values_.rows(); }
   /// Row i: K(x_i, x_j) for every j.
   const double* RowPtr(size_t i) const { return values_.RowPtr(i); }
   /// K(x_i, x_i); `i` must be below n().
   double Diag(size_t i) const { return values_.data()[i * n() + i]; }
-  const std::vector<int>& ids() const { return ids_; }
-  const KernelParams& kernel() const { return kernel_; }
-
-  /// Upper-triangle entries, diagonal included, that the last Bind
-  /// computed and copied from the bind before it; a fresh n-row Gram
-  /// computes n (n + 1) / 2.
-  size_t computed() const { return computed_; }
-  size_t carried() const { return carried_; }
-
-  /// Bytes held (matrix and ids); a session charges them to its memory.
-  size_t AllocatedBytes() const;
-
-  /// Drops the matrix and ids; the next Bind carries nothing.
-  void Clear();
 
  private:
-  std::vector<int> ids_;
-  KernelParams kernel_;
   la::Matrix values_;  ///< n() x n()
-  size_t computed_ = 0;
-  size_t carried_ = 0;
 };
 
 }  // namespace cbir::svm

@@ -38,8 +38,8 @@ struct KernelParams {
     return {KernelType::kPolynomial, gamma, coef0, degree};
   }
 
-  /// Exact parameter equality; a Gram or kernel column carries its values
-  /// into a new bind only under an equal kernel.
+  /// Exact parameter equality; a kernel column store keeps its columns
+  /// across a re-bind only under an equal kernel.
   friend bool operator==(const KernelParams& a, const KernelParams& b) {
     return a.type == b.type && a.gamma == b.gamma && a.coef0 == b.coef0 &&
            a.degree == b.degree;

@@ -186,7 +186,7 @@ TEST_F(FeedbackLoopTest, SessionAppliesRoundsOnce) {
   EXPECT_EQ(session.context().labeled_ids, (std::vector<int>{7, 40}));
   EXPECT_EQ(session.context().labels, (std::vector<double>{1.0, -1.0}));
   EXPECT_FALSE(session.ranking().empty());
-  EXPECT_GT(session.kernel_bytes(), 0u);  // warm-start state attached
+  EXPECT_GT(session.kernel_bytes(), 0u);  // the pool's columns carry
   // Nothing new: the round ranks but is not recorded.
   ASSERT_TRUE(session.ApplyRound(*scheme, {{40, -1}}).ok());
   // A round that fails to rank keeps the last ranking and is not recorded.
@@ -202,7 +202,7 @@ TEST_F(FeedbackLoopTest, SessionAppliesRoundsOnce) {
   ASSERT_EQ(recorded[0].entries.size(), 2u);
   EXPECT_EQ(recorded[0].entries[0].image_id, 7);
   EXPECT_EQ(recorded[0].entries[1].image_id, 40);
-  EXPECT_EQ(session.kernel_bytes(), 0u);  // warm-start state released
+  EXPECT_EQ(session.kernel_bytes(), 0u);  // and are released
   EXPECT_TRUE(session.End().empty());
 }
 

@@ -135,6 +135,31 @@ class KernelColumnsTest : public ::testing::Test {
     return {svm::BuildModel(kernel, rows, labels, alpha, 0.125), row_ids};
   }
 
+  static uint64_t ColumnsComputed() {
+    return obs::MetricsRegistry::Default()
+        .GetCounter("cbir_core_kernel_columns_computed_total")
+        ->value();
+  }
+
+  /// Requires `store` to hold `ids` exactly as a fresh store bound to the
+  /// same context, modality and kernel computes them.
+  static void ExpectFreshColumns(const FeedbackContext& ctx, size_t modality,
+                                 const svm::KernelParams& kernel,
+                                 const KernelColumnStore& store,
+                                 const std::vector<int>& ids) {
+    KernelColumnStore fresh;
+    fresh.Bind(ctx, modality, kernel);
+    fresh.Hold(ids);
+    for (int id : ids) {
+      const svm::KernelColumn& held = store.Column(id);
+      const svm::KernelColumn& expected = fresh.Column(id);
+      EXPECT_EQ(held.sparse, expected.sparse) << "id " << id;
+      EXPECT_EQ(held.fill, expected.fill) << "id " << id;
+      EXPECT_EQ(held.rows, expected.rows) << "id " << id;
+      EXPECT_EQ(held.values, expected.values) << "id " << id;
+    }
+  }
+
   static retrieval::ImageDatabase* db_;
   static retrieval::ImageDatabase* indexed_db_;
   static la::Matrix* log_features_;
@@ -244,19 +269,16 @@ TEST_F(KernelColumnsTest, HoldComputesOnlyNewColumnsAndCounts) {
             ctx.labeled_ids.size() + first.size());
 }
 
-/// Forwards to `inner` after dropping the session's warm-start duals and
-/// Grams, so every round solves cold, exactly like a round without a
-/// SessionState; only the carried kernel columns survive.
+/// Forwards to `inner` after dropping the session's warm-start duals, so
+/// every round solves cold, exactly like a round without a SessionState;
+/// only the carried kernel columns survive.
 class ColdSolveScheme : public FeedbackScheme {
  public:
   explicit ColdSolveScheme(std::shared_ptr<FeedbackScheme> inner)
       : inner_(std::move(inner)) {}
   std::string name() const override { return inner_->name(); }
   Result<std::vector<int>> Rank(const FeedbackContext& ctx) const override {
-    for (SessionState::Modality& modality : ctx.session_state->modalities) {
-      modality.alpha.clear();
-      modality.gram.Clear();
-    }
+    ctx.session_state->alphas.clear();
     return inner_->Rank(ctx);
   }
 
@@ -306,6 +328,182 @@ TEST_F(KernelColumnsTest, CarriedColumnsRankLikeAStatelessSession) {
     session.End();
     EXPECT_EQ(session.kernel_bytes(), 0u);
   }
+}
+
+
+TEST_F(KernelColumnsTest, PaperSchemesOnOneContextComputeLabeledColumnsOnce) {
+  // Table 1's protocol: RF-SVM, LRF-2SVMs and LRF-CSVM rank one prepared
+  // context in turn. They share the visual kernel, and the last two the
+  // log kernel, so the context's stores serve each labeled image's column
+  // once per modality, where three fresh contexts compute the visual
+  // columns three times and the log columns twice. Rankings are unchanged.
+  const SchemeOptions options = MakeDefaultSchemeOptions(*db_, log_features_);
+  LrfCsvmOptions csvm;
+  csvm.n_prime = 8;
+  const std::vector<std::shared_ptr<FeedbackScheme>> schemes = {
+      MakeScheme("RF-SVM", options).value(),
+      MakeScheme("LRF-2SVMs", options).value(),
+      MakeScheme("LRF-CSVM", options, csvm).value()};
+  for (bool narrowed : {false, true}) {
+    SCOPED_TRACE(narrowed ? "narrowed" : "exact");
+    std::vector<std::vector<int>> fresh_rankings;
+    uint64_t before = ColumnsComputed();
+    for (const auto& scheme : schemes) {
+      const FeedbackContext fresh = MakeContext(11, narrowed);
+      fresh_rankings.push_back(scheme->Rank(fresh).value());
+    }
+    const uint64_t fresh_work = ColumnsComputed() - before;
+
+    const FeedbackContext shared = MakeContext(11, narrowed);
+    before = ColumnsComputed();
+    for (size_t s = 0; s < schemes.size(); ++s) {
+      EXPECT_EQ(schemes[s]->Rank(shared).value(), fresh_rankings[s])
+          << schemes[s]->name();
+    }
+    const uint64_t shared_work = ColumnsComputed() - before;
+    // Saved: two visual columns and one log column per labeled image.
+    // Streamed support vectors' columns are computed alike on both sides.
+    EXPECT_EQ(fresh_work - shared_work, 3 * shared.labeled_ids.size());
+  }
+}
+
+/// The rebind and eviction cases of the kernel columns a context holds
+/// across schemes and rounds.
+using KernelCacheRebindTest = KernelColumnsTest;
+using KernelCacheTest = KernelColumnsTest;
+
+TEST_F(KernelCacheRebindTest, SlabIsAllocatedLazily) {
+  // A prepared context holds no columns until a scheme ranks it; the
+  // ranking leaves the labeled images' columns on it, and
+  // ReleaseKernelColumns() or the next Prepare() frees them.
+  FeedbackContext ctx = MakeContext(9, /*narrowed=*/true);
+  EXPECT_EQ(ctx.KernelColumnBytes(), 0u);
+  const auto scheme =
+      MakeScheme("LRF-2SVMs", MakeDefaultSchemeOptions(*db_, log_features_))
+          .value();
+  ASSERT_TRUE(scheme->Rank(ctx).ok());
+  EXPECT_GE(ctx.KernelColumnBytes(),
+            ctx.labeled_ids.size() * ctx.scan_size() * sizeof(double));
+  ctx.ReleaseKernelColumns();
+  EXPECT_EQ(ctx.KernelColumnBytes(), 0u);
+  ASSERT_TRUE(scheme->Rank(ctx).ok());
+  EXPECT_GT(ctx.KernelColumnBytes(), 0u);
+  ASSERT_TRUE(ctx.Prepare().ok());
+  EXPECT_EQ(ctx.KernelColumnBytes(), 0u);
+}
+
+TEST_F(KernelCacheRebindTest, RebindInvalidatesRowsAndReusesAllocation) {
+  // Prepare() recomputes the scan and drops the columns over the old one:
+  // the next ranking computes every labeled column again (RF-SVM's support
+  // vectors are all labeled, so it streams none) and holds as much.
+  FeedbackContext ctx = MakeContext(9, /*narrowed=*/true);
+  const auto scheme =
+      MakeScheme("RF-SVM", MakeDefaultSchemeOptions(*db_, log_features_))
+          .value();
+  const std::vector<int> ranking = scheme->Rank(ctx).value();
+  const size_t bytes = ctx.KernelColumnBytes();
+  ASSERT_TRUE(ctx.Prepare().ok());
+  const uint64_t before = ColumnsComputed();
+  EXPECT_EQ(scheme->Rank(ctx).value(), ranking);
+  EXPECT_EQ(ColumnsComputed() - before, ctx.labeled_ids.size());
+  EXPECT_EQ(ctx.KernelColumnBytes(), bytes);
+}
+
+TEST_F(KernelCacheRebindTest, RemappedGrowthCarriesSurvivingRows) {
+  // A session's next round: the labeled set grows, its old images permuted
+  // and new ones interleaved. Only the new images' columns are computed,
+  // and every held column equals a fresh store's bit for bit.
+  const FeedbackContext ctx = MakeContext(21, /*narrowed=*/true);
+  const std::vector<int>& ids = ctx.labeled_ids;
+  const svm::KernelParams kernel = svm::KernelParams::Rbf(0.05);
+  KernelColumnStore& store = ctx.KernelColumns(0);
+  store.Bind(ctx, 0, kernel);
+  store.Hold({ids[0], ids[2], ids[3], ids[5]});
+  const std::vector<int> grown = {ids[2], ids[0], ids[4],
+                                  ids[3], ids[6], ids[5]};
+  const uint64_t before = ColumnsComputed();
+  store.Bind(ctx, 0, kernel);
+  store.Hold(grown);
+  EXPECT_EQ(ColumnsComputed() - before, 2u);
+  ExpectFreshColumns(ctx, 0, kernel, store, grown);
+}
+
+TEST_F(KernelCacheRebindTest, RemappedShrinkDropsDepartedRows) {
+  const FeedbackContext ctx = MakeContext(21, /*narrowed=*/false);
+  const std::vector<int>& ids = ctx.labeled_ids;
+  const svm::KernelParams kernel = svm::KernelParams::Linear();
+  KernelColumnStore& store = ctx.KernelColumns(1);
+  store.Bind(ctx, 1, kernel);
+  store.Hold(ids);
+  const size_t all_bytes = store.AllocatedBytes();
+  const std::vector<int> kept = {ids[5], ids[1], ids[3]};
+  const uint64_t before = ColumnsComputed();
+  store.Hold(kept);
+  EXPECT_EQ(ColumnsComputed() - before, 0u);
+  EXPECT_LT(store.AllocatedBytes(), all_bytes);
+  ExpectFreshColumns(ctx, 1, kernel, store, kept);
+}
+
+TEST_F(KernelCacheRebindTest, RemappedWithDifferentParamsInvalidates) {
+  // Schemes under different visual kernels rank one context: none may read
+  // another's columns. Each computes every labeled column and ranks as it
+  // does on a fresh context.
+  const SchemeOptions base = MakeDefaultSchemeOptions(*db_, log_features_);
+  SchemeOptions wider = base;
+  wider.visual_kernel.gamma *= 4.0;
+  SchemeOptions polynomial = base;
+  polynomial.visual_kernel = svm::KernelParams::Polynomial(0.5, 1.0, 2);
+  const FeedbackContext ctx = MakeContext(33, /*narrowed=*/false);
+  for (const SchemeOptions& options : {base, wider, polynomial}) {
+    SCOPED_TRACE(options.visual_kernel.ToString());
+    const auto scheme = MakeScheme("RF-SVM", options).value();
+    const uint64_t before = ColumnsComputed();
+    const std::vector<int> ranking = scheme->Rank(ctx).value();
+    EXPECT_EQ(ColumnsComputed() - before, ctx.labeled_ids.size());
+    EXPECT_EQ(ranking, scheme->Rank(MakeContext(33, false)).value());
+  }
+}
+
+TEST_F(KernelCacheTest, EvictionKeepsResultsCorrect) {
+  // The context's stores churn through labeled sets, dropping the images
+  // that left at every Hold: every held column equals a fresh store's, bit
+  // for bit, in both modalities.
+  const FeedbackContext ctx = MakeContext(13, /*narrowed=*/true);
+  const std::vector<int>& ids = ctx.labeled_ids;
+  const std::vector<std::vector<size_t>> rounds = {
+      {0, 1, 2}, {2, 3, 0}, {7, 0, 1, 3}, {1}, {1, 7, 6, 5, 4}, {0, 1, 7}};
+  for (size_t k = 0; k < 2; ++k) {
+    const svm::KernelParams kernel = k == 0 ? svm::KernelParams::Rbf(0.05)
+                                            : svm::KernelParams::Linear();
+    KernelColumnStore& store = ctx.KernelColumns(k);
+    for (const std::vector<size_t>& round : rounds) {
+      std::vector<int> held;
+      for (size_t i : round) held.push_back(ids[i]);
+      store.Bind(ctx, k, kernel);
+      store.Hold(held);
+      ExpectFreshColumns(ctx, k, kernel, store, held);
+    }
+  }
+}
+
+TEST_F(KernelCacheTest, LruKeepsRecentRow) {
+  // Only the last Hold is kept: image a left in the second Hold, so its
+  // column is computed again when it returns in the third.
+  const FeedbackContext ctx = MakeContext(13, /*narrowed=*/true);
+  const int a = ctx.labeled_ids[0];
+  const int b = ctx.labeled_ids[1];
+  const int c = ctx.labeled_ids[2];
+  KernelColumnStore& store = ctx.KernelColumns(0);
+  store.Bind(ctx, 0, svm::KernelParams::Rbf(0.05));
+  uint64_t before = ColumnsComputed();
+  store.Hold({a, b});
+  EXPECT_EQ(ColumnsComputed() - before, 2u);
+  before = ColumnsComputed();
+  store.Hold({b, c});
+  EXPECT_EQ(ColumnsComputed() - before, 1u);  // c
+  before = ColumnsComputed();
+  store.Hold({a, b, c});
+  EXPECT_EQ(ColumnsComputed() - before, 1u);  // a again
 }
 
 }  // namespace

@@ -145,30 +145,6 @@ TEST(MultiCoupledSvmTest, RejectsTrainingSetsAboveTheBound) {
   EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(MultiCoupledSvmTest, RejectsAGramOfAnotherSetOrKernel) {
-  const MultiProblem p = MakeProblem(2, 4, 2, 13);
-  const MultiCoupledSvm csvm(TestOptions());
-  std::vector<ModalityView> views = p.Views();
-  // Under another kernel: the model would not match the Gram it solved on.
-  const svm::Gram other_kernel =
-      svm::Gram::Of(p.data[0], svm::KernelParams::Rbf(2.0)).value();
-  views[0].gram = &other_kernel;
-  EXPECT_EQ(
-      csvm.TrainViews(views, p.labels, p.initial_unlabeled).status().code(),
-      StatusCode::kInvalidArgument);
-  // Of another training set size.
-  la::Matrix fewer(p.data[0].rows() - 1, p.data[0].cols());
-  const svm::Gram smaller = svm::Gram::Of(fewer, views[0].kernel).value();
-  views[0].gram = &smaller;
-  EXPECT_EQ(
-      csvm.TrainViews(views, p.labels, p.initial_unlabeled).status().code(),
-      StatusCode::kInvalidArgument);
-  // The Gram of the rows under the view's kernel trains.
-  const svm::Gram own = svm::Gram::Of(p.data[0], views[0].kernel).value();
-  views[0].gram = &own;
-  EXPECT_TRUE(csvm.TrainViews(views, p.labels, p.initial_unlabeled).ok());
-}
-
 TEST(MultiCoupledSvmDeathTest, DecisionArityChecked) {
   const MultiProblem p = MakeProblem(2, 4, 0, 11);
   MultiCoupledSvm csvm(TestOptions());

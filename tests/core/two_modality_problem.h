@@ -60,10 +60,8 @@ inline MultiCsvmOptions TestOptions() {
 /// Views over `data`, both modalities with C = 10 and an RBF(0.5) kernel.
 inline std::vector<ModalityView> Views(const TwoModalityData& data) {
   const svm::KernelParams kernel = svm::KernelParams::Rbf(0.5);
-  return {ModalityView{&data.visual, kernel, 10.0, &data.initial_visual_alpha,
-                       nullptr},
-          ModalityView{&data.log, kernel, 10.0, &data.initial_log_alpha,
-                       nullptr}};
+  return {ModalityView{&data.visual, kernel, 10.0, &data.initial_visual_alpha},
+          ModalityView{&data.log, kernel, 10.0, &data.initial_log_alpha}};
 }
 
 inline Result<MultiCoupledModel> Train(const MultiCoupledSvm& csvm,

@@ -390,18 +390,29 @@ TEST_F(RetrievalServiceTest, TtlEvictionExpiresIdleSessions) {
 // evicting a session must release its share — eviction has to actually
 // bound memory.
 TEST_F(RetrievalServiceTest, SessionKernelCacheMemoryIsAccountedAndFreed) {
+  // On a signature-indexed database a session scans a candidate pool,
+  // whose kernel columns carry between rounds and count as session memory.
+  retrieval::ImageDatabase db(*db_);
+  retrieval::IndexOptions index_options;
+  index_options.mode = retrieval::IndexMode::kSignature;
+  db.BuildIndex(index_options);
   ServiceOptions options;
   options.scheme = "LRF-CSVM";
   options.csvm.n_prime = 10;
   options.candidate_depth = 60;
   options.sessions.max_sessions = 2;
-  auto service = MakeService(nullptr, options);
+  auto service_or = RetrievalService::Create(
+      &db, log_features_, nullptr,
+      core::MakeDefaultSchemeOptions(db, log_features_), options);
+  ASSERT_TRUE(service_or.ok()) << service_or.status();
+  RetrievalService* service = service_or.value().get();
   EXPECT_EQ(service->stats().session_kernel_cache_bytes, 0u);
 
   logdb::SimulatedUser user(db_->categories(), logdb::UserModel{0.0});
   Rng rng(7);
-  const auto run_round = [&](uint64_t sid, int query_id) {
-    auto ranking = service->Query(sid, 60);
+  const auto run_round = [&](RetrievalService* on, uint64_t sid,
+                             int query_id) {
+    auto ranking = on->Query(sid, 60);
     ASSERT_TRUE(ranking.ok());
     std::vector<logdb::LogEntry> entries;
     for (int id : ranking.value()) {
@@ -410,18 +421,18 @@ TEST_F(RetrievalServiceTest, SessionKernelCacheMemoryIsAccountedAndFreed) {
       entries.push_back(
           logdb::LogEntry{id, user.Judge(id, db_->category(query_id), &rng)});
     }
-    ASSERT_TRUE(service->Feedback(sid, entries, 60).ok());
+    ASSERT_TRUE(on->Feedback(sid, entries, 60).ok());
   };
 
   auto s1 = service->StartSession(1);
   ASSERT_TRUE(s1.ok());
-  run_round(s1.value(), 1);
+  run_round(service, s1.value(), 1);
   const uint64_t after_one = service->stats().session_kernel_cache_bytes;
   EXPECT_GT(after_one, 0u);
 
   auto s2 = service->StartSession(2);
   ASSERT_TRUE(s2.ok());
-  run_round(s2.value(), 2);
+  run_round(service, s2.value(), 2);
   const uint64_t after_two = service->stats().session_kernel_cache_bytes;
   EXPECT_GT(after_two, after_one);
 
@@ -437,6 +448,14 @@ TEST_F(RetrievalServiceTest, SessionKernelCacheMemoryIsAccountedAndFreed) {
   ASSERT_TRUE(s4.ok());
   EXPECT_EQ(service->stats().sessions_evicted_capacity, 1u);
   EXPECT_EQ(service->stats().session_kernel_cache_bytes, 0u);
+
+  // Without an index every round scans the whole corpus, and a session
+  // holds no kernel columns once its round is ranked.
+  auto corpus_wide = MakeService(nullptr, options);
+  auto s5 = corpus_wide->StartSession(5);
+  ASSERT_TRUE(s5.ok());
+  run_round(corpus_wide.get(), s5.value(), 5);
+  EXPECT_EQ(corpus_wide->stats().session_kernel_cache_bytes, 0u);
 }
 
 // Tentpole gate: a session opened with a raw feature vector (an image the

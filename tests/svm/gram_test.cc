@@ -1,5 +1,5 @@
-// Tests for svm::Gram, the kernel cache every SMO solve reads: the matrix
-// of one training set, computed once per bind.
+// Tests for svm::Gram, the kernel matrix every SMO solve reads: one
+// training set's, computed once and shared by every solve on that set.
 #include "svm/gram.h"
 
 #include <gtest/gtest.h>
@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "svm/smo_solver.h"
+#include "svm/trainer.h"
 #include "util/rng.h"
 
 namespace cbir::svm {
@@ -29,6 +31,27 @@ Gram Fresh(const la::Matrix& data, const KernelParams& kernel) {
 
 uint64_t CounterValue(const char* name) {
   return obs::MetricsRegistry::Default().GetCounter(name)->value();
+}
+
+/// Two-class Gaussian problem with some overlap so the solver iterates.
+void MakeProblem(size_t n, uint64_t seed, la::Matrix* data,
+                 std::vector<double>* labels) {
+  Rng rng(seed);
+  *data = la::Matrix(n, 4);
+  labels->resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    const double y = (i % 2 == 0) ? 1.0 : -1.0;
+    (*labels)[i] = y;
+    for (size_t d = 0; d < 4; ++d) {
+      data->At(i, d) = rng.Gaussian() + 0.5 * y;
+    }
+  }
+}
+
+Result<SmoSolution> Solve(const Gram& gram, const std::vector<double>& y,
+                          double c, const SmoOptions& options = {}) {
+  return SmoSolver(gram, y, std::vector<double>(y.size(), c), options)
+      .Solve();
 }
 
 TEST(KernelCacheTest, RowsMatchDirectEvaluation) {
@@ -73,68 +96,22 @@ TEST(KernelCacheTest, DiagPrecomputed) {
 }
 
 TEST(KernelCacheTest, HitsAndMisses) {
-  // A fresh bind computes the upper triangle, diagonal included; a re-bind
-  // of the same images carries all of it. The registry counts carried
-  // entries as hits and computed ones as misses.
+  // Every Gram computes its upper triangle, diagonal included, and the
+  // registry counts each entry as a miss; nothing is carried from one Gram
+  // to the next, so a second Gram of the same rows computes them again.
   const la::Matrix data = RandomData(4, 2, 3);
-  const uint64_t hits = CounterValue("cbir_svm_kernel_cache_hits_total");
   const uint64_t misses = CounterValue("cbir_svm_kernel_cache_misses_total");
-  Gram gram;
-  ASSERT_TRUE(gram.Bind({7, 8, 9, 10}, data, KernelParams::Linear()).ok());
-  EXPECT_EQ(gram.computed(), 10u);
-  EXPECT_EQ(gram.carried(), 0u);
-  ASSERT_TRUE(gram.Bind({7, 8, 9, 10}, data, KernelParams::Linear()).ok());
-  EXPECT_EQ(gram.computed(), 0u);
-  EXPECT_EQ(gram.carried(), 10u);
-  EXPECT_EQ(CounterValue("cbir_svm_kernel_cache_hits_total") - hits, 10u);
+  const Gram first = Fresh(data, KernelParams::Linear());
   EXPECT_EQ(CounterValue("cbir_svm_kernel_cache_misses_total") - misses,
             10u);
-}
-
-TEST(KernelCacheTest, EvictionKeepsResultsCorrect) {
-  // A session's Gram drops the images that left the training set at every
-  // bind. Churn through a pattern of training sets: every bind equals a
-  // fresh Gram of its rows, bit for bit.
-  const la::Matrix corpus = RandomData(8, 3, 4);
-  const KernelParams k = KernelParams::Rbf(0.3);
-  const std::vector<std::vector<int>> rounds = {
-      {0, 1, 2}, {2, 3, 0}, {7, 0, 1, 3}, {1}, {1, 7, 6, 5, 4}, {0, 1, 7}};
-  Gram gram;
-  for (const std::vector<int>& ids : rounds) {
-    la::Matrix rows(ids.size(), corpus.cols());
-    for (size_t i = 0; i < ids.size(); ++i) {
-      rows.SetRow(i, corpus.Row(static_cast<size_t>(ids[i])));
-    }
-    ASSERT_TRUE(gram.Bind(ids, rows, k).ok());
-    EXPECT_EQ(gram.ids(), ids);
-    const Gram fresh = Fresh(rows, k);
-    for (size_t i = 0; i < ids.size(); ++i) {
-      for (size_t j = 0; j < ids.size(); ++j) {
-        EXPECT_EQ(gram.RowPtr(i)[j], fresh.RowPtr(i)[j]);
-      }
+  const Gram second = Fresh(data, KernelParams::Linear());
+  EXPECT_EQ(CounterValue("cbir_svm_kernel_cache_misses_total") - misses,
+            20u);
+  for (size_t i = 0; i < 4; ++i) {
+    for (size_t j = 0; j < 4; ++j) {
+      EXPECT_EQ(second.RowPtr(i)[j], first.RowPtr(i)[j]);
     }
   }
-}
-
-TEST(KernelCacheTest, LruKeepsRecentRow) {
-  // Only the most recent bind is carried: image 0 left in the second bind,
-  // so its pairs are computed again when it returns in the third.
-  const la::Matrix corpus = RandomData(3, 2, 5);
-  const KernelParams k = KernelParams::Linear();
-  Gram gram;
-  EXPECT_FALSE(gram.Bind({0, 1}, corpus, k).ok());  // 3 rows, 2 ids
-  la::Matrix first(2, 2), second(2, 2);
-  first.SetRow(0, corpus.Row(0));
-  first.SetRow(1, corpus.Row(1));
-  second.SetRow(0, corpus.Row(1));
-  second.SetRow(1, corpus.Row(2));
-  ASSERT_TRUE(gram.Bind({0, 1}, first, k).ok());
-  ASSERT_TRUE(gram.Bind({1, 2}, second, k).ok());
-  EXPECT_EQ(gram.carried(), 1u);   // (1, 1)
-  EXPECT_EQ(gram.computed(), 2u);  // (1, 2), (2, 2)
-  ASSERT_TRUE(gram.Bind({0, 1, 2}, corpus, k).ok());
-  EXPECT_EQ(gram.carried(), 3u);   // (1, 1), (1, 2), (2, 2)
-  EXPECT_EQ(gram.computed(), 3u);  // (0, 0), (0, 1), (0, 2)
 }
 
 TEST(KernelCacheTest, GetRowsBothValidSimultaneously) {
@@ -168,21 +145,116 @@ TEST(KernelCacheTest, RejectsTrainingSetsAboveTheBound) {
   const la::Matrix too_many(kMaxTrainingRows + 1, 1);
   Result<Gram> refused = Gram::Of(too_many, KernelParams::Linear());
   EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
-
-  // A refused bind keeps the previous one.
-  const la::Matrix data = RandomData(3, 1, 8);
-  Gram gram = Fresh(data, KernelParams::Linear());
-  std::vector<int> ids(too_many.rows());
-  EXPECT_EQ(gram.Bind(ids, too_many, KernelParams::Linear()).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(gram.n(), 3u);
-  EXPECT_EQ(gram.Diag(2), la::Dot(data.Row(2), data.Row(2)));
 }
 
 TEST(KernelCacheDeathTest, OutOfRangeRow) {
   const la::Matrix data = RandomData(3, 2, 6);
   const Gram gram = Fresh(data, KernelParams::Linear());
   EXPECT_DEATH((void)gram.RowPtr(3), "Check failed");
+}
+
+TEST(SmoSharedCacheTest, SharedCacheSolveMatchesInternalExactly) {
+  // A Gram the caller builds and hands to the solver serves exactly the
+  // values of the one SvmTrainer builds for itself, so the solver
+  // trajectory is the same.
+  la::Matrix data;
+  std::vector<double> labels;
+  MakeProblem(40, 11, &data, &labels);
+  TrainOptions options;
+  options.kernel = KernelParams::Rbf(0.5);
+  options.c = 5.0;
+  auto internal = SvmTrainer(options).Train(data, labels);
+  auto shared = Solve(Fresh(data, options.kernel), labels, 5.0);
+  ASSERT_TRUE(internal.ok()) << internal.status();
+  ASSERT_TRUE(shared.ok()) << shared.status();
+  EXPECT_EQ(shared->alpha, internal->alpha);
+  EXPECT_EQ(shared->bias, internal->bias);
+  EXPECT_EQ(shared->iterations, internal->iterations);
+}
+
+TEST(SmoSharedCacheTest, SecondSolveReusesRowsAndReportsDeltaStats) {
+  // Different C bounds, same kernel matrix: solves only read the Gram, so
+  // the registry's computed entries are those of the one build, and the
+  // second solve matches a cold solve of the same problem.
+  la::Matrix data;
+  std::vector<double> labels;
+  MakeProblem(30, 12, &data, &labels);
+  const KernelParams kernel = KernelParams::Rbf(0.8);
+  const uint64_t misses = CounterValue("cbir_svm_kernel_cache_misses_total");
+  const Gram gram = Fresh(data, kernel);
+
+  ASSERT_TRUE(Solve(gram, labels, 1.0).ok());
+  auto b = Solve(gram, labels, 10.0);
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(CounterValue("cbir_svm_kernel_cache_misses_total") - misses,
+            30u * 31u / 2u);
+
+  auto cold = Solve(Fresh(data, kernel), labels, 10.0);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_EQ(b->alpha, cold->alpha);
+  EXPECT_EQ(b->bias, cold->bias);
+}
+
+TEST(SmoSharedCacheTest, LabelFlipsDoNotInvalidateSharedRows) {
+  // The coupled SVM's label correction flips pseudo-labels between solves;
+  // kernel values do not depend on labels, so one Gram serves both.
+  la::Matrix data;
+  std::vector<double> labels;
+  MakeProblem(24, 13, &data, &labels);
+  const KernelParams kernel = KernelParams::Rbf(0.6);
+  const Gram gram = Fresh(data, kernel);
+  ASSERT_TRUE(Solve(gram, labels, 4.0).ok());
+
+  std::vector<double> flipped = labels;
+  flipped[3] = -flipped[3];
+  flipped[8] = -flipped[8];
+  auto b = Solve(gram, flipped, 4.0);
+  ASSERT_TRUE(b.ok());
+  auto cold = Solve(Fresh(data, kernel), flipped, 4.0);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_EQ(b->alpha, cold->alpha);
+}
+
+TEST(SmoSharedCacheTest, RejectsForeignMatrixAndParams) {
+  // The solver reads rows by index: a Gram of another training set size is
+  // refused, not read out of bounds.
+  la::Matrix data;
+  std::vector<double> labels;
+  MakeProblem(10, 15, &data, &labels);
+  const KernelParams kernel = KernelParams::Rbf(0.5);
+  const Gram smaller = Fresh(RandomData(9, 4, 1), kernel);
+  EXPECT_EQ(Solve(smaller, labels, 1.0).status().code(),
+            StatusCode::kInvalidArgument);
+  const Gram empty;
+  EXPECT_EQ(Solve(empty, labels, 1.0).status().code(),
+            StatusCode::kInvalidArgument);
+  // The trainer checks the same before solving.
+  EXPECT_EQ(SvmTrainer()
+                .SolveWeighted(smaller, labels,
+                               std::vector<double>(10, 1.0))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(SmoSharedCacheTest, TrainerThreadsSharedCacheThrough) {
+  // Train builds the Gram of its data under the trainer's kernel: the same
+  // solve as SolveWeighted on Gram::Of, plus the model.
+  la::Matrix data;
+  std::vector<double> labels;
+  MakeProblem(20, 16, &data, &labels);
+  TrainOptions options;
+  options.kernel = KernelParams::Rbf(0.5);
+  options.c = 3.0;
+  const SvmTrainer trainer(options);
+  auto trained = trainer.Train(data, labels);
+  ASSERT_TRUE(trained.ok()) << trained.status();
+  auto solved = trainer.SolveWeighted(Fresh(data, options.kernel), labels,
+                                      std::vector<double>(20, 3.0));
+  ASSERT_TRUE(solved.ok());
+  EXPECT_EQ(trained->alpha, solved->alpha);
+  EXPECT_EQ(trained->train_decisions, solved->train_decisions);
+  EXPECT_GT(trained->model.num_support_vectors(), 0u);
 }
 
 }  // namespace
