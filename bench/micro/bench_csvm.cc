@@ -1,13 +1,14 @@
 // Micro-benchmarks for the coupled SVM: alternating-optimization cost as a
 // function of the unlabeled-sample count N' and the rho annealing schedule,
-// plus the before/after levels of warm-start carry-over across feedback
-// rounds.
+// the before/after levels of warm-start carry-over across feedback rounds,
+// and the pick of the N' pseudo-labeled images from a round's candidates.
 #include <benchmark/benchmark.h>
 
 #include <utility>
 #include <vector>
 
 #include "core/multi_coupled_svm.h"
+#include "core/unlabeled_selection.h"
 #include "util/rng.h"
 
 namespace {
@@ -164,5 +165,26 @@ void BM_CoupledDecision(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CoupledDecision);
+
+// Most-similar selection of N' = 20 from range(0) candidates: 328 is
+// csvm_local's candidate pool, 1980 a paper_table1 query's unjudged images.
+void BM_SelectUnlabeled(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  Rng rng(11);
+  core::SelectionInputs inputs;
+  inputs.candidate_ids.resize(n);
+  for (size_t i = 0; i < n; ++i) inputs.candidate_ids[i] = static_cast<int>(i);
+  rng.Shuffle(&inputs.candidate_ids);
+  for (size_t i = 0; i < n; ++i) {
+    inputs.similarity_to_positives.push_back(rng.Uniform());
+    inputs.similarity_to_negatives.push_back(rng.Uniform());
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::SelectUnlabeled(
+        core::SelectionStrategy::kMostSimilar, inputs, 20, 1));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SelectUnlabeled)->Arg(328)->Arg(1980);
 
 }  // namespace

@@ -37,15 +37,28 @@ Result<SelectionStrategy> ParseSelectionStrategy(const std::string& name) {
 
 namespace {
 
-// Sorts candidate positions by `keys` descending, ties by candidate id.
+// The first `count` candidate positions by `keys` descending, ties by
+// candidate id ascending; `reversed` reads that order backwards (ascending
+// key, descending id). Ids are unique, so the order is total, and selecting
+// with nth_element, then sorting only the winners, keeps a full sort's picks.
 std::vector<size_t> OrderByDesc(const std::vector<double>& keys,
-                                const std::vector<int>& ids) {
-  std::vector<size_t> order(keys.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+                                const std::vector<int>& ids, size_t count,
+                                bool reversed = false) {
+  const auto desc = [&](size_t a, size_t b) {
     if (keys[a] != keys[b]) return keys[a] > keys[b];
     return ids[a] < ids[b];
-  });
+  };
+  const auto before = [&](size_t a, size_t b) {
+    return reversed ? desc(b, a) : desc(a, b);
+  };
+  std::vector<size_t> order(keys.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  if (count < order.size()) {
+    std::nth_element(order.begin(), order.begin() + count, order.end(),
+                     before);
+    order.resize(count);
+  }
+  std::sort(order.begin(), order.end(), before);
   return order;
 }
 
@@ -68,16 +81,20 @@ SelectionResult SelectUnlabeled(SelectionStrategy strategy,
       CBIR_CHECK_EQ(inputs.similarity_to_positives.size(), available);
       CBIR_CHECK_EQ(inputs.similarity_to_negatives.size(), available);
       const size_t top = want / 2 + (want % 2);
-      const auto by_pos = OrderByDesc(inputs.similarity_to_positives, ids);
-      const auto by_neg = OrderByDesc(inputs.similarity_to_negatives, ids);
+      // At most `top` positives are taken before the negatives, so the
+      // first `want` of by_neg always hold enough untaken ones.
+      const auto by_pos =
+          OrderByDesc(inputs.similarity_to_positives, ids, top);
+      const auto by_neg =
+          OrderByDesc(inputs.similarity_to_negatives, ids, want);
       std::unordered_set<int> taken;
-      for (size_t i = 0; i < available && out.ids.size() < top; ++i) {
+      for (size_t i = 0; i < by_pos.size() && out.ids.size() < top; ++i) {
         const int id = ids[by_pos[i]];
         if (!taken.insert(id).second) continue;
         out.ids.push_back(id);
         out.initial_labels.push_back(1.0);
       }
-      for (size_t i = 0; i < available && out.ids.size() < want; ++i) {
+      for (size_t i = 0; i < by_neg.size() && out.ids.size() < want; ++i) {
         const int id = ids[by_neg[i]];
         if (!taken.insert(id).second) continue;
         out.ids.push_back(id);
@@ -87,15 +104,15 @@ SelectionResult SelectUnlabeled(SelectionStrategy strategy,
     }
     case SelectionStrategy::kMaxMin: {
       CBIR_CHECK_EQ(inputs.combined_decisions.size(), available);
-      const auto order = OrderByDesc(inputs.combined_decisions, ids);
       const size_t top = want / 2 + (want % 2);  // odd N' favors positives
       const size_t bottom = want - top;
-      for (size_t i = 0; i < top; ++i) {
-        out.ids.push_back(ids[order[i]]);
+      for (size_t pos : OrderByDesc(inputs.combined_decisions, ids, top)) {
+        out.ids.push_back(ids[pos]);
         out.initial_labels.push_back(1.0);
       }
-      for (size_t i = 0; i < bottom; ++i) {
-        out.ids.push_back(ids[order[available - 1 - i]]);
+      for (size_t pos : OrderByDesc(inputs.combined_decisions, ids, bottom,
+                                    /*reversed=*/true)) {
+        out.ids.push_back(ids[pos]);
         out.initial_labels.push_back(-1.0);
       }
       break;
@@ -106,9 +123,7 @@ SelectionResult SelectUnlabeled(SelectionStrategy strategy,
       for (size_t i = 0; i < available; ++i) {
         neg_abs[i] = -std::fabs(inputs.combined_decisions[i]);
       }
-      const auto order = OrderByDesc(neg_abs, ids);
-      for (size_t i = 0; i < want; ++i) {
-        const size_t pos = order[i];
+      for (size_t pos : OrderByDesc(neg_abs, ids, want)) {
         out.ids.push_back(ids[pos]);
         out.initial_labels.push_back(
             inputs.combined_decisions[pos] >= 0.0 ? 1.0 : -1.0);

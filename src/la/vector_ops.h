@@ -46,8 +46,9 @@ double SquaredDistanceN(const double* a, const double* b, size_t n);
 
 /// Batch primitive: out[r] = ||rows[r] - query||^2 for r in [0, num_rows),
 /// where `rows` is row-major contiguous storage with `dims` doubles per row.
-/// One pass over the block; the hot loop of Euclidean corpus scans and RBF
-/// kernel-row evaluation.
+/// The hot loop of Euclidean corpus scans and of every RBF kernel column.
+/// Scores four rows per pass in 2-wide vector lanes; each out[r] is
+/// bit-identical to SquaredDistanceN(rows[r], query, dims).
 void SquaredDistanceToRows(const double* rows, size_t num_rows, size_t dims,
                            const double* query, double* out);
 

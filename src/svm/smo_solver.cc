@@ -126,7 +126,7 @@ bool SmoSolver::SelectWorkingSet(size_t* out_i, size_t* out_j) {
   size_t i = n_;
   for (size_t p = 0; p < active_size_; ++p) {
     const size_t t = active_[p];
-    if (InUp(t)) {
+    if (in_up_[t]) {
       const double v = -y_[t] * grad_[t];
       if (v > gmax) {
         gmax = v;
@@ -143,7 +143,7 @@ bool SmoSolver::SelectWorkingSet(size_t* out_i, size_t* out_j) {
   double best_gain = std::numeric_limits<double>::infinity();  // minimize
   for (size_t p = 0; p < active_size_; ++p) {
     const size_t t = active_[p];
-    if (!InLow(t)) continue;
+    if (!in_low_[t]) continue;
     const double v = -y_[t] * grad_[t];
     gmin = std::min(gmin, v);
     const double b_it = gmax - v;
@@ -172,8 +172,8 @@ void SmoSolver::Shrink(int* shrink_passes, int* reconstructions) {
   double gmax2 = -std::numeric_limits<double>::infinity();  // I_low
   for (size_t p = 0; p < active_size_; ++p) {
     const size_t t = active_[p];
-    if (InUp(t)) gmax1 = std::max(gmax1, -y_[t] * grad_[t]);
-    if (InLow(t)) gmax2 = std::max(gmax2, y_[t] * grad_[t]);
+    if (in_up_[t]) gmax1 = std::max(gmax1, -y_[t] * grad_[t]);
+    if (in_low_[t]) gmax2 = std::max(gmax2, y_[t] * grad_[t]);
   }
 
   if (!unshrunk_ && gmax1 + gmax2 <= options_.eps * 10) {
@@ -232,6 +232,9 @@ Result<SmoSolution> SmoSolver::Solve() {
         "SMO: the Gram is not n x n for this training set");
   }
   CBIR_RETURN_NOT_OK(InitializeState());
+  in_up_.resize(n_);
+  in_low_.resize(n_);
+  for (size_t t = 0; t < n_; ++t) RefreshBoundFlags(t);
 
   const long max_iter =
       options_.max_iterations > 0
@@ -316,6 +319,9 @@ Result<SmoSolution> SmoSolver::Solve() {
         alpha_[j] = sum;
       }
     }
+
+    RefreshBoundFlags(i);
+    RefreshBoundFlags(j);
 
     // Gradient maintenance over the active set:
     //   grad_t += Q_ti * dAi + Q_tj * dAj.

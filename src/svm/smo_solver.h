@@ -93,6 +93,13 @@ class SmoSolver {
   /// matching gradient.
   Status InitializeState();
 
+  /// Caches InUp(t) / InLow(t) for the working-set scans; called for every
+  /// example after InitializeState and for i and j after each step.
+  void RefreshBoundFlags(size_t t) {
+    in_up_[t] = InUp(t);
+    in_low_[t] = InLow(t);
+  }
+
   /// Adds y_t * sum_s y_s a_s K_ts to grad_[active_[p]] for p in
   /// [grad_begin, grad_end), two support-vector rows per pass.
   void AccumulateSupportRows(size_t grad_begin, size_t grad_end);
@@ -119,6 +126,8 @@ class SmoSolver {
 
   std::vector<double> alpha_;
   std::vector<double> grad_;    ///< grad_i = (Qa)_i - 1 (active entries fresh)
+  std::vector<unsigned char> in_up_;   ///< InUp(t), current with alpha_
+  std::vector<unsigned char> in_low_;  ///< InLow(t), current with alpha_
   std::vector<size_t> active_;  ///< permutation; first active_size_ are active
   size_t active_size_ = 0;
   bool unshrunk_ = false;       ///< one-time early unshrink near optimality

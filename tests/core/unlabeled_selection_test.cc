@@ -1,9 +1,14 @@
 #include "core/unlabeled_selection.h"
 
 #include <algorithm>
+#include <cmath>
+#include <numeric>
 #include <set>
+#include <unordered_set>
 
 #include <gtest/gtest.h>
+
+#include "util/rng.h"
 
 namespace cbir::core {
 namespace {
@@ -139,6 +144,112 @@ TEST(SelectionTest, EmptyCandidates) {
       SelectUnlabeled(SelectionStrategy::kMostSimilar, SelectionInputs{}, 10,
                       1);
   EXPECT_TRUE(r.ids.empty());
+}
+
+// Reference selection by full sort: every candidate ordered by key
+// descending, ties by id ascending, and the picks read off the sorted order.
+std::vector<size_t> FullSortDesc(const std::vector<double>& keys,
+                                 const std::vector<int>& ids) {
+  std::vector<size_t> order(keys.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    if (keys[a] != keys[b]) return keys[a] > keys[b];
+    return ids[a] < ids[b];
+  });
+  return order;
+}
+
+SelectionResult ReferenceSelect(SelectionStrategy strategy,
+                                const SelectionInputs& in, size_t n_prime) {
+  const std::vector<int>& ids = in.candidate_ids;
+  const size_t available = ids.size();
+  const size_t want = std::min(n_prime, available);
+  const size_t top = want / 2 + want % 2;
+  SelectionResult out;
+  const auto add = [&](size_t pos, double label) {
+    out.ids.push_back(ids[pos]);
+    out.initial_labels.push_back(label);
+  };
+  switch (strategy) {
+    case SelectionStrategy::kMostSimilar: {
+      const auto by_pos = FullSortDesc(in.similarity_to_positives, ids);
+      const auto by_neg = FullSortDesc(in.similarity_to_negatives, ids);
+      std::unordered_set<int> taken;
+      for (size_t i = 0; i < available && out.ids.size() < top; ++i) {
+        if (taken.insert(ids[by_pos[i]]).second) add(by_pos[i], 1.0);
+      }
+      for (size_t i = 0; i < available && out.ids.size() < want; ++i) {
+        if (taken.insert(ids[by_neg[i]]).second) add(by_neg[i], -1.0);
+      }
+      break;
+    }
+    case SelectionStrategy::kMaxMin: {
+      const auto order = FullSortDesc(in.combined_decisions, ids);
+      for (size_t i = 0; i < top; ++i) add(order[i], 1.0);
+      for (size_t i = 0; i < want - top; ++i) {
+        add(order[available - 1 - i], -1.0);
+      }
+      break;
+    }
+    case SelectionStrategy::kBoundaryClosest: {
+      std::vector<double> neg_abs(available);
+      for (size_t i = 0; i < available; ++i) {
+        neg_abs[i] = -std::fabs(in.combined_decisions[i]);
+      }
+      const auto order = FullSortDesc(neg_abs, ids);
+      for (size_t i = 0; i < want; ++i) {
+        add(order[i], in.combined_decisions[order[i]] >= 0.0 ? 1.0 : -1.0);
+      }
+      break;
+    }
+    case SelectionStrategy::kRandom:
+      break;
+  }
+  return out;
+}
+
+TEST(SelectionTest, TopNPrimeMatchesFullSortUnderTies) {
+  // Keys on a coarse grid (eight values, signed zeros included) tie often,
+  // so the id tie-break decides many picks; ids are unique but shuffled, so
+  // position order and id order disagree.
+  const std::vector<double> grid = {-1.5, -1.0, -0.5, -0.0,
+                                    0.0,  0.5,  1.0,  2.0};
+  Rng rng(2005);
+  for (size_t available : {0u, 1u, 2u, 5u, 40u, 328u, 1980u}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      SelectionInputs in;
+      in.candidate_ids.resize(available);
+      for (size_t i = 0; i < available; ++i) {
+        in.candidate_ids[i] = static_cast<int>(3 * i + 7);
+      }
+      rng.Shuffle(&in.candidate_ids);
+      const auto draw = [&] {
+        std::vector<double> keys(available);
+        for (double& k : keys) k = grid[rng.UniformInt(grid.size())];
+        return keys;
+      };
+      in.combined_decisions = draw();
+      in.similarity_to_positives = draw();
+      in.similarity_to_negatives = draw();
+      for (size_t n_prime :
+           {size_t{0}, size_t{1}, size_t{7}, size_t{20}, available,
+            available + 3}) {
+        for (SelectionStrategy strategy :
+             {SelectionStrategy::kMostSimilar, SelectionStrategy::kMaxMin,
+              SelectionStrategy::kBoundaryClosest}) {
+          const SelectionResult got = SelectUnlabeled(
+              strategy, in, static_cast<int>(n_prime), 1);
+          const SelectionResult want = ReferenceSelect(strategy, in, n_prime);
+          EXPECT_EQ(got.ids, want.ids)
+              << SelectionStrategyToString(strategy) << " available "
+              << available << " N' " << n_prime << " trial " << trial;
+          EXPECT_EQ(got.initial_labels, want.initial_labels)
+              << SelectionStrategyToString(strategy) << " available "
+              << available << " N' " << n_prime << " trial " << trial;
+        }
+      }
+    }
+  }
 }
 
 TEST(SelectionTest, StrategyNames) {

@@ -1,6 +1,8 @@
 #include "svm/smo_solver.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -450,6 +452,43 @@ TEST(SmoSolverTest, LargerCReducesTrainingError) {
     return hinge;
   };
   EXPECT_LE(hinge_at(10.0), hinge_at(0.1) + 1e-6);
+}
+
+// FNV-1a over the bit patterns of `values`: one number that changes when
+// any bit of any entry does.
+uint64_t HashBits(const std::vector<double>& values) {
+  uint64_t h = 1469598103934665603ull;
+  for (double v : values) {
+    h = (h ^ std::bit_cast<uint64_t>(v)) * 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(SmoSolverTest, PerSampleCWarmStartAtBoundsIsPinnedExactly) {
+  // A coupled-SVM step in miniature: 24 labeled rows at C = 10, 16
+  // pseudo-labeled rows at rho * C = 0.8, warm-started with every third
+  // alpha at its upper bound and the rest at zero, and shrinking every 7
+  // iterations. Iterations and the bits of the bias and alphas are pinned:
+  // a faster working-set scan or kernel must leave this solve unchanged.
+  DenseProblem p = MakeDenseProblem(40, 0.3, 10.0, 71);
+  for (size_t t = 24; t < 40; ++t) p.c[t] = 0.8;
+  SmoOptions options;
+  options.shrink_interval = 7;
+  options.initial_alpha.resize(40);
+  for (size_t t = 0; t < 40; ++t) {
+    options.initial_alpha[t] = t % 3 == 0 ? p.c[t] : 0.0;
+  }
+  const Gram gram = Gram::Of(p.data, KernelParams::Rbf(0.5)).value();
+  SmoSolver solver(gram, p.y, p.c, options);
+  auto sol = solver.Solve();
+  ASSERT_TRUE(sol.ok()) << sol.status();
+  ASSERT_TRUE(sol->converged);
+  EXPECT_GT(sol->shrink_passes, 0);
+  EXPECT_EQ(sol->iterations, 79);
+  // bias = -0.032898562124214784
+  EXPECT_EQ(std::bit_cast<uint64_t>(sol->bias), 0xbfa0d81490d15edaull)
+      << sol->bias;
+  EXPECT_EQ(HashBits(sol->alpha), 0x05dba0750802bdc6ull);
 }
 
 }  // namespace
