@@ -1,5 +1,8 @@
 #include "core/multi_coupled_svm.h"
 
+#include <bit>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "util/rng.h"
@@ -111,6 +114,62 @@ TEST(MultiCoupledSvmTest, FlipRequiresUnanimousRejection) {
   ASSERT_TRUE(model.ok());
   EXPECT_DOUBLE_EQ(model->unlabeled_labels[0], -1.0);
   EXPECT_EQ(model->diagnostics.total_flips, 0);
+}
+
+// FNV-1a over the bit patterns of `values`: one number that changes when
+// any bit of any entry does.
+uint64_t HashBits(const std::vector<double>& values) {
+  uint64_t h = 1469598103934665603ull;
+  for (double v : values) {
+    h = (h ^ std::bit_cast<uint64_t>(v)) * 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(MultiCoupledSvmTest, WarmStartedChainIsPinnedExactly) {
+  // An LRF-CSVM chain in miniature: two modalities, 16 labeled and 12
+  // pseudo-labeled rows, three of each class's pseudo-labels wrong, and a
+  // warm start carried from a previous round. The counters, the final
+  // pseudo-labels and the bits of every bias and alpha are pinned, so any
+  // change to how the chain drives its solves shows here.
+  MultiProblem p = MakeProblem(2, 8, 12, 13);
+  for (size_t j : {0, 1, 2, 3, 4, 5}) {
+    p.initial_unlabeled[j] = -p.initial_unlabeled[j];
+  }
+  const size_t n = p.labels.size() + p.initial_unlabeled.size();
+  std::vector<std::vector<double>> warm(2, std::vector<double>(n, 0.0));
+  for (size_t i = 0; i < p.labels.size(); i += 3) {
+    warm[0][i] = 1.0;
+    warm[1][i] = 0.5;
+  }
+  std::vector<ModalityView> views = p.Views();
+  views[0].initial_alpha = &warm[0];
+  views[1].initial_alpha = &warm[1];
+
+  MultiCsvmOptions options = TestOptions();
+  options.delta = 1.0;
+  auto model = MultiCoupledSvm(options).TrainViews(views, p.labels,
+                                                   p.initial_unlabeled);
+  ASSERT_TRUE(model.ok()) << model.status();
+  const CsvmDiagnostics& diag = model->diagnostics;
+  EXPECT_EQ(diag.outer_iterations, 14);
+  EXPECT_EQ(diag.inner_iterations, 1);
+  EXPECT_EQ(diag.total_flips, 6);
+  EXPECT_EQ(diag.total_smo_iterations, 502);
+  // Every wrong pseudo-label is corrected, in one round of three swaps.
+  EXPECT_EQ(model->unlabeled_labels,
+            (std::vector<double>{1, -1, 1, -1, 1, -1, 1, -1, 1, -1, 1, -1}));
+  ASSERT_EQ(model->models.size(), 2u);
+  // bias = -0.035818565239829049
+  EXPECT_EQ(std::bit_cast<uint64_t>(model->models[0].bias()),
+            0xbfa256cf9c96e3fdull)
+      << model->models[0].bias();
+  // bias = -0.16461369678807961
+  EXPECT_EQ(std::bit_cast<uint64_t>(model->models[1].bias()),
+            0xbfc5120fc616d7d9ull)
+      << model->models[1].bias();
+  EXPECT_EQ(HashBits(model->alphas[0]), 0x6bb6f044ed24a5d3ull);
+  EXPECT_EQ(HashBits(model->alphas[1]), 0x5591b201753d6a21ull);
 }
 
 TEST(MultiCoupledSvmTest, RejectsBadInput) {
