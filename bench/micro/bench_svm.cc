@@ -1,13 +1,19 @@
 // Micro-benchmarks for the SMO solver: scaling in training-set size, C and
 // kernel type, plus before/after comparisons for the training-core
 // optimizations (shrinking, warm-starting). Every timed Train builds the
-// training set's Gram and solves on it. Relevance feedback solves many
-// small QPs per query, so the n <= 100 region is the one that matters; the
-// larger sizes exercise shrinking.
+// training set's Gram, solves on it and builds the model, as each solve of
+// a coupled-SVM chain does. Relevance feedback solves many small QPs per
+// query, so the n <= 100 region is the one that matters; the larger sizes
+// exercise shrinking.
 #include <benchmark/benchmark.h>
 
+#include <utility>
+#include <vector>
+
 #include "svm/decision_lanes.h"
-#include "svm/trainer.h"
+#include "svm/gram.h"
+#include "svm/model.h"
+#include "svm/smo_solver.h"
 #include "util/rng.h"
 
 namespace {
@@ -33,49 +39,60 @@ Problem MakeProblem(size_t n, size_t dims, double gap, uint64_t seed) {
   return p;
 }
 
+struct Trained {
+  svm::SmoSolution solution;
+  svm::SvmModel model;
+};
+
+// Trains `p` at uniform C: the Gram of its rows, one SMO solve from
+// `initial_alpha` (empty = cold start) and the model of the solve.
+Trained Train(const Problem& p, const svm::KernelParams& kernel, double c,
+              std::vector<double> initial_alpha = {},
+              const svm::SmoOptions& options = {}) {
+  const svm::Gram gram = svm::Gram::Of(p.data, kernel).value();
+  svm::SmoSolution solution =
+      svm::SmoSolver(gram, p.labels, std::vector<double>(p.labels.size(), c),
+                     std::move(initial_alpha), options)
+          .Solve()
+          .value();
+  svm::SvmModel model =
+      svm::BuildModel(kernel, p.data, p.labels, solution.alpha, solution.bias);
+  return {std::move(solution), std::move(model)};
+}
+
 // Reports the solver's iterations as a bench counter so before/after runs
 // can be compared on work done, not just wall time.
-void ReportSolveCounters(benchmark::State& state,
-                         const svm::TrainOutput& out) {
-  state.counters["iters"] = static_cast<double>(out.iterations);
+void ReportSolveCounters(benchmark::State& state, const Trained& out) {
+  state.counters["iters"] = static_cast<double>(out.solution.iterations);
 }
 
 void BM_SmoSolveRbf(benchmark::State& state) {
   const Problem p = MakeProblem(static_cast<size_t>(state.range(0)), 36,
                                 1.0, 11);
-  svm::TrainOptions options;
-  options.kernel = svm::KernelParams::Rbf(1.0 / 36.0);
-  options.c = 10.0;
-  const svm::SvmTrainer trainer(options);
+  const svm::KernelParams kernel = svm::KernelParams::Rbf(1.0 / 36.0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(trainer.Train(p.data, p.labels));
+    benchmark::DoNotOptimize(Train(p, kernel, 10.0));
   }
   state.SetItemsProcessed(state.iterations());
-  ReportSolveCounters(state, trainer.Train(p.data, p.labels).value());
+  ReportSolveCounters(state, Train(p, kernel, 10.0));
 }
 BENCHMARK(BM_SmoSolveRbf)->Arg(20)->Arg(40)->Arg(100)->Arg(200);
 
 void BM_SmoSolveLinear(benchmark::State& state) {
   const Problem p = MakeProblem(static_cast<size_t>(state.range(0)), 36,
                                 2.0, 13);
-  svm::TrainOptions options;
-  options.kernel = svm::KernelParams::Linear();
-  options.c = 10.0;
-  const svm::SvmTrainer trainer(options);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(trainer.Train(p.data, p.labels));
+    benchmark::DoNotOptimize(Train(p, svm::KernelParams::Linear(), 10.0));
   }
 }
 BENCHMARK(BM_SmoSolveLinear)->Arg(20)->Arg(100);
 
 void BM_SmoSolveByC(benchmark::State& state) {
   const Problem p = MakeProblem(40, 36, 0.5, 17);  // overlapping classes
-  svm::TrainOptions options;
-  options.kernel = svm::KernelParams::Rbf(1.0 / 36.0);
-  options.c = static_cast<double>(state.range(0));
-  const svm::SvmTrainer trainer(options);
+  const svm::KernelParams kernel = svm::KernelParams::Rbf(1.0 / 36.0);
+  const double c = static_cast<double>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(trainer.Train(p.data, p.labels));
+    benchmark::DoNotOptimize(Train(p, kernel, c));
   }
 }
 BENCHMARK(BM_SmoSolveByC)->Arg(1)->Arg(10)->Arg(100);
@@ -86,15 +103,13 @@ BENCHMARK(BM_SmoSolveByC)->Arg(1)->Arg(10)->Arg(100);
 void BM_SmoSolveShrinking(benchmark::State& state) {
   const Problem p = MakeProblem(static_cast<size_t>(state.range(0)), 2,
                                 0.2, 29);
-  svm::TrainOptions options;
-  options.kernel = svm::KernelParams::Rbf(0.5);
-  options.c = 1000.0;
-  options.smo.shrinking = state.range(1) != 0;
-  const svm::SvmTrainer trainer(options);
+  const svm::KernelParams kernel = svm::KernelParams::Rbf(0.5);
+  svm::SmoOptions options;
+  options.shrinking = state.range(1) != 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(trainer.Train(p.data, p.labels));
+    benchmark::DoNotOptimize(Train(p, kernel, 1000.0, {}, options));
   }
-  ReportSolveCounters(state, trainer.Train(p.data, p.labels).value());
+  ReportSolveCounters(state, Train(p, kernel, 1000.0, {}, options));
 }
 BENCHMARK(BM_SmoSolveShrinking)
     ->Args({200, 0})
@@ -109,29 +124,23 @@ void BM_SmoFeedbackRounds(benchmark::State& state) {
   constexpr int kRounds = 5;
   const size_t step = 20;
   const Problem full = MakeProblem(step * kRounds, 36, 0.8, 37);
-  svm::TrainOptions options;
-  options.kernel = svm::KernelParams::Rbf(1.0 / 36.0);
-  options.c = 10.0;
+  const svm::KernelParams kernel = svm::KernelParams::Rbf(1.0 / 36.0);
   const bool warm = state.range(1) != 0;
   long total_iters = 0;
   for (auto _ : state) {
     std::vector<double> carried;
     for (int r = 1; r <= kRounds; ++r) {
       const size_t n = step * static_cast<size_t>(r);
-      la::Matrix data(n, 36);
-      for (size_t i = 0; i < n; ++i) data.SetRow(i, full.data.Row(i));
-      std::vector<double> labels(full.labels.begin(),
-                                 full.labels.begin() + static_cast<long>(n));
-      svm::TrainOptions round_options = options;
-      if (warm) {
-        round_options.smo.initial_alpha = carried;
-        round_options.smo.initial_alpha.resize(n, 0.0);
-      }
-      const svm::SvmTrainer trainer(round_options);
-      auto out = trainer.Train(data, labels);
+      Problem round;
+      round.data = la::Matrix(n, 36);
+      for (size_t i = 0; i < n; ++i) round.data.SetRow(i, full.data.Row(i));
+      round.labels.assign(full.labels.begin(),
+                          full.labels.begin() + static_cast<long>(n));
+      if (warm) carried.resize(n, 0.0);
+      Trained out = Train(round, kernel, 10.0, std::move(carried));
       benchmark::DoNotOptimize(out);
-      total_iters += out.value().iterations;
-      if (warm) carried = std::move(out.value().alpha);
+      total_iters += out.solution.iterations;
+      carried = warm ? std::move(out.solution.alpha) : std::vector<double>();
     }
   }
   state.counters["iters_per_session"] =
@@ -145,10 +154,8 @@ BENCHMARK(BM_SmoFeedbackRounds)->Args({0, 0})->Args({0, 1});
 // (single-threaded; core::KernelColumnStore fans corpus-sized batches out).
 void BM_DecisionColumns(benchmark::State& state) {
   const Problem train = MakeProblem(40, 36, 1.0, 19);
-  svm::TrainOptions options;
-  options.kernel = svm::KernelParams::Rbf(1.0 / 36.0);
-  const svm::SvmTrainer trainer(options);
-  const svm::SvmModel model = trainer.Train(train.data, train.labels)->model;
+  const svm::SvmModel model =
+      Train(train, svm::KernelParams::Rbf(1.0 / 36.0), 1.0).model;
   const Problem corpus =
       MakeProblem(static_cast<size_t>(state.range(0)), 36, 1.0, 23);
   const size_t rows = corpus.data.rows();

@@ -5,6 +5,8 @@
 #include <unordered_set>
 #include <utility>
 
+#include "svm/gram.h"
+
 namespace cbir::core {
 namespace {
 
@@ -33,8 +35,7 @@ CoupledSvmScheme::CoupledSvmScheme(std::string name, bool use_log,
                                    const LrfCsvmOptions& options)
     : name_(std::move(name)), options_(options) {
   // The shared scheme options carry the data-derived kernels and C values of
-  // the modalities and the solver settings.
-  options_.csvm.smo = scheme_options.smo;
+  // the modalities.
   modalities_.resize(use_log ? 2 : 1);
   modalities_[0].kernel = scheme_options.visual_kernel;
   modalities_[0].c = scheme_options.c_visual;

@@ -25,9 +25,8 @@ struct LrfCsvmOptions {
   /// (co-marked) candidates, whose pseudo-labels are the most precise
   /// information the feedback log offers.
   double selection_log_weight = 2.0;
-  /// Coupled-SVM hyper-parameters. Its `smo` is replaced by the scheme
-  /// options' solver settings, which also supply each modality's C and
-  /// kernel.
+  /// Coupled-SVM hyper-parameters; the scheme options supply each
+  /// modality's C and kernel.
   MultiCsvmOptions csvm;
   /// Seed for stochastic selection strategies (kRandom).
   uint64_t selection_seed = 1;

@@ -13,7 +13,6 @@
 #include "la/vector_ops.h"
 #include "retrieval/image_database.h"
 #include "svm/kernel.h"
-#include "svm/smo_solver.h"
 #include "util/result.h"
 
 namespace cbir::core {
@@ -148,7 +147,6 @@ struct SchemeOptions {
   double c_log = 10.0;     ///< C_u
   svm::KernelParams visual_kernel = svm::KernelParams::Rbf(1.0);
   svm::KernelParams log_kernel = svm::KernelParams::Rbf(1.0);
-  svm::SmoOptions smo;
 };
 
 /// Fills kernel gammas with LIBSVM-style defaults computed from the data

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "svm/gram.h"
-#include "svm/trainer.h"
+#include "svm/smo_solver.h"
 #include "util/logging.h"
 
 namespace cbir::core {
@@ -82,14 +82,14 @@ Result<MultiCoupledModel> MultiCoupledSvm::TrainViews(
   MultiCoupledModel model;
   CsvmDiagnostics& diag = model.diagnostics;
   const size_t num_modalities = modalities.size();
-  std::vector<svm::TrainOutput> outputs(num_modalities);
-  // Successive solves of one modality differ only in rho_star or a few
-  // flipped pseudo-labels; warm-start each from its predecessor, seeded
-  // from the caller's previous round when provided.
-  std::vector<std::vector<double>> warm(num_modalities);
+  // Each modality's last solve. Successive solves of one modality differ
+  // only in rho_star or a few flipped pseudo-labels, so each starts from
+  // its predecessor's alphas, which it takes over; the first starts from
+  // the caller's previous round when provided.
+  std::vector<svm::SmoSolution> solutions(num_modalities);
   for (size_t k = 0; k < num_modalities; ++k) {
     if (modalities[k].initial_alpha != nullptr) {
-      warm[k] = *modalities[k].initial_alpha;
+      solutions[k].alpha = *modalities[k].initial_alpha;
     }
   }
 
@@ -108,15 +108,10 @@ Result<MultiCoupledModel> MultiCoupledSvm::TrainViews(
       for (size_t i = 0; i < n; ++i) {
         c_bounds[i] = (i < nl ? 1.0 : rho_star) * modalities[k].c;
       }
-      svm::TrainOptions train_options;
-      train_options.smo = options_.smo;
-      train_options.smo.initial_alpha = std::move(warm[k]);
-      svm::SvmTrainer trainer(train_options);
-      auto out = trainer.SolveWeighted(grams[k], y, c_bounds);
-      if (!out.ok()) return out.status();
-      outputs[k] = std::move(out).value();
-      warm[k] = outputs[k].alpha;
-      diag.total_smo_iterations += outputs[k].iterations;
+      svm::SmoSolver solver(grams[k], y, std::move(c_bounds),
+                            std::move(solutions[k].alpha));
+      CBIR_ASSIGN_OR_RETURN(solutions[k], solver.Solve());
+      diag.total_smo_iterations += solutions[k].iterations;
     }
     return Status::OK();
   };
@@ -133,12 +128,14 @@ Result<MultiCoupledModel> MultiCoupledSvm::TrainViews(
       // A pseudo-label is a flip candidate only when EVERY modality
       // penalizes it (the K-modality generalization of Fig. 1's
       // "xi' > 0 AND eta' > 0") and the total violation exceeds Delta.
+      // A slack is the hinge loss max(0, 1 - y f) of the last solve.
       std::vector<std::pair<double, size_t>> pos_violators, neg_violators;
       for (size_t j = 0; j < nu; ++j) {
         double total = 0.0;
         bool all_positive = true;
-        for (const svm::TrainOutput& out : outputs) {
-          const double slack = out.slacks[nl + j];
+        for (const svm::SmoSolution& sol : solutions) {
+          const double slack =
+              std::max(0.0, 1.0 - y[nl + j] * sol.train_decisions[nl + j]);
           if (slack <= 0.0) {
             all_positive = false;
             break;
@@ -154,7 +151,7 @@ Result<MultiCoupledModel> MultiCoupledSvm::TrainViews(
       // restart them from zero so the warm start stays meaningful.
       const auto flip_sample = [&](size_t idx) {
         y[idx] = -y[idx];
-        for (std::vector<double>& w : warm) w[idx] = 0.0;
+        for (svm::SmoSolution& sol : solutions) sol.alpha[idx] = 0.0;
       };
       int flips = 0;
       if (options_.enforce_class_balance) {
@@ -195,16 +192,14 @@ Result<MultiCoupledModel> MultiCoupledSvm::TrainViews(
   model.models.reserve(num_modalities);
   model.alphas.reserve(num_modalities);
   for (size_t k = 0; k < num_modalities; ++k) {
-    model.models.push_back(svm::BuildModel(modalities[k].kernel,
-                                           *modalities[k].data, y,
-                                           outputs[k].alpha, outputs[k].bias));
-    model.alphas.push_back(std::move(outputs[k].alpha));
+    model.models.push_back(
+        svm::BuildModel(modalities[k].kernel, *modalities[k].data, y,
+                        solutions[k].alpha, solutions[k].bias));
+    model.alphas.push_back(std::move(solutions[k].alpha));
   }
   model.unlabeled_labels.assign(y.begin() + static_cast<long>(nl), y.end());
-  if (num_modalities >= 1) {
-    diag.visual_objective = outputs.front().objective;
-    diag.log_objective = outputs.back().objective;
-  }
+  diag.visual_objective = solutions[0].objective;
+  if (num_modalities >= 2) diag.log_objective = solutions[1].objective;
   return model;
 }
 

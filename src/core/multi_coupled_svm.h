@@ -6,7 +6,6 @@
 #include "la/matrix.h"
 #include "svm/kernel.h"
 #include "svm/model.h"
-#include "svm/smo_solver.h"
 #include "util/result.h"
 
 namespace cbir::core {
@@ -48,7 +47,6 @@ struct MultiCsvmOptions {
   /// relabel the entire pseudo-negative half positive and the decision
   /// function collapses. false = the literal Fig. 1 rule.
   bool enforce_class_balance = true;
-  svm::SmoOptions smo;
 };
 
 /// \brief Convergence/behaviour report from one coupled training run.
@@ -57,8 +55,8 @@ struct CsvmDiagnostics {
   int inner_iterations = 0;     ///< label-correction retraining rounds
   int total_flips = 0;          ///< pseudo-label flips across all rounds
   bool inner_cap_hit = false;   ///< true if any inner loop hit the cap
-  double visual_objective = 0.0;
-  double log_objective = 0.0;
+  double visual_objective = 0.0;  ///< modality 0's final dual objective
+  double log_objective = 0.0;     ///< modality 1's; 0 when K = 1
   /// SMO iterations summed across every QP solve of the alternating
   /// optimization (all modalities); the cost driver warm-starting attacks.
   long total_smo_iterations = 0;

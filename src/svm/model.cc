@@ -1,9 +1,7 @@
 #include "svm/model.h"
 
+#include <algorithm>
 #include <utility>
-#include <istream>
-#include <ostream>
-#include <string>
 
 #include "util/logging.h"
 
@@ -31,51 +29,30 @@ double SvmModel::Decision(const la::Vec& x) const {
   return sum;
 }
 
-void SvmModel::Save(std::ostream& os) const {
-  os << "svm_model v1\n";
-  os << static_cast<int>(kernel_.type) << " " << kernel_.gamma << " "
-     << kernel_.coef0 << " " << kernel_.degree << "\n";
-  os << support_vectors_.rows() << " " << support_vectors_.cols() << "\n";
-  os.precision(17);
-  os << bias_ << "\n";
-  for (size_t s = 0; s < support_vectors_.rows(); ++s) {
-    os << coefficients_[s];
-    const double* p = support_vectors_.RowPtr(s);
-    for (size_t c = 0; c < support_vectors_.cols(); ++c) os << " " << p[c];
-    os << "\n";
+SvmModel BuildModel(const KernelParams& kernel, const la::Matrix& data,
+                    const std::vector<double>& labels,
+                    const std::vector<double>& alpha, double bias) {
+  CBIR_CHECK_EQ(alpha.size(), data.rows());
+  CBIR_CHECK_EQ(labels.size(), data.rows());
+  constexpr double kSvEps = 1e-12;
+  size_t num_sv = 0;
+  for (double a : alpha) {
+    if (a > kSvEps) ++num_sv;
   }
-}
-
-Result<SvmModel> SvmModel::Load(std::istream& is) {
-  std::string magic, version;
-  if (!(is >> magic >> version) || magic != "svm_model" || version != "v1") {
-    return Status::InvalidArgument("svm model: bad header");
-  }
-  int type = 0;
-  KernelParams kernel;
-  if (!(is >> type >> kernel.gamma >> kernel.coef0 >> kernel.degree)) {
-    return Status::IoError("svm model: truncated kernel params");
-  }
-  if (type < 0 || type > 2) {
-    return Status::InvalidArgument("svm model: unknown kernel type");
-  }
-  kernel.type = static_cast<KernelType>(type);
-
-  size_t rows = 0, cols = 0;
-  double bias = 0.0;
-  if (!(is >> rows >> cols >> bias)) {
-    return Status::IoError("svm model: truncated shape");
-  }
-  la::Matrix sv(rows, cols);
-  std::vector<double> coeffs(rows);
-  for (size_t s = 0; s < rows; ++s) {
-    if (!(is >> coeffs[s])) return Status::IoError("svm model: truncated");
-    double* p = sv.RowPtr(s);
-    for (size_t c = 0; c < cols; ++c) {
-      if (!(is >> p[c])) return Status::IoError("svm model: truncated");
+  la::Matrix sv(num_sv, data.cols());
+  std::vector<double> coeffs(num_sv);
+  std::vector<size_t> rows(num_sv);
+  size_t s = 0;
+  for (size_t i = 0; i < data.rows(); ++i) {
+    if (alpha[i] > kSvEps) {
+      std::copy_n(data.RowPtr(i), data.cols(), sv.RowPtr(s));
+      coeffs[s] = alpha[i] * labels[i];
+      rows[s] = i;
+      ++s;
     }
   }
-  return SvmModel(kernel, std::move(sv), std::move(coeffs), bias);
+  return SvmModel(kernel, std::move(sv), std::move(coeffs), bias,
+                  std::move(rows));
 }
 
 }  // namespace cbir::svm

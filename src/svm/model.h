@@ -1,13 +1,11 @@
 #ifndef CBIR_SVM_MODEL_H_
 #define CBIR_SVM_MODEL_H_
 
-#include <iosfwd>
 #include <vector>
 
 #include "la/matrix.h"
 #include "la/vector_ops.h"
 #include "svm/kernel.h"
-#include "util/result.h"
 
 namespace cbir::svm {
 
@@ -15,15 +13,15 @@ namespace cbir::svm {
 ///   f(x) = sum_s coeff_s * K(sv_s, x) + bias,
 /// where coeff_s = alpha_s * y_s over the support vectors.
 ///
-/// Models are value types: copyable, serializable, safe to use from multiple
-/// threads concurrently (Decision is const). Batches are scored column by
+/// Models are value types: copyable and safe to use from multiple threads
+/// concurrently (Decision is const). Batches are scored column by
 /// column with DecisionLanes (core::KernelColumnStore over a scan space).
 class SvmModel {
  public:
   SvmModel() = default;
   /// `support_rows`, when given, holds each support vector's row in the
   /// training matrix (BuildModel records it); empty for a model that was
-  /// built or loaded without one.
+  /// built without one.
   SvmModel(KernelParams kernel, la::Matrix support_vectors,
            std::vector<double> coefficients, double bias,
            std::vector<size_t> support_rows = {});
@@ -45,10 +43,6 @@ class SvmModel {
     return Decision(x) >= 0.0 ? 1.0 : -1.0;
   }
 
-  /// Text serialization round-trip.
-  void Save(std::ostream& os) const;
-  static Result<SvmModel> Load(std::istream& is);
-
  private:
   KernelParams kernel_;
   la::Matrix support_vectors_;
@@ -56,6 +50,13 @@ class SvmModel {
   double bias_ = 0.0;
   std::vector<size_t> support_rows_;
 };
+
+/// The model of a solve: the rows of `data` with alpha > 1e-12 as support
+/// vectors, in row order, with coefficients alpha * label; the model's
+/// support_rows() records which rows they are.
+SvmModel BuildModel(const KernelParams& kernel, const la::Matrix& data,
+                    const std::vector<double>& labels,
+                    const std::vector<double>& alpha, double bias);
 
 }  // namespace cbir::svm
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -42,27 +43,30 @@ const SolverMetrics& Metrics() {
 }  // namespace
 
 SmoSolver::SmoSolver(const Gram& gram, std::vector<double> labels,
-                     std::vector<double> c_bounds, const SmoOptions& options)
+                     std::vector<double> c_bounds,
+                     std::vector<double> initial_alpha,
+                     const SmoOptions& options)
     : gram_(gram),
       y_(std::move(labels)),
       c_(std::move(c_bounds)),
       options_(options),
-      n_(y_.size()) {
-  CBIR_CHECK_EQ(c_.size(), n_);
-}
+      n_(y_.size()),
+      alpha_(std::move(initial_alpha)) {}
 
 Status SmoSolver::InitializeState() {
-  alpha_.assign(n_, 0.0);
   grad_.assign(n_, -1.0);  // Q*0 - e
   active_.resize(n_);
   std::iota(active_.begin(), active_.end(), size_t{0});
   active_size_ = n_;
   unshrunk_ = false;
 
-  if (options_.initial_alpha.empty()) return Status::OK();
-  if (options_.initial_alpha.size() != n_) {
+  if (alpha_.empty()) {
+    alpha_.assign(n_, 0.0);
+    return Status::OK();
+  }
+  if (alpha_.size() != n_) {
     return Status::InvalidArgument(
-        "SMO: initial_alpha size does not match training set");
+        "SMO: warm start size does not match training set");
   }
 
   // Clamp the warm start into the box, then repair the equality constraint.
@@ -71,7 +75,7 @@ Status SmoSolver::InitializeState() {
   double residual = 0.0;
   bool any_positive = false;
   for (size_t t = 0; t < n_; ++t) {
-    alpha_[t] = std::clamp(options_.initial_alpha[t], 0.0, c_[t]);
+    alpha_[t] = std::clamp(alpha_[t], 0.0, c_[t]);
     residual += y_[t] * alpha_[t];
     any_positive = any_positive || alpha_[t] > 0.0;
   }
@@ -219,6 +223,9 @@ void SmoSolver::ReconstructGradient(int* reconstructions) {
 
 Result<SmoSolution> SmoSolver::Solve() {
   if (n_ == 0) return Status::InvalidArgument("SMO: empty training set");
+  if (c_.size() != n_) {
+    return Status::InvalidArgument("SMO: labels/c_bounds size mismatch");
+  }
   for (size_t t = 0; t < n_; ++t) {
     if (y_[t] != 1.0 && y_[t] != -1.0) {
       return Status::InvalidArgument("SMO: labels must be +1 or -1");
@@ -345,9 +352,9 @@ Result<SmoSolution> SmoSolver::Solve() {
   // the recovered decision values all read it.
   ReconstructGradient(&sol.gradient_reconstructions);
 
-  sol.alpha = alpha_;
   sol.bias = ComputeBias();
   sol.objective = ComputeObjective();
+  sol.alpha = std::move(alpha_);
   sol.iterations = iter;
   // f(x_t) recovered from the gradient identity grad_t = y_t (f_t - b) - 1.
   sol.train_decisions.resize(n_);

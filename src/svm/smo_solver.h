@@ -21,13 +21,6 @@ struct SmoOptions {
   bool shrinking = true;
   /// Iterations between shrinking passes; 0 selects LIBSVM's min(n, 1000).
   long shrink_interval = 0;
-  /// Warm start: when non-empty (size n), the solve starts from these dual
-  /// variables instead of zero. Values are clamped to [0, C_i] and projected
-  /// back onto the equality constraint y'a = 0, so alphas carried over from a
-  /// nearly identical problem (the previous relevance-feedback round, the
-  /// previous rho-annealing step) are always usable: new examples enter at
-  /// alpha 0, carried examples keep their values.
-  std::vector<double> initial_alpha;
 };
 
 /// \brief Output of the SMO solver.
@@ -68,13 +61,24 @@ class SmoSolver {
  public:
   /// `gram` is the training set's kernel matrix and must outlive the
   /// solver; `labels` in {+1,-1}; `c_bounds` gives each sample's upper
-  /// bound (> 0). `labels` and `c_bounds` must have equal sizes.
+  /// bound (> 0).
+  ///
+  /// `initial_alpha` is the warm start: empty for a cold start from zero,
+  /// else one dual variable per sample. Values are clamped to [0, C_i] and
+  /// projected back onto the equality constraint y'a = 0, so alphas carried
+  /// over from a nearly identical problem (the previous relevance-feedback
+  /// round, the previous rho-annealing step) are always usable: new
+  /// examples enter at alpha 0, carried examples keep their values.
   SmoSolver(const Gram& gram, std::vector<double> labels,
-            std::vector<double> c_bounds, const SmoOptions& options = {});
+            std::vector<double> c_bounds,
+            std::vector<double> initial_alpha = {},
+            const SmoOptions& options = {});
 
-  /// Runs the optimization. Returns an error for degenerate inputs (e.g.
-  /// single-class data is allowed and yields all-alpha-at-bound solutions,
-  /// but an empty training set, or a Gram that is not n x n, is not).
+  /// Runs the optimization. Call it once per solver: the solution takes
+  /// over the warm start's storage. Returns InvalidArgument for an empty
+  /// training set; for labels, C bounds or a warm start whose size is not
+  /// the Gram's n; for a label other than +-1; or for a non-positive C.
+  /// Single-class data is allowed and yields all-alpha-at-bound solutions.
   Result<SmoSolution> Solve();
 
  private:
@@ -89,8 +93,8 @@ class SmoSolver {
     return (y_[t] > 0 && !IsLowerBound(t)) || (y_[t] < 0 && !IsUpperBound(t));
   }
 
-  /// Initializes alpha (zero or clamped+projected warm start) and the
-  /// matching gradient.
+  /// Initializes alpha (zero, or the clamped and projected warm start) and
+  /// the matching gradient.
   Status InitializeState();
 
   /// Caches InUp(t) / InLow(t) for the working-set scans; called for every
@@ -124,7 +128,7 @@ class SmoSolver {
   SmoOptions options_;
   size_t n_;
 
-  std::vector<double> alpha_;
+  std::vector<double> alpha_;   ///< the warm start until Solve() runs
   std::vector<double> grad_;    ///< grad_i = (Qa)_i - 1 (active entries fresh)
   std::vector<unsigned char> in_up_;   ///< InUp(t), current with alpha_
   std::vector<unsigned char> in_low_;  ///< InLow(t), current with alpha_

@@ -15,7 +15,7 @@
 #include "logdb/simulated_user.h"
 #include "obs/metrics.h"
 #include "retrieval/ranker.h"
-#include "svm/trainer.h"
+#include "svm/model.h"
 #include "util/rng.h"
 
 namespace cbir::core {

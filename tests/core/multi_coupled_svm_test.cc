@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "svm/gram.h"
 #include "util/rng.h"
 
 namespace cbir::core {
@@ -81,6 +82,8 @@ TEST(MultiCoupledSvmTest, SingleModalityDegeneratesToWeightedSvm) {
   ASSERT_TRUE(model.ok());
   EXPECT_EQ(model->models.size(), 1u);
   EXPECT_EQ(model->unlabeled_labels.size(), 4u);
+  // There is no log modality, so no log objective.
+  EXPECT_EQ(model->diagnostics.log_objective, 0.0);
 }
 
 TEST(MultiCoupledSvmTest, FlipRequiresUnanimousRejection) {

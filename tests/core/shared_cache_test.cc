@@ -15,6 +15,9 @@
 #include "logdb/log_store.h"
 #include "logdb/simulated_user.h"
 #include "obs/metrics.h"
+#include "svm/gram.h"
+#include "svm/model.h"
+#include "svm/smo_solver.h"
 #include "two_modality_problem.h"
 
 namespace cbir::core {
@@ -64,6 +67,37 @@ void ExpectChainSharingMatchesPerSolve(const TwoModalityData& data,
     }
     EXPECT_EQ(second->Decision(sample), first->Decision(sample));
   }
+}
+
+TEST(SmoSharedCacheTest, SharedCacheSolveMatchesInternalExactly) {
+  // RF-SVM's chain, K = 1 with no unlabeled rows, is one solve on the Gram
+  // the chain builds for itself. A Gram the caller builds and hands to
+  // SmoSolver serves exactly the same values, so the solve, and the model
+  // BuildModel makes from it, are the chain's bit for bit.
+  const TwoModalityData data = TwoModalityProblem(10, 0, 1.0, 0.8, 41);
+  const ModalityView view = Views(data)[0];
+  auto chain =
+      MultiCoupledSvm(TestOptions()).TrainViews({view}, data.labels, {});
+  ASSERT_TRUE(chain.ok()) << chain.status();
+
+  const svm::Gram gram = svm::Gram::Of(data.visual, view.kernel).value();
+  auto direct =
+      svm::SmoSolver(gram, data.labels,
+                     std::vector<double>(data.labels.size(), view.c))
+          .Solve();
+  ASSERT_TRUE(direct.ok()) << direct.status();
+  EXPECT_EQ(chain->alphas[0], direct->alpha);
+  EXPECT_EQ(chain->diagnostics.total_smo_iterations, direct->iterations);
+  EXPECT_EQ(chain->diagnostics.visual_objective, direct->objective);
+
+  const svm::SvmModel built = svm::BuildModel(
+      view.kernel, data.visual, data.labels, direct->alpha, direct->bias);
+  const svm::SvmModel& trained = chain->models[0];
+  EXPECT_GT(trained.num_support_vectors(), 0u);
+  EXPECT_EQ(trained.bias(), direct->bias);
+  EXPECT_EQ(trained.coefficients(), built.coefficients());
+  EXPECT_EQ(trained.support_rows(), built.support_rows());
+  EXPECT_EQ(trained.support_vectors().data(), built.support_vectors().data());
 }
 
 TEST(CsvmSharedCacheTest, ChainSharingReproducesPerSolveCaches) {

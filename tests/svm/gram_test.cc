@@ -8,7 +8,6 @@
 
 #include "obs/metrics.h"
 #include "svm/smo_solver.h"
-#include "svm/trainer.h"
 #include "util/rng.h"
 
 namespace cbir::svm {
@@ -49,9 +48,8 @@ void MakeProblem(size_t n, uint64_t seed, la::Matrix* data,
 }
 
 Result<SmoSolution> Solve(const Gram& gram, const std::vector<double>& y,
-                          double c, const SmoOptions& options = {}) {
-  return SmoSolver(gram, y, std::vector<double>(y.size(), c), options)
-      .Solve();
+                          double c) {
+  return SmoSolver(gram, y, std::vector<double>(y.size(), c)).Solve();
 }
 
 TEST(KernelCacheTest, RowsMatchDirectEvaluation) {
@@ -153,25 +151,6 @@ TEST(KernelCacheDeathTest, OutOfRangeRow) {
   EXPECT_DEATH((void)gram.RowPtr(3), "Check failed");
 }
 
-TEST(SmoSharedCacheTest, SharedCacheSolveMatchesInternalExactly) {
-  // A Gram the caller builds and hands to the solver serves exactly the
-  // values of the one SvmTrainer builds for itself, so the solver
-  // trajectory is the same.
-  la::Matrix data;
-  std::vector<double> labels;
-  MakeProblem(40, 11, &data, &labels);
-  TrainOptions options;
-  options.kernel = KernelParams::Rbf(0.5);
-  options.c = 5.0;
-  auto internal = SvmTrainer(options).Train(data, labels);
-  auto shared = Solve(Fresh(data, options.kernel), labels, 5.0);
-  ASSERT_TRUE(internal.ok()) << internal.status();
-  ASSERT_TRUE(shared.ok()) << shared.status();
-  EXPECT_EQ(shared->alpha, internal->alpha);
-  EXPECT_EQ(shared->bias, internal->bias);
-  EXPECT_EQ(shared->iterations, internal->iterations);
-}
-
 TEST(SmoSharedCacheTest, SecondSolveReusesRowsAndReportsDeltaStats) {
   // Different C bounds, same kernel matrix: solves only read the Gram, so
   // the registry's computed entries are those of the one build, and the
@@ -193,6 +172,7 @@ TEST(SmoSharedCacheTest, SecondSolveReusesRowsAndReportsDeltaStats) {
   ASSERT_TRUE(cold.ok());
   EXPECT_EQ(b->alpha, cold->alpha);
   EXPECT_EQ(b->bias, cold->bias);
+  EXPECT_EQ(b->iterations, cold->iterations);
 }
 
 TEST(SmoSharedCacheTest, LabelFlipsDoNotInvalidateSharedRows) {
@@ -213,6 +193,8 @@ TEST(SmoSharedCacheTest, LabelFlipsDoNotInvalidateSharedRows) {
   auto cold = Solve(Fresh(data, kernel), flipped, 4.0);
   ASSERT_TRUE(cold.ok());
   EXPECT_EQ(b->alpha, cold->alpha);
+  EXPECT_EQ(b->bias, cold->bias);
+  EXPECT_EQ(b->train_decisions, cold->train_decisions);
 }
 
 TEST(SmoSharedCacheTest, RejectsForeignMatrixAndParams) {
@@ -228,33 +210,6 @@ TEST(SmoSharedCacheTest, RejectsForeignMatrixAndParams) {
   const Gram empty;
   EXPECT_EQ(Solve(empty, labels, 1.0).status().code(),
             StatusCode::kInvalidArgument);
-  // The trainer checks the same before solving.
-  EXPECT_EQ(SvmTrainer()
-                .SolveWeighted(smaller, labels,
-                               std::vector<double>(10, 1.0))
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(SmoSharedCacheTest, TrainerThreadsSharedCacheThrough) {
-  // Train builds the Gram of its data under the trainer's kernel: the same
-  // solve as SolveWeighted on Gram::Of, plus the model.
-  la::Matrix data;
-  std::vector<double> labels;
-  MakeProblem(20, 16, &data, &labels);
-  TrainOptions options;
-  options.kernel = KernelParams::Rbf(0.5);
-  options.c = 3.0;
-  const SvmTrainer trainer(options);
-  auto trained = trainer.Train(data, labels);
-  ASSERT_TRUE(trained.ok()) << trained.status();
-  auto solved = trainer.SolveWeighted(Fresh(data, options.kernel), labels,
-                                      std::vector<double>(20, 3.0));
-  ASSERT_TRUE(solved.ok());
-  EXPECT_EQ(trained->alpha, solved->alpha);
-  EXPECT_EQ(trained->train_decisions, solved->train_decisions);
-  EXPECT_GT(trained->model.num_support_vectors(), 0u);
 }
 
 }  // namespace

@@ -1,14 +1,12 @@
 #include "svm/model.h"
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "svm/decision_lanes.h"
-#include "svm/trainer.h"
 #include "util/rng.h"
 
 namespace cbir::svm {
@@ -216,61 +214,6 @@ TEST(SvmModelTest, BuildModelRecordsSupportRows) {
   EXPECT_EQ(m.support_rows(), (std::vector<size_t>{0, 3}));
   EXPECT_EQ(m.coefficients(), (std::vector<double>{0.5, -0.25}));
   EXPECT_EQ(m.support_vectors().At(1, 0), 4.0);
-}
-
-TEST(SvmModelTest, SaveLoadRoundTrip) {
-  const SvmModel m = ToyModel();
-  std::stringstream ss;
-  m.Save(ss);
-  auto loaded = SvmModel::Load(ss);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->num_support_vectors(), 2u);
-  EXPECT_EQ(loaded->kernel().type, KernelType::kRbf);
-  Rng rng(3);
-  for (int trial = 0; trial < 20; ++trial) {
-    const la::Vec x{rng.Uniform(-3, 3), rng.Uniform(-3, 3)};
-    EXPECT_NEAR(loaded->Decision(x), m.Decision(x), 1e-12);
-  }
-}
-
-TEST(SvmModelTest, TrainedModelRoundTrip) {
-  Rng rng(7);
-  la::Matrix data(16, 2);
-  std::vector<double> y(16);
-  for (size_t i = 0; i < 16; ++i) {
-    y[i] = (i % 2 == 0) ? 1.0 : -1.0;
-    data.At(i, 0) = rng.Gaussian() + y[i];
-    data.At(i, 1) = rng.Gaussian();
-  }
-  SvmTrainer trainer;
-  auto out = trainer.Train(data, y);
-  ASSERT_TRUE(out.ok());
-
-  std::stringstream ss;
-  out->model.Save(ss);
-  auto loaded = SvmModel::Load(ss);
-  ASSERT_TRUE(loaded.ok());
-  for (size_t i = 0; i < 16; ++i) {
-    EXPECT_NEAR(loaded->Decision(data.Row(i)),
-                out->model.Decision(data.Row(i)), 1e-9);
-  }
-}
-
-TEST(SvmModelTest, LoadRejectsBadHeader) {
-  std::stringstream ss("not_a_model v1\n");
-  EXPECT_FALSE(SvmModel::Load(ss).ok());
-}
-
-TEST(SvmModelTest, LoadRejectsUnknownKernel) {
-  std::stringstream ss("svm_model v1\n9 1.0 0.0 3\n0 0\n0.0\n");
-  auto r = SvmModel::Load(ss);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(SvmModelTest, LoadRejectsTruncated) {
-  std::stringstream ss("svm_model v1\n1 0.5 0.0 0\n2 2\n0.0\n0.5 1.0 2.0\n");
-  EXPECT_FALSE(SvmModel::Load(ss).ok());  // second SV row missing
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -260,7 +262,7 @@ TEST(SmoSolverTest, ShrinkingMatchesNoShrinkingSolution) {
   SmoOptions no_shrink;
   no_shrink.shrinking = false;
   const Gram cold_gram = Gram::Of(p.data, kernel).value();
-  SmoSolver cold(cold_gram, p.y, p.c, no_shrink);
+  SmoSolver cold(cold_gram, p.y, p.c, {}, no_shrink);
   auto base = cold.Solve();
   ASSERT_TRUE(base.ok());
   ASSERT_TRUE(base->converged);
@@ -269,7 +271,7 @@ TEST(SmoSolverTest, ShrinkingMatchesNoShrinkingSolution) {
   shrink.shrinking = true;
   shrink.shrink_interval = 10;  // force many shrink passes on a small problem
   const Gram fast_gram = Gram::Of(p.data, kernel).value();
-  SmoSolver fast(fast_gram, p.y, p.c, shrink);
+  SmoSolver fast(fast_gram, p.y, p.c, {}, shrink);
   auto sol = fast.Solve();
   ASSERT_TRUE(sol.ok());
   ASSERT_TRUE(sol->converged);
@@ -292,14 +294,14 @@ TEST(SmoSolverTest, ShrinkingWithTinyCacheStaysCorrect) {
   const Gram gram = Gram::Of(p.data, kernel).value();
   SmoOptions reference;
   reference.shrinking = false;
-  SmoSolver ref_solver(gram, p.y, p.c, reference);
+  SmoSolver ref_solver(gram, p.y, p.c, {}, reference);
   auto ref = ref_solver.Solve();
   ASSERT_TRUE(ref.ok());
 
   SmoOptions tiny;
   tiny.shrinking = true;
   tiny.shrink_interval = 7;
-  SmoSolver solver(gram, p.y, p.c, tiny);
+  SmoSolver solver(gram, p.y, p.c, {}, tiny);
   auto sol = solver.Solve();
   ASSERT_TRUE(sol.ok());
   EXPECT_NEAR(sol->objective, ref->objective, 1e-6);
@@ -315,10 +317,8 @@ TEST(SmoSolverTest, WarmStartFromOwnSolutionConvergesInstantly) {
   auto base = cold.Solve();
   ASSERT_TRUE(base.ok());
 
-  SmoOptions warm_options;
-  warm_options.initial_alpha = base->alpha;
   const Gram warm_gram = Gram::Of(p.data, kernel).value();
-  SmoSolver warm(warm_gram, p.y, p.c, warm_options);
+  SmoSolver warm(warm_gram, p.y, p.c, base->alpha);
   auto sol = warm.Solve();
   ASSERT_TRUE(sol.ok());
   EXPECT_TRUE(sol->converged);
@@ -346,11 +346,10 @@ TEST(SmoSolverTest, WarmStartMatchesColdStartAfterGrowth) {
   auto sol0 = round0.Solve();
   ASSERT_TRUE(sol0.ok());
 
-  SmoOptions warm_options;
-  warm_options.initial_alpha = sol0->alpha;
-  warm_options.initial_alpha.resize(40, 0.0);  // new samples enter at zero
+  std::vector<double> warm_alpha = sol0->alpha;
+  warm_alpha.resize(40, 0.0);  // new samples enter at zero
   const Gram warm_gram = Gram::Of(full.data, kernel).value();
-  SmoSolver warm(warm_gram, full.y, full.c, warm_options);
+  SmoSolver warm(warm_gram, full.y, full.c, std::move(warm_alpha));
   auto warm_sol = warm.Solve();
   ASSERT_TRUE(warm_sol.ok());
 
@@ -375,10 +374,9 @@ TEST(SmoSolverTest, WarmStartRepairsInfeasibleInitialAlpha) {
   const DenseProblem p = MakeDenseProblem(30, 0.5, 5.0, 59);
   const KernelParams kernel = KernelParams::Rbf(0.5);
 
-  SmoOptions warm_options;
-  warm_options.initial_alpha.assign(30, 1e9);  // clamped to C, then projected
   const Gram warm_gram = Gram::Of(p.data, kernel).value();
-  SmoSolver warm(warm_gram, p.y, p.c, warm_options);
+  // Clamped to C, then projected.
+  SmoSolver warm(warm_gram, p.y, p.c, std::vector<double>(30, 1e9));
   auto sol = warm.Solve();
   ASSERT_TRUE(sol.ok());
   ASSERT_TRUE(sol->converged);
@@ -399,10 +397,8 @@ TEST(SmoSolverTest, WarmStartRepairsInfeasibleInitialAlpha) {
 
 TEST(SmoSolverTest, WarmStartSizeMismatchRejected) {
   const la::Matrix data = MatrixFromRows({{0.0}, {2.0}});
-  SmoOptions options;
-  options.initial_alpha = {0.5};  // wrong size
   const Gram gram = Gram::Of(data, KernelParams::Linear()).value();
-  SmoSolver solver(gram, {1.0, -1.0}, {10.0, 10.0}, options);
+  SmoSolver solver(gram, {1.0, -1.0}, {10.0, 10.0}, {0.5});  // wrong size
   EXPECT_FALSE(solver.Solve().ok());
 }
 
@@ -474,12 +470,12 @@ TEST(SmoSolverTest, PerSampleCWarmStartAtBoundsIsPinnedExactly) {
   for (size_t t = 24; t < 40; ++t) p.c[t] = 0.8;
   SmoOptions options;
   options.shrink_interval = 7;
-  options.initial_alpha.resize(40);
+  std::vector<double> initial_alpha(40);
   for (size_t t = 0; t < 40; ++t) {
-    options.initial_alpha[t] = t % 3 == 0 ? p.c[t] : 0.0;
+    initial_alpha[t] = t % 3 == 0 ? p.c[t] : 0.0;
   }
   const Gram gram = Gram::Of(p.data, KernelParams::Rbf(0.5)).value();
-  SmoSolver solver(gram, p.y, p.c, options);
+  SmoSolver solver(gram, p.y, p.c, std::move(initial_alpha), options);
   auto sol = solver.Solve();
   ASSERT_TRUE(sol.ok()) << sol.status();
   ASSERT_TRUE(sol->converged);

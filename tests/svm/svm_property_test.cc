@@ -8,7 +8,7 @@
 
 #include "kernel_case.h"
 #include "svm/smo_solver.h"
-#include "svm/trainer.h"
+#include "train_svm.h"
 #include "util/rng.h"
 
 namespace cbir::svm {
@@ -138,8 +138,8 @@ INSTANTIATE_TEST_SUITE_P(
         ),
     ConfigName);
 
-// Property: the trainer's model agrees with a brute-force decision function
-// built from the raw solution, across kernels.
+// Property: the model BuildModel makes from a solve agrees with the
+// solve's own training decisions, across kernels.
 class TrainerKernelTest : public ::testing::TestWithParam<KernelCase> {};
 
 TEST_P(TrainerKernelTest, ModelMatchesRawSolution) {
@@ -152,16 +152,13 @@ TEST_P(TrainerKernelTest, ModelMatchesRawSolution) {
     data.At(i, 0) = rng.Gaussian() + y[i];
     data.At(i, 1) = rng.Gaussian();
   }
-  TrainOptions options;
-  options.kernel = GetParam().kernel;
-  options.c = 5.0;
-  SvmTrainer trainer(options);
-  auto out = trainer.Train(data, y);
+  auto out = testutil::TrainSvm(data, y, GetParam().kernel,
+                                std::vector<double>(n, 5.0));
   ASSERT_TRUE(out.ok());
-  // Training decisions must be reproducible through the serialized SV form.
+  // Training decisions must be reproducible through the support-vector form.
   for (size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(out->model.Decision(data.Row(i)), out->train_decisions[i],
-                1e-9);
+    EXPECT_NEAR(out->model.Decision(data.Row(i)),
+                out->solution.train_decisions[i], 1e-9);
   }
 }
 
