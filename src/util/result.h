@@ -14,9 +14,9 @@ namespace cbir {
 /// The library convention for fallible value-producing functions:
 ///
 /// \code
-///   Result<SvmModel> model = trainer.Train(dataset);
-///   if (!model.ok()) return model.status();
-///   Use(model.value());
+///   Result<svm::Gram> gram = svm::Gram::Of(rows, kernel);
+///   if (!gram.ok()) return gram.status();
+///   Use(gram.value());
 /// \endcode
 template <typename T>
 class Result {
