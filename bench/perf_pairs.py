@@ -10,8 +10,11 @@ keeps every run as one row of bench/trajectory.jsonl.
 
 A checkout is a full source tree (for example `git archive SHA | tar -x`);
 its perfbench builds into the tree's own .bench_build. Pair i runs seed
-first_seed + i on both sides, the parent first when i is even. `summary`
-reads the rows back and prints, per workload and end-to-end metric, each
+first_seed + i on both sides, the parent first when i is even. A run that
+exits non-zero (incorrect outputs, a failed build, a timeout) is kept as a
+row with its exit code and whatever metrics it printed, and the pairs go
+on. `summary` reads the rows back, counts each side's failed runs and
+leaves them out, and prints, per workload and end-to-end metric, each
 side's median and quartiles, the change's wins of the pairs, and whether
 the parent's own quartile spread is wider than the metric's bound.
 """
@@ -50,12 +53,19 @@ def prebuild(tree):
 
 
 def run_once(tree, workload, seed, seconds):
+    """Returns the run's exit code and its final JSON line (None if it
+    printed none)."""
     proc = subprocess.run(
         [sys.executable, os.path.join(tree, "perfbench", "run.py"),
          "--workload", workload, "--seed", str(seed), "--seconds",
          str(seconds), "--trace", "0"],
-        stdout=subprocess.PIPE, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+        stdout=subprocess.PIPE, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        result = None
+    return proc.returncode, result
 
 
 def run(args):
@@ -72,21 +82,28 @@ def run(args):
                                                                  "parent")
                 for side in first:
                     tree, commit = sides[side]
-                    result = run_once(tree, workload, seed, args.seconds)
+                    code, result = run_once(tree, workload, seed,
+                                            args.seconds)
+                    result = result or {}
+                    metrics = result.get("metrics", {})
                     row = {"pr": args.pr, "side": side, "commit": commit,
                            "workload": workload, "seed": seed, "order": order,
-                           "seconds": args.seconds,
-                           "correct": result["correct"],
-                           "attempted": result["attempted"],
-                           "failed": result["failed"],
-                           "metrics": {n: result["metrics"][n]["value"]
-                                       for n in names
-                                       if n in result["metrics"]}}
+                           "seconds": args.seconds, "exit_code": code,
+                           "correct": result.get("correct", False),
+                           "attempted": result.get("attempted", 0),
+                           "failed": result.get("failed", 0),
+                           "metrics": {n: metrics[n]["value"] for n in names
+                                       if n in metrics}}
                     out.write(json.dumps(row, sort_keys=True) + "\n")
                     out.flush()
-                    print("%s %s seed %d: done" % (workload, side, seed),
-                          file=sys.stderr)
+                    print("%s %s seed %d: exit %d" %
+                          (workload, side, seed, code), file=sys.stderr)
                     order += 1
+
+
+def run_failed(row):
+    # Rows written before `exit_code` existed are all runs that exited 0.
+    return row.get("exit_code", 0) != 0 or not row["correct"]
 
 
 def summary(args):
@@ -94,14 +111,20 @@ def summary(args):
         rows = [json.loads(line) for line in f if line.strip()]
     rows = [r for r in rows if r["pr"] == args.pr]
     for workload in sorted({r["workload"] for r in rows}):
-        runs = {side: {r["seed"]: r for r in rows
-                       if r["workload"] == workload and r["side"] == side}
-                for side in ("parent", "change")}
+        sides = ("parent", "change")
+        mine = [r for r in rows if r["workload"] == workload]
+        failed_runs = {side: sum(run_failed(r) for r in mine
+                                 if r["side"] == side) for side in sides}
+        runs = {side: {r["seed"]: r for r in mine
+                       if r["side"] == side and not run_failed(r)}
+                for side in sides}
         seeds = sorted(set(runs["parent"]) & set(runs["change"]))
-        failed = {side: sum(r["failed"] for r in runs[side].values())
-                  for side in runs}
-        print("## %s: %d pairs, failed ops parent %d / change %d" %
-              (workload, len(seeds), failed["parent"], failed["change"]))
+        failed = {side: sum(r["failed"] for r in mine if r["side"] == side)
+                  for side in sides}
+        print("## %s: %d pairs, failed runs parent %d / change %d,"
+              " failed ops parent %d / change %d" %
+              (workload, len(seeds), failed_runs["parent"],
+               failed_runs["change"], failed["parent"], failed["change"]))
         print("| metric | parent median [q1, q3] | change median [q1, q3] |"
               " change | wins | parent spread / bound | verdict |")
         print("|---|---|---|---|---|---|---|")
@@ -125,9 +148,15 @@ def summary(args):
             worse = -delta if higher else delta
             spread = (pq3 - pq1) / pmed if pmed else 0.0
             if name in ("p20", "map"):
-                equal = all(runs["change"][s]["metrics"][name] ==
-                            runs["parent"][s]["metrics"][name] for s in seeds)
-                verdict = "equal per seed" if equal else "DIFFERS per seed"
+                # Quality repeats per seed, so the seeds' spread is not noise:
+                # report the largest per-seed change next to the verdict.
+                largest = max((runs["change"][s]["metrics"][name] -
+                               runs["parent"][s]["metrics"][name]
+                               for s in seeds), key=abs)
+                verdict = "%s, %s" % (
+                    "REGRESSION" if worse > bound else "within bound",
+                    "equal per seed" if largest == 0 else
+                    "largest per-seed change %+.3g" % largest)
             elif worse > bound:
                 verdict = "REGRESSION"
             elif spread > bound and not all(

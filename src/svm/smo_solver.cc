@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -14,6 +13,8 @@ namespace cbir::svm {
 
 namespace {
 constexpr double kTau = 1e-12;
+/// KKT violation tolerance (LIBSVM's epsilon).
+constexpr double kEps = 1e-3;
 
 /// Registry series of the solver core (cached once, wait-free after that).
 /// Summed over every solve in the process: the per-solve numbers stay on
@@ -21,8 +22,6 @@ constexpr double kTau = 1e-12;
 struct SolverMetrics {
   obs::Counter* solves;
   obs::Counter* iterations;
-  obs::Counter* shrink_passes;
-  obs::Counter* gradient_reconstructions;
   obs::Counter* unconverged;
 };
 
@@ -32,9 +31,6 @@ const SolverMetrics& Metrics() {
     SolverMetrics m;
     m.solves = r.GetCounter("cbir_svm_solves_total");
     m.iterations = r.GetCounter("cbir_svm_iterations_total");
-    m.shrink_passes = r.GetCounter("cbir_svm_shrink_passes_total");
-    m.gradient_reconstructions =
-        r.GetCounter("cbir_svm_gradient_reconstructions_total");
     m.unconverged = r.GetCounter("cbir_svm_unconverged_total");
     return m;
   }();
@@ -44,21 +40,15 @@ const SolverMetrics& Metrics() {
 
 SmoSolver::SmoSolver(const Gram& gram, std::vector<double> labels,
                      std::vector<double> c_bounds,
-                     std::vector<double> initial_alpha,
-                     const SmoOptions& options)
+                     std::vector<double> initial_alpha)
     : gram_(gram),
       y_(std::move(labels)),
       c_(std::move(c_bounds)),
-      options_(options),
       n_(y_.size()),
       alpha_(std::move(initial_alpha)) {}
 
 Status SmoSolver::InitializeState() {
   grad_.assign(n_, -1.0);  // Q*0 - e
-  active_.resize(n_);
-  std::iota(active_.begin(), active_.end(), size_t{0});
-  active_size_ = n_;
-  unshrunk_ = false;
 
   if (alpha_.empty()) {
     alpha_.assign(n_, 0.0);
@@ -89,11 +79,11 @@ Status SmoSolver::InitializeState() {
 
   // grad_t = y_t * sum_s y_s a_s K_ts - 1, accumulated over the support
   // vectors of the warm start.
-  AccumulateSupportRows(0, n_);
+  AccumulateSupportRows();
   return Status::OK();
 }
 
-void SmoSolver::AccumulateSupportRows(size_t grad_begin, size_t grad_end) {
+void SmoSolver::AccumulateSupportRows() {
   std::vector<size_t> svs;
   svs.reserve(n_);
   for (size_t s = 0; s < n_; ++s) {
@@ -107,8 +97,7 @@ void SmoSolver::AccumulateSupportRows(size_t grad_begin, size_t grad_end) {
     const double* K1 = gram_.RowPtr(s1);
     const double c0 = alpha_[s0] * y_[s0];
     const double c1 = alpha_[s1] * y_[s1];
-    for (size_t p = grad_begin; p < grad_end; ++p) {
-      const size_t t = active_[p];
+    for (size_t t = 0; t < n_; ++t) {
       grad_[t] += y_[t] * (c0 * K0[t] + c1 * K1[t]);
     }
   }
@@ -116,20 +105,18 @@ void SmoSolver::AccumulateSupportRows(size_t grad_begin, size_t grad_end) {
     const size_t s = svs[k];
     const double* Ks = gram_.RowPtr(s);
     const double coef = alpha_[s] * y_[s];
-    for (size_t p = grad_begin; p < grad_end; ++p) {
-      const size_t t = active_[p];
+    for (size_t t = 0; t < n_; ++t) {
       grad_[t] += y_[t] * coef * Ks[t];
     }
   }
 }
 
 bool SmoSolver::SelectWorkingSet(size_t* out_i, size_t* out_j) {
-  // i: maximize -y_t * grad_t over I_up of the active set.
+  // i: maximize -y_t * grad_t over I_up.
   double gmax = -std::numeric_limits<double>::infinity();
   double gmin = std::numeric_limits<double>::infinity();
   size_t i = n_;
-  for (size_t p = 0; p < active_size_; ++p) {
-    const size_t t = active_[p];
+  for (size_t t = 0; t < n_; ++t) {
     if (in_up_[t]) {
       const double v = -y_[t] * grad_[t];
       if (v > gmax) {
@@ -145,8 +132,7 @@ bool SmoSolver::SelectWorkingSet(size_t* out_i, size_t* out_j) {
   // j: second-order selection among violating I_low members.
   size_t j = n_;
   double best_gain = std::numeric_limits<double>::infinity();  // minimize
-  for (size_t p = 0; p < active_size_; ++p) {
-    const size_t t = active_[p];
+  for (size_t t = 0; t < n_; ++t) {
     if (!in_low_[t]) continue;
     const double v = -y_[t] * grad_[t];
     gmin = std::min(gmin, v);
@@ -163,62 +149,10 @@ bool SmoSolver::SelectWorkingSet(size_t* out_i, size_t* out_j) {
     }
   }
 
-  if (j == n_ || gmax - gmin < options_.eps) return false;
+  if (j == n_ || gmax - gmin < kEps) return false;
   *out_i = i;
   *out_j = j;
   return true;
-}
-
-void SmoSolver::Shrink(int* shrink_passes, int* reconstructions) {
-  // LIBSVM do_shrinking: compute the maximal violations over the active set,
-  // then retire bounded examples whose gradient says they cannot re-enter.
-  double gmax1 = -std::numeric_limits<double>::infinity();  // I_up
-  double gmax2 = -std::numeric_limits<double>::infinity();  // I_low
-  for (size_t p = 0; p < active_size_; ++p) {
-    const size_t t = active_[p];
-    if (in_up_[t]) gmax1 = std::max(gmax1, -y_[t] * grad_[t]);
-    if (in_low_[t]) gmax2 = std::max(gmax2, y_[t] * grad_[t]);
-  }
-
-  if (!unshrunk_ && gmax1 + gmax2 <= options_.eps * 10) {
-    // Close to optimal: reconstruct once and re-shrink over the full set so
-    // no example is left behind with a stale gradient near convergence.
-    unshrunk_ = true;
-    ReconstructGradient(reconstructions);
-  }
-
-  const auto be_shrunk = [&](size_t t) {
-    if (IsUpperBound(t)) {
-      return y_[t] > 0 ? -grad_[t] > gmax1 : -grad_[t] > gmax2;
-    }
-    if (IsLowerBound(t)) {
-      return y_[t] > 0 ? grad_[t] > gmax2 : grad_[t] > gmax1;
-    }
-    return false;
-  };
-
-  ++*shrink_passes;
-  for (size_t p = 0; p < active_size_;) {
-    if (be_shrunk(active_[p])) {
-      --active_size_;
-      std::swap(active_[p], active_[active_size_]);
-    } else {
-      ++p;
-    }
-  }
-}
-
-void SmoSolver::ReconstructGradient(int* reconstructions) {
-  if (active_size_ == n_) return;
-  ++*reconstructions;
-  // Inactive gradients are stale; recompute them from scratch using the
-  // kernel rows of the current support vectors (K is symmetric, so row s
-  // supplies K(t, s) for every inactive t).
-  for (size_t p = active_size_; p < n_; ++p) {
-    grad_[active_[p]] = -1.0;
-  }
-  AccumulateSupportRows(active_size_, n_);
-  active_size_ = n_;
 }
 
 Result<SmoSolution> SmoSolver::Solve() {
@@ -244,35 +178,15 @@ Result<SmoSolution> SmoSolver::Solve() {
   for (size_t t = 0; t < n_; ++t) RefreshBoundFlags(t);
 
   const long max_iter =
-      options_.max_iterations > 0
-          ? options_.max_iterations
-          : std::max<long>(10'000'000, 100 * static_cast<long>(n_));
-  const long shrink_interval =
-      options_.shrink_interval > 0
-          ? options_.shrink_interval
-          : std::min<long>(static_cast<long>(n_), 1000) + 1;
+      std::max<long>(10'000'000, 100 * static_cast<long>(n_));
 
   SmoSolution sol;
   long iter = 0;
-  long counter = shrink_interval;
   while (iter < max_iter) {
-    if (--counter == 0) {
-      counter = shrink_interval;
-      if (options_.shrinking) {
-        Shrink(&sol.shrink_passes, &sol.gradient_reconstructions);
-      }
-    }
-
     size_t i, j;
     if (!SelectWorkingSet(&i, &j)) {
-      // Optimal on the active set: verify against the full problem.
-      ReconstructGradient(&sol.gradient_reconstructions);
-      if (!SelectWorkingSet(&i, &j)) {
-        sol.converged = true;
-        break;
-      }
-      counter = 1;  // re-shrink immediately after the forced unshrink
-      continue;
+      sol.converged = true;
+      break;
     }
     ++iter;
 
@@ -330,27 +244,20 @@ Result<SmoSolution> SmoSolver::Solve() {
     RefreshBoundFlags(i);
     RefreshBoundFlags(j);
 
-    // Gradient maintenance over the active set:
-    //   grad_t += Q_ti * dAi + Q_tj * dAj.
+    // Gradient maintenance: grad_t += Q_ti * dAi + Q_tj * dAj.
     const double d_ai = alpha_[i] - old_ai;
     const double d_aj = alpha_[j] - old_aj;
     if (d_ai == 0.0 && d_aj == 0.0) {
       // Numerically stuck pair; treat as converged to avoid spinning.
-      ReconstructGradient(&sol.gradient_reconstructions);
       sol.converged = true;
       break;
     }
     const double ci = yi * d_ai;
     const double cj = yj * d_aj;
-    for (size_t p = 0; p < active_size_; ++p) {
-      const size_t t = active_[p];
+    for (size_t t = 0; t < n_; ++t) {
       grad_[t] += y_[t] * (ci * Ki[t] + cj * Kj[t]);
     }
   }
-
-  // Every exit path must leave the full gradient fresh: bias, objective and
-  // the recovered decision values all read it.
-  ReconstructGradient(&sol.gradient_reconstructions);
 
   sol.bias = ComputeBias();
   sol.objective = ComputeObjective();
@@ -367,10 +274,6 @@ Result<SmoSolution> SmoSolver::Solve() {
   }
   Metrics().solves->Increment();
   Metrics().iterations->Increment(static_cast<uint64_t>(iter));
-  Metrics().shrink_passes->Increment(
-      static_cast<uint64_t>(sol.shrink_passes));
-  Metrics().gradient_reconstructions->Increment(
-      static_cast<uint64_t>(sol.gradient_reconstructions));
   // Attach this solve's work to the request being traced (if any): a
   // feedback round runs several coupled solves, so the counter accumulates
   // into a per-request total for the EXPLAIN profile.

@@ -8,21 +8,6 @@
 
 namespace cbir::svm {
 
-/// \brief Configuration for one dual QP solve.
-struct SmoOptions {
-  /// KKT violation tolerance (LIBSVM's epsilon).
-  double eps = 1e-3;
-  /// Hard iteration cap; <= 0 selects max(10'000'000, 100 * n).
-  long max_iterations = -1;
-  /// LIBSVM-style shrinking: periodically drop examples that are pinned at a
-  /// bound and KKT-consistent from the active set; the full gradient is
-  /// reconstructed and optimality re-verified over all examples before the
-  /// solver declares convergence, so the solution is unchanged.
-  bool shrinking = true;
-  /// Iterations between shrinking passes; 0 selects LIBSVM's min(n, 1000).
-  long shrink_interval = 0;
-};
-
 /// \brief Output of the SMO solver.
 struct SmoSolution {
   std::vector<double> alpha;  ///< dual variables, 0 <= alpha_i <= C_i
@@ -33,9 +18,6 @@ struct SmoSolution {
   /// Decision values f(x_i) on the training set, recovered from the final
   /// gradient for free (no O(n * n_sv) kernel re-evaluation).
   std::vector<double> train_decisions;
-  /// Shrinking passes executed and full-gradient reconstructions performed.
-  int shrink_passes = 0;
-  int gradient_reconstructions = 0;
 };
 
 /// \brief Sequential Minimal Optimization for the C-SVC dual with
@@ -50,9 +32,10 @@ struct SmoSolution {
 ///
 /// Working-set selection is LIBSVM's second-order heuristic (WSS2): i is the
 /// maximal violating index in I_up, j minimizes the quadratic gain estimate
-/// among violating indices in I_low. With options.shrinking the selection
-/// scans only the active set; convergence is always verified on the full set
-/// after gradient reconstruction.
+/// among violating indices in I_low. Both scans cover all n examples, and
+/// every gradient is updated after each step, so none is ever stale. The
+/// solve stops at a maximal violation below 1e-3 (LIBSVM's epsilon) or after
+/// max(10'000'000, 100 * n) iterations.
 ///
 /// Every kernel value is read from the training set's Gram: the solves of
 /// one coupled-SVM chain differ only in labels, C bounds and warm starts,
@@ -71,8 +54,7 @@ class SmoSolver {
   /// examples enter at alpha 0, carried examples keep their values.
   SmoSolver(const Gram& gram, std::vector<double> labels,
             std::vector<double> c_bounds,
-            std::vector<double> initial_alpha = {},
-            const SmoOptions& options = {});
+            std::vector<double> initial_alpha = {});
 
   /// Runs the optimization. Call it once per solver: the solution takes
   /// over the warm start's storage. Returns InvalidArgument for an empty
@@ -104,20 +86,12 @@ class SmoSolver {
     in_low_[t] = InLow(t);
   }
 
-  /// Adds y_t * sum_s y_s a_s K_ts to grad_[active_[p]] for p in
-  /// [grad_begin, grad_end), two support-vector rows per pass.
-  void AccumulateSupportRows(size_t grad_begin, size_t grad_end);
+  /// Adds y_t * sum_s y_s a_s K_ts to every grad_[t], two support-vector
+  /// rows per pass.
+  void AccumulateSupportRows();
 
-  /// Selects the (i, j) working pair from the active set; returns false at
-  /// eps-optimality of the active subproblem.
+  /// Selects the (i, j) working pair; returns false at eps-optimality.
   bool SelectWorkingSet(size_t* out_i, size_t* out_j);
-
-  /// Removes bounded, KKT-consistent examples from the active set.
-  void Shrink(int* shrink_passes, int* reconstructions);
-
-  /// Recomputes the (stale) gradient of every inactive example from the
-  /// current alphas and restores the full active set.
-  void ReconstructGradient(int* reconstructions);
 
   double ComputeBias() const;
   double ComputeObjective() const;
@@ -125,16 +99,12 @@ class SmoSolver {
   const Gram& gram_;
   std::vector<double> y_;
   std::vector<double> c_;
-  SmoOptions options_;
   size_t n_;
 
   std::vector<double> alpha_;   ///< the warm start until Solve() runs
-  std::vector<double> grad_;    ///< grad_i = (Qa)_i - 1 (active entries fresh)
+  std::vector<double> grad_;    ///< grad_i = (Qa)_i - 1
   std::vector<unsigned char> in_up_;   ///< InUp(t), current with alpha_
   std::vector<unsigned char> in_low_;  ///< InLow(t), current with alpha_
-  std::vector<size_t> active_;  ///< permutation; first active_size_ are active
-  size_t active_size_ = 0;
-  bool unshrunk_ = false;       ///< one-time early unshrink near optimality
 };
 
 }  // namespace cbir::svm

@@ -255,59 +255,6 @@ DenseProblem MakeDenseProblem(size_t n, double gap, double c_value,
   return p;
 }
 
-TEST(SmoSolverTest, ShrinkingMatchesNoShrinkingSolution) {
-  const DenseProblem p = MakeDenseProblem(80, 0.4, 20.0, 41);
-  const KernelParams kernel = KernelParams::Rbf(0.3);
-
-  SmoOptions no_shrink;
-  no_shrink.shrinking = false;
-  const Gram cold_gram = Gram::Of(p.data, kernel).value();
-  SmoSolver cold(cold_gram, p.y, p.c, {}, no_shrink);
-  auto base = cold.Solve();
-  ASSERT_TRUE(base.ok());
-  ASSERT_TRUE(base->converged);
-
-  SmoOptions shrink;
-  shrink.shrinking = true;
-  shrink.shrink_interval = 10;  // force many shrink passes on a small problem
-  const Gram fast_gram = Gram::Of(p.data, kernel).value();
-  SmoSolver fast(fast_gram, p.y, p.c, {}, shrink);
-  auto sol = fast.Solve();
-  ASSERT_TRUE(sol.ok());
-  ASSERT_TRUE(sol->converged);
-  EXPECT_GT(sol->shrink_passes, 0);
-
-  // Same optimum: objective within tolerance, decisions equivalent.
-  EXPECT_NEAR(sol->objective, base->objective, 1e-6);
-  for (size_t t = 0; t < p.data.rows(); ++t) {
-    EXPECT_NEAR(sol->train_decisions[t], base->train_decisions[t], 5e-3)
-        << "t=" << t;
-  }
-}
-
-TEST(SmoSolverTest, ShrinkingWithTinyCacheStaysCorrect) {
-  const DenseProblem p = MakeDenseProblem(50, 0.5, 10.0, 43);
-  const KernelParams kernel = KernelParams::Rbf(0.4);
-
-  // Both solves read one Gram; frequent shrinking passes must still reach
-  // the unshrunk reference's optimum.
-  const Gram gram = Gram::Of(p.data, kernel).value();
-  SmoOptions reference;
-  reference.shrinking = false;
-  SmoSolver ref_solver(gram, p.y, p.c, {}, reference);
-  auto ref = ref_solver.Solve();
-  ASSERT_TRUE(ref.ok());
-
-  SmoOptions tiny;
-  tiny.shrinking = true;
-  tiny.shrink_interval = 7;
-  SmoSolver solver(gram, p.y, p.c, {}, tiny);
-  auto sol = solver.Solve();
-  ASSERT_TRUE(sol.ok());
-  EXPECT_NEAR(sol->objective, ref->objective, 1e-6);
-  EXPECT_GT(sol->shrink_passes, 0);
-}
-
 TEST(SmoSolverTest, WarmStartFromOwnSolutionConvergesInstantly) {
   const DenseProblem p = MakeDenseProblem(40, 0.6, 10.0, 47);
   const KernelParams kernel = KernelParams::Rbf(0.5);
@@ -463,23 +410,20 @@ uint64_t HashBits(const std::vector<double>& values) {
 TEST(SmoSolverTest, PerSampleCWarmStartAtBoundsIsPinnedExactly) {
   // A coupled-SVM step in miniature: 24 labeled rows at C = 10, 16
   // pseudo-labeled rows at rho * C = 0.8, warm-started with every third
-  // alpha at its upper bound and the rest at zero, and shrinking every 7
-  // iterations. Iterations and the bits of the bias and alphas are pinned:
-  // a faster working-set scan or kernel must leave this solve unchanged.
+  // alpha at its upper bound and the rest at zero. Iterations and the bits
+  // of the bias and alphas are pinned: a faster working-set scan or kernel
+  // must leave this solve unchanged.
   DenseProblem p = MakeDenseProblem(40, 0.3, 10.0, 71);
   for (size_t t = 24; t < 40; ++t) p.c[t] = 0.8;
-  SmoOptions options;
-  options.shrink_interval = 7;
   std::vector<double> initial_alpha(40);
   for (size_t t = 0; t < 40; ++t) {
     initial_alpha[t] = t % 3 == 0 ? p.c[t] : 0.0;
   }
   const Gram gram = Gram::Of(p.data, KernelParams::Rbf(0.5)).value();
-  SmoSolver solver(gram, p.y, p.c, std::move(initial_alpha), options);
+  SmoSolver solver(gram, p.y, p.c, std::move(initial_alpha));
   auto sol = solver.Solve();
   ASSERT_TRUE(sol.ok()) << sol.status();
   ASSERT_TRUE(sol->converged);
-  EXPECT_GT(sol->shrink_passes, 0);
   EXPECT_EQ(sol->iterations, 79);
   // bias = -0.032898562124214784
   EXPECT_EQ(std::bit_cast<uint64_t>(sol->bias), 0xbfa0d81490d15edaull)

@@ -134,7 +134,8 @@ INSTANTIATE_TEST_SUITE_P(
         ProblemConfig{1.0, 2.0, 32, 1.0},   //
         ProblemConfig{10.0, 1.0, 48, 0.5},  // heavy overlap
         ProblemConfig{10.0, 1.0, 8, 4.0},   // tiny, clean
-        ProblemConfig{0.5, 5.0, 40, 0.0}    // pure noise
+        ProblemConfig{0.5, 5.0, 40, 0.0},   // pure noise
+        ProblemConfig{20.0, 0.3, 200, 0.5}  // heavy overlap, large n
         ),
     ConfigName);
 
