@@ -67,18 +67,25 @@ void BM_DistanceScan(benchmark::State& state) {
 }
 BENCHMARK(BM_DistanceScan)->Arg(1000)->Arg(5000)->Arg(20000);
 
+// Args: rows n, positions kept k (0 = the full sort). /2000/101 is a
+// scheme's final ranking on the paper's 2000-image corpus read to scope 100.
 void BM_ScoreRankWithTiebreak(benchmark::State& state) {
   Rng rng(4);
   const size_t n = static_cast<size_t>(state.range(0));
+  const int k = state.range(1) > 0 ? static_cast<int>(state.range(1)) : -1;
   std::vector<double> scores(n), dists(n);
   for (size_t i = 0; i < n; ++i) {
     scores[i] = rng.Gaussian();
     dists[i] = rng.Uniform();
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(retrieval::RankByScoreDesc(scores, dists));
+    benchmark::DoNotOptimize(retrieval::RankByScoreDesc(scores, dists, k));
   }
 }
-BENCHMARK(BM_ScoreRankWithTiebreak)->Arg(1000)->Arg(5000);
+BENCHMARK(BM_ScoreRankWithTiebreak)
+    ->Args({1000, 0})
+    ->Args({5000, 0})
+    ->Args({2000, 0})
+    ->Args({2000, 101});
 
 }  // namespace

@@ -7,6 +7,8 @@ keeps every run as one row of bench/trajectory.jsonl.
         --workloads csvm_local,routed_hot,paper_table1 --pairs 10 \\
         --first-seed 21 --seconds 30
     python3 bench/perf_pairs.py summary --pr N
+    python3 bench/perf_pairs.py summary --pr N \\
+        --claim cpu_ms_per_session@paper_table1
 
 A checkout is a full source tree (for example `git archive SHA | tar -x`);
 its perfbench builds into the tree's own .bench_build. Pair i runs seed
@@ -16,7 +18,8 @@ row with its exit code and whatever metrics it printed, and the pairs go
 on. `summary` reads the rows back, counts each side's failed runs and
 leaves them out, and prints, per workload and end-to-end metric, each
 side's median and quartiles, the change's wins of the pairs, and whether
-the parent's own quartile spread is wider than the metric's bound.
+the parent's own quartile spread is wider than the metric's bound. With
+`--claim METRIC@WORKLOAD` it prints only whether a claimed gain holds.
 """
 import argparse
 import json
@@ -28,6 +31,7 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 TRAJECTORY = os.path.join(HERE, "trajectory.jsonl")
+SIDES = ("parent", "change")
 
 
 def end_to_end():
@@ -106,21 +110,75 @@ def run_failed(row):
     return row.get("exit_code", 0) != 0 or not row["correct"]
 
 
+def side_runs(rows, workload):
+    """Each side's runs of `workload` that did not fail, by seed, the seeds
+    both sides ran, and each side's failed runs."""
+    mine = [r for r in rows if r["workload"] == workload]
+    failed_runs = {side: sum(run_failed(r) for r in mine
+                             if r["side"] == side) for side in SIDES}
+    runs = {side: {r["seed"]: r for r in mine
+                   if r["side"] == side and not run_failed(r)}
+            for side in SIDES}
+    seeds = sorted(set(runs["parent"]) & set(runs["change"]))
+    return mine, runs, seeds, failed_runs
+
+
+def compare(runs, seeds, metric):
+    """Medians and quartiles per side and the change's wins over the pairs
+    (a tie wins for neither), or None with fewer than two values a side."""
+    name = metric["name"]
+    better = ((lambda c, p: c > p) if metric["better"] == "higher"
+              else (lambda c, p: c < p))
+    values = {side: [runs[side][s]["metrics"][name] for s in seeds
+                     if name in runs[side][s]["metrics"]]
+              for side in SIDES}
+    if len(values["parent"]) < 2 or len(values["change"]) < 2:
+        return None
+    quartiles = {side: statistics.quantiles(values[side], n=4,
+                                            method="inclusive")
+                 for side in SIDES}
+    wins = sum(better(runs["change"][s]["metrics"][name],
+                      runs["parent"][s]["metrics"][name])
+               for s in seeds if name in runs["change"][s]["metrics"]
+               and name in runs["parent"][s]["metrics"])
+    return values, quartiles, wins, better
+
+
+def claim(rows, spec):
+    """The verdict on a claimed gain, METRIC@WORKLOAD: the change wins at
+    least 9 of 10 pairs, and its median beats the parent's by more than the
+    parent's quartile spread."""
+    name, _, workload = spec.partition("@")
+    metric = next((m for m in end_to_end() if m["name"] == name), None)
+    if metric is None or not workload:
+        sys.exit("--claim: expected METRIC@WORKLOAD with an end-to-end "
+                 "metric of BENCHMARK.json, got " + spec)
+    _, runs, seeds, _ = side_runs(rows, workload)
+    result = compare(runs, seeds, metric)
+    if result is None:
+        print("claim not met: %s has fewer than two pairs" % spec)
+        return
+    _, quartiles, wins, better = result
+    (pq1, pmed, pq3), (_, cmed, _) = quartiles["parent"], quartiles["change"]
+    gap, spread = abs(cmed - pmed), pq3 - pq1
+    met = 10 * wins >= 9 * len(seeds) and better(cmed, pmed) and gap > spread
+    print("%s: %s, wins %d/%d (needs 9 of 10), median %.4g -> %.4g, gap %.4g"
+          " against parent q3 - q1 %.4g" %
+          ("claim met" if met else "claim not met", spec, wins, len(seeds),
+           pmed, cmed, gap, spread))
+
+
 def summary(args):
     with open(args.out) as f:
         rows = [json.loads(line) for line in f if line.strip()]
     rows = [r for r in rows if r["pr"] == args.pr]
+    if args.claim:
+        claim(rows, args.claim)
+        return
     for workload in sorted({r["workload"] for r in rows}):
-        sides = ("parent", "change")
-        mine = [r for r in rows if r["workload"] == workload]
-        failed_runs = {side: sum(run_failed(r) for r in mine
-                                 if r["side"] == side) for side in sides}
-        runs = {side: {r["seed"]: r for r in mine
-                       if r["side"] == side and not run_failed(r)}
-                for side in sides}
-        seeds = sorted(set(runs["parent"]) & set(runs["change"]))
+        mine, runs, seeds, failed_runs = side_runs(rows, workload)
         failed = {side: sum(r["failed"] for r in mine if r["side"] == side)
-                  for side in sides}
+                  for side in SIDES}
         print("## %s: %d pairs, failed runs parent %d / change %d,"
               " failed ops parent %d / change %d" %
               (workload, len(seeds), failed_runs["parent"],
@@ -131,19 +189,12 @@ def summary(args):
         for metric in end_to_end():
             name, bound = metric["name"], metric["bound"]
             higher = metric["better"] == "higher"
-            values = {side: [runs[side][s]["metrics"][name] for s in seeds
-                             if name in runs[side][s]["metrics"]]
-                      for side in runs}
-            if len(values["parent"]) < 2 or len(values["change"]) < 2:
+            result = compare(runs, seeds, metric)
+            if result is None:
                 continue
-            pq1, pmed, pq3 = statistics.quantiles(values["parent"], n=4,
-                                                  method="inclusive")
-            cq1, cmed, cq3 = statistics.quantiles(values["change"], n=4,
-                                                  method="inclusive")
-            better = (lambda c, p: c > p) if higher else (lambda c, p: c < p)
-            wins = sum(better(runs["change"][s]["metrics"][name],
-                              runs["parent"][s]["metrics"][name])
-                       for s in seeds)
+            values, quartiles, wins, better = result
+            pq1, pmed, pq3 = quartiles["parent"]
+            cq1, cmed, cq3 = quartiles["change"]
             delta = (cmed - pmed) / pmed if pmed else 0.0
             worse = -delta if higher else delta
             spread = (pq3 - pq1) / pmed if pmed else 0.0
@@ -186,6 +237,11 @@ def main():
     run_parser.add_argument("--seconds", type=int, default=30)
     summary_parser = sub.add_parser("summary")
     summary_parser.add_argument("--pr", type=int, required=True)
+    summary_parser.add_argument(
+        "--claim", metavar="METRIC@WORKLOAD",
+        help="print only whether the change's gain on METRIC@WORKLOAD is "
+             "claimed: >= 9/10 pair wins and a median gap wider than the "
+             "parent's q3 - q1")
     args = parser.parse_args()
     if args.command == "run":
         run(args)

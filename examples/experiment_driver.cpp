@@ -8,6 +8,7 @@
 // The paper's tables, figures and ablations are presets: named flag lists,
 // e.g. `--preset=table2` or `--preset=ablation-rho`. Run with --help for the
 // full flag list.
+#include <algorithm>
 #include <functional>
 #include <iostream>
 
@@ -58,7 +59,8 @@ Index:
   --signature_bits=N signature width in bits (default 256)
   --candidate_factor=N  Hamming candidates per requested result (default 8)
   --candidate-depth=N   depth requested from an approximate index
-                        (default: max scope + labeled + 1)
+                        (default: max scope + labeled + 1; must exceed
+                        the deepest scope)
   --index-seed=N     hyperplane seed (default 333427)
 
 Output:
@@ -254,8 +256,28 @@ Result<PointRun> ReadPoint(const Flags& flags) {
   exp_options.num_labeled = flags.GetInt("labeled", 20);
   exp_options.seed = static_cast<uint64_t>(flags.GetInt("query-seed", 123));
   exp_options.candidate_depth = flags.GetInt("candidate-depth", 0);
+  // Small corpora cannot fill the paper's 20..100 scopes; keep the ones a
+  // ranking of num_images - 1 entries can satisfy.
+  const int num_images =
+      flags.GetInt("categories", 20) * flags.GetInt("images", 100);
+  std::erase_if(exp_options.scopes,
+                [&](int scope) { return scope >= num_images; });
+  if (exp_options.scopes.empty()) {
+    exp_options.scopes = {std::min(10, num_images - 1)};
+  }
+  // A narrowed pool of at most that many rows, the query among them, ranks
+  // fewer ids than the deepest scope reads.
+  const int max_scope = *std::max_element(exp_options.scopes.begin(),
+                                          exp_options.scopes.end());
+  if (exp_options.candidate_depth > 0 &&
+      exp_options.candidate_depth <= max_scope) {
+    return Status::InvalidArgument(
+        "--candidate-depth=" + std::to_string(exp_options.candidate_depth) +
+        " must exceed the deepest evaluated scope, " +
+        std::to_string(max_scope));
+  }
 
-  return PointRun([=](const retrieval::ImageDatabase& db) mutable {
+  return PointRun([=](const retrieval::ImageDatabase& db) {
     const logdb::RelevanceMatrix matrix =
         logdb::CollectLogs(db.features(), db.categories(), log_options)
             .BuildMatrix(db.num_images());
@@ -273,14 +295,6 @@ Result<PointRun> ReadPoint(const Flags& flags) {
       scheme_options.log_kernel.type = svm::KernelType::kRbf;
       scheme_options.c_log = 10.0;
     }
-    // Small corpora cannot fill the paper's 20..100 scopes; keep the ones a
-    // ranking of num_images - 1 entries can satisfy.
-    std::erase_if(exp_options.scopes,
-                  [&](int scope) { return scope >= db.num_images(); });
-    if (exp_options.scopes.empty()) {
-      exp_options.scopes = {std::min(10, db.num_images() - 1)};
-    }
-
     std::cerr << "running " << exp_options.num_queries << " queries..."
               << std::endl;
     const std::vector<std::shared_ptr<core::FeedbackScheme>> schemes =

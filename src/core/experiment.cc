@@ -61,6 +61,8 @@ ExperimentResult RunExperiment(
         ctx.log_rows = log_rows.empty() ? nullptr : &log_rows;
         ctx.query_id = static_cast<int>(query_pool[q]);
         ctx.candidate_depth = candidate_depth;
+        // Precision reads nothing past the deepest scope.
+        ctx.rank_depth = max_scope;
         // Queries come from the validated pool, so a failure here is a
         // programming error, not user input.
         CBIR_CHECK_OK(ctx.Prepare());

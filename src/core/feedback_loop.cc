@@ -95,11 +95,16 @@ Result<FeedbackLoopResult> RunFeedbackSession(
   ctx.query_id = query_id;
   // Depth the session consumes from an approximate index: the deepest scope
   // read each round plus every judgment the session will request.
-  ctx.candidate_depth =
-      options.candidate_depth > 0
-          ? options.candidate_depth
-          : *std::max_element(options.scopes.begin(), options.scopes.end()) +
-                options.rounds * options.judgments_per_round + 1;
+  const int max_scope =
+      *std::max_element(options.scopes.begin(), options.scopes.end());
+  const int judgments = options.rounds * options.judgments_per_round;
+  ctx.candidate_depth = options.candidate_depth > 0
+                            ? options.candidate_depth
+                            : max_scope + judgments + 1;
+  // Ids a round's ranking is read to: precision stops at the deepest scope,
+  // and round r's judge skips at most the (r - 1) * judgments_per_round ids
+  // judged before it.
+  ctx.rank_depth = std::max(max_scope, judgments);
   const int first_depth = FirstRoundDepth(db, ctx.candidate_depth);
   FeedbackSession session(std::move(ctx));
   std::vector<int> candidates;

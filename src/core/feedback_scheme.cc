@@ -33,6 +33,10 @@ Status FeedbackContext::Prepare(const std::vector<int>* candidates) {
     return Status::InvalidArgument(
         "feedback context: labeled_ids/labels size mismatch");
   }
+  if (rank_depth < 0) {
+    return Status::InvalidArgument("feedback context: negative rank depth " +
+                                   std::to_string(rank_depth));
+  }
   if (query_id >= 0) {
     if (query_id >= db->num_images()) {
       return Status::InvalidArgument("feedback context: query id " +
@@ -167,13 +171,20 @@ SchemeOptions MakeDefaultSchemeOptions(const retrieval::ImageDatabase& db,
 std::vector<int> FeedbackScheme::FinalizeRanking(
     const FeedbackContext& ctx, const std::vector<double>& scores) {
   CBIR_CHECK_EQ(scores.size(), ctx.scan_size());
+  // A caller reading rank_depth ids needs only the top rank_depth + 1
+  // positions ordered, since the query may sit among them. The comparator
+  // is a strict total order, so they are the full ranking's prefix.
+  const bool cut = ctx.rank_depth > 0 &&
+                   static_cast<size_t>(ctx.rank_depth) < ctx.scan_size();
   std::vector<int> ranked = retrieval::RankByScoreDesc(
-      scores, ctx.query_distances);
-  // Map scan positions back to image ids and drop the query itself; every
-  // scheme ranks the remaining scanned images.
+      scores, ctx.query_distances, cut ? ctx.rank_depth + 1 : -1);
+  const size_t keep =
+      cut ? static_cast<size_t>(ctx.rank_depth) : ranked.size();
+  // Map scan positions back to image ids and drop the query itself.
   std::vector<int> out;
-  out.reserve(ranked.size());
+  out.reserve(keep);
   for (int pos : ranked) {
+    if (out.size() == keep) break;
     const int id = ctx.ScanId(static_cast<size_t>(pos));
     if (id != ctx.query_id) out.push_back(id);
   }

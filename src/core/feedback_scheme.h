@@ -76,6 +76,11 @@ struct FeedbackContext {
   /// candidate set for this depth; 0 (or an exhaustive/absent index) keeps
   /// the scans corpus-wide.
   int candidate_depth = 0;
+  /// Leading ids the caller reads from Rank(). When > 0, Rank() returns
+  /// only the first min(rank_depth, scanned rows less the query) ids of the
+  /// full ranking, selected without sorting the rest; 0 returns every
+  /// scanned id except the query.
+  int rank_depth = 0;
 
   // Derived values, filled by Prepare(). `query_feature` is an *input* when
   // query_id < 0 (external query); for in-corpus queries Prepare overwrites
@@ -90,8 +95,9 @@ struct FeedbackContext {
   /// be called once before Rank().
   /// Malformed input (null db, out-of-range query id, an external query
   /// feature CheckQueryFeature refuses, labeled/labels arity mismatch,
-  /// a log without one row per image) returns InvalidArgument instead of
-  /// aborting — a bad request must never kill a serving process.
+  /// a log without one row per image, a negative rank_depth) returns
+  /// InvalidArgument instead of aborting — a bad request must never kill a
+  /// serving process.
   /// `candidates`, when given, is the index's
   /// Candidates(query_feature, candidate_depth) set the caller already
   /// holds from the same scan (retrieval::ImageDatabase::TopK returns it
@@ -157,10 +163,11 @@ SchemeOptions MakeDefaultSchemeOptions(const retrieval::ImageDatabase& db,
 
 /// \brief Interface implemented by all four compared schemes.
 ///
-/// Rank() returns every image id except the query itself, ordered from most
-/// to least relevant. Implementations must be const-thread-safe: the
-/// experiment harness calls Rank concurrently for different queries, each
-/// on its own context. A context is ranked by one thread at a time, since
+/// Rank() returns the scanned image ids except the query itself, ordered
+/// from most to least relevant: all of them, or only the first
+/// ctx.rank_depth when that is > 0. Implementations must be
+/// const-thread-safe: the experiment harness calls Rank concurrently for
+/// different queries, each on its own context. A context is ranked by one thread at a time, since
 /// Rank may fill its kernel columns.
 class FeedbackScheme {
  public:
@@ -172,9 +179,9 @@ class FeedbackScheme {
 
  protected:
   /// Ranks by descending `scores` with Euclidean-distance tie-breaking,
-  /// excluding the query id. `scores` is parallel to the context's scan
-  /// space (ctx.ScanId maps positions to image ids). Shared by every
-  /// learning scheme.
+  /// excluding the query id and keeping at most ctx.rank_depth ids when
+  /// that is > 0. `scores` is parallel to the context's scan space
+  /// (ctx.ScanId maps positions to image ids). Shared by every scheme.
   static std::vector<int> FinalizeRanking(const FeedbackContext& ctx,
                                           const std::vector<double>& scores);
 };

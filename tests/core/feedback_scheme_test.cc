@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include "core/euclidean_scheme.h"
+#include "index/index_factory.h"
 #include "retrieval/ranker.h"
+#include "util/rng.h"
 
 namespace cbir::core {
 namespace {
@@ -73,6 +75,19 @@ TEST(FeedbackContextTest, PrepareReturnsTypedErrorsInsteadOfAborting) {
     ctx.query_feature = {1.0, 2.0};
     EXPECT_EQ(ctx.Prepare().code(), StatusCode::kInvalidArgument);
   }
+}
+
+TEST(FeedbackContextTest, PrepareRefusesANegativeRankDepth) {
+  const retrieval::ImageDatabase db = SmallDb();
+  FeedbackContext ctx;
+  ctx.db = &db;
+  ctx.query_id = 0;
+  ctx.rank_depth = -1;
+  const Status s = ctx.Prepare();
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("rank depth"), std::string::npos) << s;
+  ctx.rank_depth = 0;
+  EXPECT_TRUE(ctx.Prepare().ok());
 }
 
 TEST(FeedbackContextTest, PrepareRejectsNonFiniteExternalFeatures) {
@@ -187,6 +202,81 @@ TEST(FinalizeRankingTest, EuclideanRanksNearestFirst) {
     EXPECT_LE(ctx.query_distances[static_cast<size_t>((*ranked)[i])],
               ctx.query_distances[static_cast<size_t>((*ranked)[i + 1])] +
                   1e-12);
+  }
+}
+
+// Ranks by fixed scores, parallel to the scan space, through
+// FinalizeRanking.
+class FixedScoreScheme : public FeedbackScheme {
+ public:
+  explicit FixedScoreScheme(std::vector<double> scores)
+      : scores_(std::move(scores)) {}
+  std::string name() const override { return "fixed"; }
+  Result<std::vector<int>> Rank(const FeedbackContext& ctx) const override {
+    return FinalizeRanking(ctx, scores_);
+  }
+
+ private:
+  std::vector<double> scores_;
+};
+
+TEST(FinalizeRankingTest, DepthKeepsThePrefixOfTheFullRanking) {
+  // 40 rows, so a narrowed scan has rows to leave out.
+  constexpr int kRows = 40;
+  la::Matrix features(kRows, 3);
+  Rng feature_rng(11);
+  for (double& v : features.data()) v = feature_rng.Uniform();
+  retrieval::ImageDatabase db = retrieval::ImageDatabase::FromFeatures(
+      std::move(features), std::vector<int>(kRows, 0), 1);
+  retrieval::IndexOptions index_options;
+  index_options.mode = retrieval::IndexMode::kSignature;
+  db.BuildIndex(index_options);
+
+  constexpr int kQuery = 13;
+  // Exhaustive; narrowed with the query; narrowed without it.
+  std::vector<int> with_query;
+  std::vector<int> without_query;
+  for (int id = 0; id < kRows; ++id) {
+    if (id % 3 == 1) with_query.push_back(id);  // 13 % 3 == 1
+    if (id % 3 == 2) without_query.push_back(id);
+  }
+  const std::vector<const std::vector<int>*> scans{nullptr, &with_query,
+                                                   &without_query};
+  // Eight scores with both zeros, so nearly every score ties; the
+  // tie-breaking distances take three values, so they tie too.
+  const double grid[] = {-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0};
+  const double distances[] = {0.0, 1.0, 4.0};
+  Rng rng(29);
+  for (const std::vector<int>* candidates : scans) {
+    // The query scored best (inside every selected top) or worst (outside).
+    for (const double query_score : {3.0, -3.0}) {
+      FeedbackContext ctx;
+      ctx.db = &db;
+      ctx.query_id = kQuery;
+      ctx.candidate_depth = candidates == nullptr ? 0 : 1;
+      ASSERT_TRUE(ctx.Prepare(candidates).ok());
+      const size_t scan = ctx.scan_size();
+      ASSERT_EQ(scan, candidates == nullptr ? kRows : candidates->size());
+      std::vector<double> scores(scan);
+      for (size_t pos = 0; pos < scan; ++pos) {
+        scores[pos] = grid[rng.UniformInt(8)];
+        ctx.query_distances[pos] = distances[rng.UniformInt(3)];
+        if (ctx.ScanId(pos) == kQuery) scores[pos] = query_score;
+      }
+      const FixedScoreScheme scheme(scores);
+      const std::vector<int> full = scheme.Rank(ctx).value();
+      ASSERT_EQ(full.size(), candidates == &without_query ? scan : scan - 1);
+      for (const size_t depth : {size_t{1}, size_t{2}, size_t{7}, scan - 1,
+                                 scan, scan + 5}) {
+        ctx.rank_depth = static_cast<int>(depth);
+        const std::vector<int> top = scheme.Rank(ctx).value();
+        const std::vector<int> prefix(
+            full.begin(), full.begin() + static_cast<std::ptrdiff_t>(
+                                             std::min(depth, full.size())));
+        EXPECT_EQ(top, prefix) << "scan " << scan << ", query score " << query_score
+            << ", depth " << depth;
+      }
+    }
   }
 }
 

@@ -255,6 +255,25 @@ TEST_F(SchemesTest, FactoryCreatesAllPaperSchemes) {
   EXPECT_EQ(all[3]->name(), "LRF-CSVM");
 }
 
+// One prepared context ranked by every paper scheme at depth 0, then at
+// depth 20: each shallow ranking is the full ranking's first 20 ids.
+TEST_F(SchemesTest, RankDepthKeepsEveryPaperSchemesPrefix) {
+  constexpr int kDepth = 20;
+  FeedbackContext ctx = MakeContext(16);
+  for (const auto& scheme : MakePaperSchemes(*scheme_options_)) {
+    SCOPED_TRACE(scheme->name());
+    ctx.rank_depth = 0;
+    auto full = scheme->Rank(ctx);
+    ASSERT_TRUE(full.ok()) << full.status();
+    ExpectValidRanking(full.value(), 16);
+    ctx.rank_depth = kDepth;
+    auto top = scheme->Rank(ctx);
+    ASSERT_TRUE(top.ok()) << top.status();
+    EXPECT_EQ(top.value(),
+              std::vector<int>(full->begin(), full->begin() + kDepth));
+  }
+}
+
 TEST_F(SchemesTest, FactoryRejectsUnknownName) {
   auto scheme = MakeScheme("PageRank", *scheme_options_);
   ASSERT_FALSE(scheme.ok());
