@@ -97,14 +97,14 @@ Result<FeedbackLoopResult> RunFeedbackSession(
   // read each round plus every judgment the session will request.
   const int max_scope =
       *std::max_element(options.scopes.begin(), options.scopes.end());
-  const int judgments = options.rounds * options.judgments_per_round;
+  const int total_judgments = options.rounds * options.judgments_per_round;
   ctx.candidate_depth = options.candidate_depth > 0
                             ? options.candidate_depth
-                            : max_scope + judgments + 1;
+                            : max_scope + total_judgments + 1;
   // Ids a round's ranking is read to: precision stops at the deepest scope,
   // and round r's judge skips at most the (r - 1) * judgments_per_round ids
   // judged before it.
-  ctx.rank_depth = std::max(max_scope, judgments);
+  ctx.rank_depth = std::max(max_scope, total_judgments);
   const int first_depth = FirstRoundDepth(db, ctx.candidate_depth);
   FeedbackSession session(std::move(ctx));
   std::vector<int> candidates;

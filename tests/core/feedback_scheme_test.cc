@@ -273,8 +273,8 @@ TEST(FinalizeRankingTest, DepthKeepsThePrefixOfTheFullRanking) {
         const std::vector<int> prefix(
             full.begin(), full.begin() + static_cast<std::ptrdiff_t>(
                                              std::min(depth, full.size())));
-        EXPECT_EQ(top, prefix) << "scan " << scan << ", query score " << query_score
-            << ", depth " << depth;
+        EXPECT_EQ(top, prefix) << "scan " << scan << ", query score "
+                               << query_score << ", depth " << depth;
       }
     }
   }
