@@ -1,10 +1,9 @@
 // Micro-benchmarks for the coupled SVM: alternating-optimization cost as a
 // function of the unlabeled-sample count N' and the rho annealing schedule,
-// the before/after levels of warm-start carry-over across feedback rounds,
-// and the pick of the N' pseudo-labeled images from a round's candidates.
+// a multi-round feedback session, and the pick of the N' pseudo-labeled
+// images from a round's candidates.
 #include <benchmark/benchmark.h>
 
-#include <utility>
 #include <vector>
 
 #include "core/multi_coupled_svm.h"
@@ -22,8 +21,6 @@ struct BenchData {
   la::Matrix log;
   std::vector<double> labels;
   std::vector<double> initial_unlabeled_labels;
-  std::vector<double> initial_visual_alpha;  ///< empty = cold start
-  std::vector<double> initial_log_alpha;
 };
 
 BenchData MakeData(size_t nl, size_t nu, uint64_t seed) {
@@ -57,10 +54,8 @@ std::vector<core::ModalityView> Views(const BenchData& data) {
   std::vector<core::ModalityView> views(2);
   views[0].data = &data.visual;
   views[0].kernel = svm::KernelParams::Rbf(1.0 / 36.0);
-  views[0].initial_alpha = &data.initial_visual_alpha;
   views[1].data = &data.log;
   views[1].kernel = svm::KernelParams::Rbf(1.0 / 150.0);
-  views[1].initial_alpha = &data.initial_log_alpha;
   return views;
 }
 
@@ -94,21 +89,16 @@ void BM_CoupledTrainByRhoInit(benchmark::State& state) {
 BENCHMARK(BM_CoupledTrainByRhoInit)->Arg(2)->Arg(64)->Arg(10000);
 
 // Multi-round coupled-SVM feedback simulation: round r trains on r * 10
-// labeled samples plus a fixed unlabeled pool. range(0) selects the
-// carry-over level: 0 = cold rounds; 1 = warm-start every round from the
-// previous round's duals (alphas aligned by sample, new samples entering at
-// zero) — the cross-round path LRF-CSVM serving uses. This is the
-// end-to-end pattern of a live relevance-feedback session.
+// labeled samples plus a fixed unlabeled pool, each round from zero as a
+// live relevance-feedback session's rounds do.
 void BM_CoupledFeedbackSession(benchmark::State& state) {
   constexpr int kRounds = 4;
   const size_t step = 10;
   const size_t nu = 20;
   const BenchData full = MakeData(step * kRounds, nu, 9);
   const core::MultiCoupledSvm csvm({});
-  const bool warm = state.range(0) >= 1;
   long total_smo_iters = 0;
   for (auto _ : state) {
-    std::vector<double> carried_visual, carried_log;
     for (int r = 1; r <= kRounds; ++r) {
       const size_t nl = step * static_cast<size_t>(r);
       BenchData data;
@@ -126,35 +116,16 @@ void BM_CoupledFeedbackSession(benchmark::State& state) {
         data.visual.SetRow(nl + j, full.visual.Row(full_nl + j));
         data.log.SetRow(nl + j, full.log.Row(full_nl + j));
       }
-      if (warm && !carried_visual.empty()) {
-        // Labeled prefix + unlabeled suffix both carry over; the new
-        // judgments of this round enter at zero.
-        data.initial_visual_alpha.assign(nl + nu, 0.0);
-        data.initial_log_alpha.assign(nl + nu, 0.0);
-        const size_t prev_nl = nl - step;
-        for (size_t i = 0; i < prev_nl; ++i) {
-          data.initial_visual_alpha[i] = carried_visual[i];
-          data.initial_log_alpha[i] = carried_log[i];
-        }
-        for (size_t j = 0; j < nu; ++j) {
-          data.initial_visual_alpha[nl + j] = carried_visual[prev_nl + j];
-          data.initial_log_alpha[nl + j] = carried_log[prev_nl + j];
-        }
-      }
       cbir::Result<core::MultiCoupledModel> model = Train(csvm, data);
       benchmark::DoNotOptimize(model);
       total_smo_iters += model.value().diagnostics.total_smo_iterations;
-      if (warm) {
-        carried_visual = std::move(model.value().alphas[0]);
-        carried_log = std::move(model.value().alphas[1]);
-      }
     }
   }
   state.counters["smo_iters_per_session"] =
       static_cast<double>(total_smo_iters) /
       static_cast<double>(state.iterations());
 }
-BENCHMARK(BM_CoupledFeedbackSession)->Arg(0)->Arg(1);
+BENCHMARK(BM_CoupledFeedbackSession);
 
 void BM_CoupledDecision(benchmark::State& state) {
   const BenchData data = MakeData(20, 20, 7);

@@ -109,9 +109,11 @@ void BM_SmoSolveHard(benchmark::State& state) {
 }
 BENCHMARK(BM_SmoSolveHard)->Arg(200)->Arg(500);
 
-// Multi-round relevance-feedback simulation: each round adds `step` newly
-// judged samples. range(1) == 1 carries alphas across rounds (warm start),
-// 0 re-solves from scratch — the before/after pair for the feedback loop.
+// Growing training sets: each round adds `step` samples. range(1) == 1
+// hands the previous round's alphas to SmoSolver's warm-start argument, 0
+// re-solves from zero — a solver-level measurement of that argument (a
+// feedback session's rounds train from zero; the coupled chain warm-starts
+// each solve from its predecessor).
 void BM_SmoFeedbackRounds(benchmark::State& state) {
   constexpr int kRounds = 5;
   const size_t step = 20;

@@ -1,7 +1,6 @@
 #include "core/coupled_svm_scheme.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -180,29 +179,11 @@ Result<MultiCoupledModel> CoupledSvmScheme::Train(
   row_ids = ctx.labeled_ids;
   row_ids.insert(row_ids.end(), selection.ids.begin(), selection.ids.end());
 
-  // Warm start from the previous round of this session: rows whose image
-  // was already in last round's training set inherit its dual variables,
-  // fresh rows start at zero (exactly the carried/new split the solver
-  // projects back to feasibility).
-  SessionState* state = ctx.session_state;
-  if (state != nullptr && state->alphas.size() < num_modalities) {
-    state->alphas.resize(num_modalities);
-  }
   std::vector<la::Matrix> rows(num_modalities);
-  std::vector<std::vector<double>> initial_alpha(num_modalities);
   std::vector<ModalityView> views = modalities_;
   for (size_t k = 0; k < num_modalities; ++k) {
     rows[k] = TrainingRows(ctx, k, row_ids);
     views[k].data = &rows[k];
-    views[k].initial_alpha = &initial_alpha[k];
-    if (state == nullptr || state->alphas[k].empty()) continue;
-    const std::unordered_map<int, double>& carried = state->alphas[k];
-    initial_alpha[k].assign(row_ids.size(), 0.0);
-    for (size_t i = 0; i < row_ids.size(); ++i) {
-      if (auto it = carried.find(row_ids[i]); it != carried.end()) {
-        initial_alpha[k][i] = it->second;
-      }
-    }
   }
 
   auto model = MultiCoupledSvm(options_.csvm)
@@ -211,15 +192,6 @@ Result<MultiCoupledModel> CoupledSvmScheme::Train(
   {
     util::MutexLock lock(diagnostics_mu_);
     aggregated_diagnostics_.Accumulate(model->diagnostics);
-  }
-  if (state != nullptr) {
-    for (size_t k = 0; k < num_modalities; ++k) {
-      std::unordered_map<int, double>& alpha = state->alphas[k];
-      alpha.clear();
-      for (size_t i = 0; i < row_ids.size(); ++i) {
-        alpha[row_ids[i]] = model->alphas[k][i];
-      }
-    }
   }
   return model;
 }

@@ -51,8 +51,8 @@ struct LrfCsvmOptions {
 ///    minimal summed decision values.
 /// 2. Train the coupled SVM (rho annealing and Delta-gated label
 ///    correction; with N' = 0 this is one plain SVM solve per modality, and
-///    every solve of a modality reads one svm::Gram), warm-started from the
-///    session's duals when a SessionState is attached.
+///    every solve of a modality reads one svm::Gram). Each modality's first
+///    solve starts from zero; each later one from its predecessor's duals.
 /// 3. Rank every image by the summed decision, for K = 2 the paper's
 ///    CSVM_Dist(x_i, r_i) = f_w(x_i) + f_u(r_i), scored column by column:
 ///    held columns are read, pseudo-labeled support vectors' columns
@@ -103,7 +103,7 @@ class CoupledSvmScheme : public FeedbackScheme {
   Result<SelectionResult> SelectForContext(const FeedbackContext& ctx) const;
 
   std::string name_;
-  /// Per-modality kernel and C; data and warm start are per call.
+  /// Per-modality kernel and C; the training rows are per call.
   std::vector<ModalityView> modalities_;
   LrfCsvmOptions options_;
 

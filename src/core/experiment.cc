@@ -21,11 +21,19 @@ ExperimentResult RunExperiment(
   CBIR_CHECK(!options.scopes.empty());
   const int n = db.num_images();
   CBIR_CHECK_GT(n, options.num_labeled + 1);
+  int max_scope = 0;
   for (int scope : options.scopes) {
     CBIR_CHECK_LT(scope, n)
         << "scope " << scope << " exceeds the " << n - 1
         << " images a ranking can return (corpus of " << n << ")";
+    max_scope = std::max(max_scope, scope);
   }
+  // A narrowed pool of at most candidate_depth rows, the query among them,
+  // ranks fewer ids than the deepest scope reads.
+  CBIR_CHECK(options.candidate_depth <= 0 ||
+             options.candidate_depth > max_scope)
+      << "candidate_depth " << options.candidate_depth
+      << " must exceed the deepest scope, " << max_scope;
 
   // Draw distinct query images (falls back to the full corpus when more
   // queries than images are requested).
@@ -37,8 +45,6 @@ ExperimentResult RunExperiment(
 
   // Depth an approximate index must serve: the deepest scope consumers read
   // plus the judged prefix and the query itself.
-  int max_scope = 0;
-  for (int scope : options.scopes) max_scope = std::max(max_scope, scope);
   const int candidate_depth = options.candidate_depth > 0
                                   ? options.candidate_depth
                                   : max_scope + options.num_labeled + 1;

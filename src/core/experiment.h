@@ -20,8 +20,9 @@ struct ExperimentOptions {
   std::vector<int> scopes = retrieval::PaperScopes();
   int num_threads = 0;    ///< 0 = hardware concurrency
   /// Retrieval depth requested from an approximate database index
-  /// (0 = auto: max scope + num_labeled + 1). Ignored when the database has
-  /// no index or an exhaustive one.
+  /// (0 = auto: max scope + num_labeled + 1); a positive value must exceed
+  /// the deepest scope. Ignored when the database has no index or an
+  /// exhaustive one.
   int candidate_depth = 0;
 };
 
@@ -48,7 +49,9 @@ struct ExperimentResult {
 /// precision at each scope over the schemes' re-rankings. The query image is
 /// excluded from returned rankings.
 ///
-/// Deterministic in `options.seed`; queries run in parallel.
+/// Deterministic in `options.seed`; queries run in parallel. Empty
+/// schemes or scopes, a scope the corpus cannot fill, or a positive
+/// `candidate_depth` not above the deepest scope abort.
 ExperimentResult RunExperiment(
     const retrieval::ImageDatabase& db, const la::Matrix* log_features,
     const std::vector<std::shared_ptr<FeedbackScheme>>& schemes,

@@ -14,11 +14,7 @@ int FirstRoundDepth(const retrieval::ImageDatabase& db, int candidate_depth) {
 }
 
 FeedbackSession::FeedbackSession(FeedbackContext ctx)
-    : ctx_(std::move(ctx)), judged_{ctx_.query_id} {
-  // Round t+1's QPs differ from round t's only by the newly judged images;
-  // the session state lets SVM-based schemes warm-start from round t's duals.
-  ctx_.session_state = &warm_start_;
-}
+    : ctx_(std::move(ctx)), judged_{ctx_.query_id} {}
 
 void FeedbackSession::SetFirstRound(
     std::vector<int> ranking, std::optional<std::vector<int>> candidates) {
@@ -70,7 +66,6 @@ Status FeedbackSession::ApplyRound(const FeedbackScheme& scheme,
 }
 
 std::vector<logdb::LogSession> FeedbackSession::End() {
-  warm_start_.alphas.clear();
   ctx_.ReleaseKernelColumns();
   return std::exchange(recorded_, {});
 }

@@ -22,11 +22,12 @@ int FirstRoundDepth(const retrieval::ImageDatabase& db, int candidate_depth);
 /// the targets are found").
 ///
 /// Owns what a session carries across rounds: the context (with a
-/// candidate pool's kernel columns), the warm-start state, the judged set
-/// (query included), the current ranking and the rounds recorded for the
-/// log. The serving layer and RunFeedbackSession both apply rounds through
-/// it. Not thread-safe; not movable (the context points at the owned
-/// warm-start state).
+/// candidate pool's kernel columns), the judged set (query included), the
+/// current ranking and the rounds recorded for the log. Each round's SVMs
+/// train from zero on its labels, so a round ranks exactly like a scheme
+/// ranking a fresh copy of the context. The serving layer and
+/// RunFeedbackSession both apply rounds through it. Not thread-safe; not
+/// copyable or movable: a copy would duplicate the held kernel columns.
 class FeedbackSession {
  public:
   /// `ctx` names the database, log rows, query (a corpus id, or -1 with an
@@ -54,7 +55,7 @@ class FeedbackSession {
                     const std::vector<logdb::LogEntry>& round);
 
   /// Ends the session: returns its recorded rounds, in order, and releases
-  /// the warm-start duals and kernel columns.
+  /// the kernel columns.
   std::vector<logdb::LogSession> End();
 
   const FeedbackContext& context() const { return ctx_; }
@@ -66,7 +67,6 @@ class FeedbackSession {
 
  private:
   FeedbackContext ctx_;
-  SessionState warm_start_;
   bool prepared_ = false;
   /// The first page's candidate set, until the first round's Prepare.
   std::optional<std::vector<int>> first_candidates_;

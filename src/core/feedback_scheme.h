@@ -4,7 +4,6 @@
 #include <array>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/kernel_columns.h"
@@ -17,20 +16,8 @@
 
 namespace cbir::core {
 
-/// \brief Mutable cross-round state owned by one feedback session.
-///
-/// Successive rounds of a session retrain SVMs on nearly identical problems
-/// (the labeled set only grows); the SVM schemes keep each modality's final
-/// dual variables here, keyed by image id, and warm-start the next round's
-/// solver from them. They are the one carry-over that moves rankings, within
-/// solver tolerance. The kernel columns a round reads live on the
-/// FeedbackContext, which a session keeps across its rounds too.
-struct SessionState {
-  /// Indexed like the scheme's modalities ([0] visual, [1] log); the scheme
-  /// sizes it on first use. Training rows = labeled + selected unlabeled
-  /// images.
-  std::vector<std::unordered_map<int, double>> alphas;
-};
+/// Empty and unused; kept only so perfbench builds unmodified.
+struct SessionState {};
 
 /// Checks an external query feature against the corpus: it must have the
 /// corpus's dimensionality and only finite values, else InvalidArgument
@@ -65,10 +52,7 @@ struct FeedbackContext {
   int query_id = -1;
   std::vector<int> labeled_ids;
   std::vector<double> labels;  ///< +1 / -1, parallel to labeled_ids
-  /// Optional per-session warm-start state (null = cold start every round).
-  /// The owner (a FeedbackSession) keeps it alive across rounds; a
-  /// scheme may read and update it from Rank() despite constness because the
-  /// state belongs to the session, not the scheme.
+  /// Read by no code; kept only so perfbench builds unmodified.
   SessionState* session_state = nullptr;
   /// Retrieval depth this session actually consumes (max evaluation scope
   /// plus the judgments it will request). When the database carries an

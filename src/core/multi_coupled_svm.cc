@@ -66,13 +66,6 @@ Result<MultiCoupledModel> MultiCoupledSvm::TrainViews(
     if (modalities[k].c <= 0.0) {
       return Status::InvalidArgument("coupled SVM: non-positive C");
     }
-    const std::vector<double>* warm_start = modalities[k].initial_alpha;
-    if (warm_start != nullptr && !warm_start->empty() &&
-        warm_start->size() != n) {
-      return Status::InvalidArgument(
-          "coupled SVM: modality " + std::to_string(k) +
-          " initial_alpha size must equal N_l + N'");
-    }
   }
 
   std::vector<double> y(n);
@@ -85,13 +78,8 @@ Result<MultiCoupledModel> MultiCoupledSvm::TrainViews(
   // Each modality's last solve. Successive solves of one modality differ
   // only in rho_star or a few flipped pseudo-labels, so each starts from
   // its predecessor's alphas, which it takes over; the first starts from
-  // the caller's previous round when provided.
+  // zero (an empty alpha).
   std::vector<svm::SmoSolution> solutions(num_modalities);
-  for (size_t k = 0; k < num_modalities; ++k) {
-    if (modalities[k].initial_alpha != nullptr) {
-      solutions[k].alpha = *modalities[k].initial_alpha;
-    }
-  }
 
   // One Gram per modality serves every QP of the chain: the kernel matrix
   // depends only on the rows and the kernel, both constant here; the

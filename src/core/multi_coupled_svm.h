@@ -58,7 +58,7 @@ struct CsvmDiagnostics {
   double visual_objective = 0.0;  ///< modality 0's final dual objective
   double log_objective = 0.0;     ///< modality 1's; 0 when K = 1
   /// SMO iterations summed across every QP solve of the alternating
-  /// optimization (all modalities); the cost driver warm-starting attacks.
+  /// optimization (all modalities); the chain's warm starts keep it low.
   long total_smo_iterations = 0;
 
   /// Folds another run's diagnostics in (counters sum, objectives keep the
@@ -75,8 +75,7 @@ struct CsvmDiagnostics {
 };
 
 /// \brief One information modality in a multi-modal coupled problem. Borrows
-/// the sample matrix and warm start, which must outlive the TrainViews
-/// call.
+/// the sample matrix, which must outlive the TrainViews call.
 struct ModalityView {
   /// Required. (N_l + N') x dims sample matrix; labeled rows first, in the
   /// shared sample order used by every modality.
@@ -84,10 +83,6 @@ struct ModalityView {
   svm::KernelParams kernel = svm::KernelParams::Rbf(1.0);
   /// Per-modality regularization C (the paper's C_w / C_u generalized).
   double c = 10.0;
-  /// Optional warm start (null or empty = cold start, otherwise N_l + N'
-  /// entries): this modality's dual variables from a previous round's
-  /// model, zero for rows new this round.
-  const std::vector<double>* initial_alpha = nullptr;
 };
 
 /// \brief Trained multi-modal coupled model: one SVM per modality plus the
@@ -97,9 +92,8 @@ struct MultiCoupledModel {
   /// Final pseudo-labels of the unlabeled samples (post label correction).
   std::vector<double> unlabeled_labels;
   /// Final dual variables of each modality's QP, in training-row order
-  /// (parallel to the input modalities). Feed them back through
-  /// ModalityView::initial_alpha (aligned by image, zero for new rows) to
-  /// warm-start the next feedback round.
+  /// (parallel to the input modalities): the duals `models` were built
+  /// from, kept for inspection.
   std::vector<std::vector<double>> alphas;
   CsvmDiagnostics diagnostics;
 

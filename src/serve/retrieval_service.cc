@@ -440,8 +440,8 @@ void RetrievalService::FlushSessionLocked(ServeSession& session) {
   util::AssertRankNotHeld(util::LockRank::kSessionManager,
                           "flushing a session to the log store");
   // The session is ended (or evicted): End() hands over its recorded rounds
-  // and releases its warm-start duals and kernel columns — eviction must
-  // actually bound memory — so refund the accounted bytes.
+  // and releases its kernel columns — eviction must actually bound memory —
+  // so refund the accounted bytes.
   std::vector<logdb::LogSession> rounds = session.feedback.End();
   if (log_store_ != nullptr) {
     for (logdb::LogSession& record : rounds) {

@@ -84,7 +84,7 @@ struct ScoredCandidate {
 /// Every session's rounds run through one core::FeedbackSession, the type
 /// core::RunFeedbackSession drives too, so a single-threaded session
 /// reproduces it exactly: same first-round ranking, same scan narrowing,
-/// same warm-started duals, same recorded log rounds (verified by
+/// same re-rankings, same recorded log rounds (verified by
 /// tests/serve/retrieval_service_test.cc).
 class RetrievalService {
  public:

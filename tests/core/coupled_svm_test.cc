@@ -240,42 +240,6 @@ TEST(CoupledSvmTest, DiagnosticsObjectivesPopulated) {
   EXPECT_LE(model->diagnostics.log_objective, 1e-9);
 }
 
-TEST(CoupledSvmTest, WarmStartAcrossRoundsMatchesColdTraining) {
-  // Round t+1 warm-started from round t's duals must produce the same model
-  // as a cold solve (warm starting is an accelerator, not an approximation).
-  const TwoModalityData data = TwoModalityProblem(8, 6, 2.0, 1.5, 21);
-  MultiCoupledSvm csvm(TestOptions());
-  auto cold = Train(csvm, data);
-  ASSERT_TRUE(cold.ok());
-  ASSERT_EQ(cold->alphas[0].size(), data.visual.rows());
-  ASSERT_EQ(cold->alphas[1].size(), data.log.rows());
-
-  TwoModalityData warm_data = data;
-  warm_data.initial_visual_alpha = cold->alphas[0];
-  warm_data.initial_log_alpha = cold->alphas[1];
-  auto warm = Train(csvm, warm_data);
-  ASSERT_TRUE(warm.ok());
-
-  EXPECT_EQ(warm->unlabeled_labels, cold->unlabeled_labels);
-  for (size_t i = 0; i < data.visual.rows(); ++i) {
-    EXPECT_NEAR(Decision(*warm, data, i), Decision(*cold, data, i), 5e-3)
-        << i;
-  }
-  // Both runs warm-start internally across the annealing chain, so the
-  // cross-round carry only shaves the first solve; totals must stay in the
-  // same ballpark (the strict single-solve speedup is asserted in
-  // SmoSolverTest.WarmStartMatchesColdStartAfterGrowth).
-  EXPECT_LE(warm->diagnostics.total_smo_iterations,
-            cold->diagnostics.total_smo_iterations * 6 / 5);
-}
-
-TEST(CoupledSvmTest, RejectsMismatchedWarmStart) {
-  TwoModalityData data = TwoModalityProblem(4, 2, 2.0, 2.0, 23);
-  data.initial_visual_alpha = {0.1};  // wrong size
-  MultiCoupledSvm csvm(TestOptions());
-  EXPECT_FALSE(Train(csvm, data).ok());
-}
-
 TEST(CoupledSvmDeathTest, InvalidOptions) {
   MultiCsvmOptions bad = TestOptions();
   bad.delta = -1.0;

@@ -148,6 +148,28 @@ TEST_F(ExperimentTest, RejectsScopesBeyondCorpus) {
       "exceeds");
 }
 
+TEST_F(ExperimentTest, RejectsCandidateDepthNotAboveDeepestScope) {
+  // Under an approximate index a pool of 20 rows, the query among them,
+  // ranks 19 ids: too few for scope 20. Refused up front, before any query.
+  retrieval::ImageDatabase indexed(*db_);
+  retrieval::IndexOptions index_options;
+  index_options.mode = retrieval::IndexMode::kSignature;
+  indexed.BuildIndex(index_options);
+  const SchemeOptions scheme_options =
+      MakeDefaultSchemeOptions(indexed, log_features_);
+  std::vector<std::shared_ptr<FeedbackScheme>> schemes{
+      MakeScheme("Euclidean", scheme_options).value()};
+  ExperimentOptions options = SmallExperiment();
+  options.candidate_depth = 20;  // deepest scope is 20
+  EXPECT_DEATH(
+      (void)RunExperiment(indexed, log_features_, schemes, options),
+      "candidate_depth 20 must exceed the deepest scope, 20");
+  options.candidate_depth = 21;
+  EXPECT_EQ(RunExperiment(indexed, log_features_, schemes, options)
+                .num_queries,
+            options.num_queries);
+}
+
 TEST_F(ExperimentTest, QueriesClampToCorpusSize) {
   const SchemeOptions scheme_options =
       MakeDefaultSchemeOptions(*db_, log_features_);

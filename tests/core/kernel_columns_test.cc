@@ -269,67 +269,63 @@ TEST_F(KernelColumnsTest, HoldComputesOnlyNewColumnsAndCounts) {
             ctx.labeled_ids.size() + first.size());
 }
 
-/// Forwards to `inner` after dropping the session's warm-start duals, so
-/// every round solves cold, exactly like a round without a SessionState;
-/// only the carried kernel columns survive.
-class ColdSolveScheme : public FeedbackScheme {
- public:
-  explicit ColdSolveScheme(std::shared_ptr<FeedbackScheme> inner)
-      : inner_(std::move(inner)) {}
-  std::string name() const override { return inner_->name(); }
-  Result<std::vector<int>> Rank(const FeedbackContext& ctx) const override {
-    ctx.session_state->alphas.clear();
-    return inner_->Rank(ctx);
-  }
-
- private:
-  std::shared_ptr<FeedbackScheme> inner_;
-};
-
 TEST_F(KernelColumnsTest, CarriedColumnsRankLikeAStatelessSession) {
+  // A session round ranks from its query, labels, scan space and kernel
+  // columns only, so each round equals the plain scheme ranking a freshly
+  // prepared copy of the context, whether the columns carried over (a
+  // candidate pool) or were released after the last round (a corpus-wide
+  // scan, candidate_depth 0).
   LrfCsvmOptions csvm;
   csvm.n_prime = 8;
   for (const svm::KernelParams& log_kernel :
        {svm::KernelParams::Linear(), svm::KernelParams::Rbf(0.1)}) {
-    SCOPED_TRACE(log_kernel.ToString());
     SchemeOptions options = MakeDefaultSchemeOptions(*db_, log_features_);
     options.log_kernel = log_kernel;
-    const ColdSolveScheme carried(
-        MakeScheme("LRF-CSVM", options, csvm).value());
-    const auto stateless = MakeScheme("LRF-CSVM", options, csvm).value();
-
-    FeedbackContext ctx;
-    ctx.db = indexed_db_;
-    ctx.log_rows = log_rows_;
-    ctx.query_id = 29;
-    ctx.candidate_depth = 8;
-    FeedbackSession session(std::move(ctx));
-    const logdb::SimulatedUser user(db_->categories(), logdb::UserModel{});
-    std::unordered_set<int> judged{29};
-    Rng rng(3);
-    session.SetFirstRound(indexed_db_->TopK(db_->feature(29), 8));
-    size_t last_bytes = 0;
-    for (int round = 0; round < 3; ++round) {
-      const std::vector<logdb::LogEntry> judgments = user.JudgeRound(
-          session.ranking(), db_->category(29), 4, &judged, &rng);
-      ASSERT_TRUE(session.ApplyRound(carried, judgments).ok());
-      FeedbackContext reference = session.context();
-      reference.session_state = nullptr;
-      ASSERT_TRUE(reference.Prepare().ok());
-      EXPECT_EQ(session.ranking(), stateless->Rank(reference).value())
-          << "round " << round;
-      // The carried columns grow with the labeled set.
-      const size_t labeled = session.context().labeled_ids.size();
-      EXPECT_GE(session.kernel_bytes(),
-                labeled * session.context().scan_size() * sizeof(double));
-      EXPECT_GT(session.kernel_bytes(), last_bytes);
-      last_bytes = session.kernel_bytes();
+    for (const char* name : {"RF-SVM", "LRF-2SVMs", "LRF-CSVM"}) {
+      const auto scheme = MakeScheme(name, options, csvm).value();
+      for (int depth : {0, 8}) {
+        SCOPED_TRACE(log_kernel.ToString() + " " + name + " depth " +
+                     std::to_string(depth));
+        FeedbackContext ctx;
+        ctx.db = indexed_db_;
+        ctx.log_rows = log_rows_;
+        ctx.query_id = 29;
+        ctx.candidate_depth = depth;
+        FeedbackSession session(std::move(ctx));
+        const logdb::SimulatedUser user(db_->categories(),
+                                        logdb::UserModel{});
+        std::unordered_set<int> judged{29};
+        Rng rng(3);
+        session.SetFirstRound(indexed_db_->TopK(
+            db_->feature(29), FirstRoundDepth(*indexed_db_, depth)));
+        size_t last_bytes = 0;
+        for (int round = 0; round < 3; ++round) {
+          const std::vector<logdb::LogEntry> judgments = user.JudgeRound(
+              session.ranking(), db_->category(29), 4, &judged, &rng);
+          ASSERT_TRUE(session.ApplyRound(*scheme, judgments).ok());
+          FeedbackContext reference = session.context();
+          ASSERT_TRUE(reference.Prepare().ok());
+          EXPECT_EQ(session.ranking(), scheme->Rank(reference).value())
+              << "round " << round;
+          if (depth == 0) {
+            // A corpus-wide scan's columns do not outlive the round.
+            EXPECT_EQ(session.kernel_bytes(), 0u);
+            continue;
+          }
+          // The carried columns grow with the labeled set.
+          const size_t labeled = session.context().labeled_ids.size();
+          EXPECT_GE(session.kernel_bytes(),
+                    labeled * session.context().scan_size() *
+                        sizeof(double));
+          EXPECT_GT(session.kernel_bytes(), last_bytes);
+          last_bytes = session.kernel_bytes();
+        }
+        session.End();
+        EXPECT_EQ(session.kernel_bytes(), 0u);
+      }
     }
-    session.End();
-    EXPECT_EQ(session.kernel_bytes(), 0u);
   }
 }
-
 
 TEST_F(KernelColumnsTest, PaperSchemesOnOneContextComputeLabeledColumnsOnce) {
   // Table 1's protocol: RF-SVM, LRF-2SVMs and LRF-CSVM rank one prepared

@@ -168,8 +168,8 @@ la::Matrix* SessionCacheFeedbackTest::log_features_ = nullptr;
 la::SparseRows* SessionCacheFeedbackTest::log_rows_ = nullptr;
 
 /// The reference for the carried kernel columns: forwards to `inner` but
-/// drops the context's columns before every round, keeping the warm-start
-/// duals, so each round computes its kernel values afresh.
+/// drops the context's columns before every round, so each round computes
+/// its kernel values afresh.
 class FreshKernelRowsScheme : public FeedbackScheme {
  public:
   explicit FreshKernelRowsScheme(std::shared_ptr<FeedbackScheme> inner)

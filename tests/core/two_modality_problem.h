@@ -20,8 +20,6 @@ struct TwoModalityData {
   la::Matrix log;     ///< (N_l + N') x 1
   std::vector<double> labels;
   std::vector<double> initial_unlabeled_labels;
-  std::vector<double> initial_visual_alpha;  ///< empty = cold start
-  std::vector<double> initial_log_alpha;     ///< empty = cold start
 };
 
 // Both views carry the class signal: visual = 2-D Gaussians at
@@ -60,8 +58,8 @@ inline MultiCsvmOptions TestOptions() {
 /// Views over `data`, both modalities with C = 10 and an RBF(0.5) kernel.
 inline std::vector<ModalityView> Views(const TwoModalityData& data) {
   const svm::KernelParams kernel = svm::KernelParams::Rbf(0.5);
-  return {ModalityView{&data.visual, kernel, 10.0, &data.initial_visual_alpha},
-          ModalityView{&data.log, kernel, 10.0, &data.initial_log_alpha}};
+  return {ModalityView{&data.visual, kernel, 10.0},
+          ModalityView{&data.log, kernel, 10.0}};
 }
 
 inline Result<MultiCoupledModel> Train(const MultiCoupledSvm& csvm,

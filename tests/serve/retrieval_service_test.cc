@@ -144,7 +144,7 @@ TEST_F(RetrievalServiceTest, RejectsBadInputs) {
 
 // The acceptance-critical property: a single-threaded service session is
 // rank-identical to core::RunFeedbackSession — same first-round ranking,
-// same narrowed scan space, same warm-started re-rankings — and hands the
+// same narrowed scan space, same re-rankings — and hands the
 // log store the same recorded rounds.
 TEST_F(RetrievalServiceTest, MatchesRunFeedbackSessionExactly) {
   for (const char* scheme_name : {"RF-SVM", "LRF-CSVM"}) {
