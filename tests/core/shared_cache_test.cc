@@ -1,7 +1,7 @@
 // Gates for the kernel values a coupled SVM shares: one Gram per modality
 // serves every QP of a MultiCoupledSvm chain, and a feedback session's
 // carried kernel columns rank exactly like columns computed afresh each
-// round (the carried duals differ in neither case).
+// round.
 #include <gtest/gtest.h>
 
 #include <memory>
