@@ -15,9 +15,10 @@ its perfbench builds into the tree's own .bench_build. Pair i runs seed
 first_seed + i on both sides, the parent first when i is even. A run that
 exits non-zero (incorrect outputs, a failed build, a timeout) is kept as a
 row with its exit code and whatever metrics it printed, and the pairs go
-on. `summary` reads the rows back, counts each side's failed runs and
-leaves them out, and prints, per workload and end-to-end metric, each
-side's median and quartiles, the change's wins of the pairs, and whether
+on. Every row also records the CMAKE_CXX_FLAGS and C++ compiler its side's
+perfbench was configured with. `summary` reads the rows back, counts each
+side's failed runs and leaves them out, and prints, per workload, each
+side's build and, per end-to-end metric, each side's median and quartiles, the change's wins of the pairs, and whether
 the parent's own quartile spread is wider than the metric's bound. With
 `--claim METRIC@WORKLOAD` it prints only whether a claimed gain holds.
 """
@@ -56,6 +57,27 @@ def prebuild(tree):
                    check=True)
 
 
+def build_config(tree):
+    """The CMAKE_CXX_FLAGS and C++ compiler in the tree's perfbench
+    CMakeCache.txt."""
+    cache = {}
+    with open(os.path.join(tree, ".bench_build", "perfbench",
+                           "CMakeCache.txt")) as f:
+        for line in f:
+            key, sep, value = line.rstrip("\n").partition("=")
+            if sep and not line.startswith(("#", "//")):
+                cache[key.partition(":")[0]] = value
+    return {"cxx_flags": cache.get("CMAKE_CXX_FLAGS", ""),
+            "cxx_compiler": cache.get("CMAKE_CXX_COMPILER", "")}
+
+
+def row_build(row):
+    """A row's build as a printable string; rows written before builds were
+    recorded ran with default flags."""
+    return "flags '%s', compiler %s" % (
+        row.get("cxx_flags", ""), row.get("cxx_compiler") or "default")
+
+
 def run_once(tree, workload, seed, seconds):
     """Returns the run's exit code and its final JSON line (None if it
     printed none)."""
@@ -77,6 +99,7 @@ def run(args):
     sides = {"parent": args.parent, "change": args.change}
     for tree, _ in sides.values():
         prebuild(tree)
+    builds = {side: build_config(tree) for side, (tree, _) in sides.items()}
     with open(args.out, "a") as out:
         for workload in args.workloads.split(","):
             order = 0
@@ -98,6 +121,7 @@ def run(args):
                            "failed": result.get("failed", 0),
                            "metrics": {n: metrics[n]["value"] for n in names
                                        if n in metrics}}
+                    row.update(builds[side])
                     out.write(json.dumps(row, sort_keys=True) + "\n")
                     out.flush()
                     print("%s %s seed %d: exit %d" %
@@ -183,6 +207,10 @@ def summary(args):
               " failed ops parent %d / change %d" %
               (workload, len(seeds), failed_runs["parent"],
                failed_runs["change"], failed["parent"], failed["change"]))
+        for side in SIDES:
+            print("build %s: %s" % (side, "; ".join(sorted(
+                {row_build(r) for r in mine if r["side"] == side}))))
+        print()
         print("| metric | parent median [q1, q3] | change median [q1, q3] |"
               " change | wins | parent spread / bound | verdict |")
         print("|---|---|---|---|---|---|---|")

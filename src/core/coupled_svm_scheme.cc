@@ -9,6 +9,15 @@
 namespace cbir::core {
 namespace {
 
+/// Weight of the log-side kernel similarity when kMostSimilar scores
+/// closeness to the labeled samples. Above 1 it prioritizes log-confirmed
+/// (co-marked) candidates, whose pseudo-labels are the most precise
+/// information the feedback log offers.
+constexpr double kSelectionLogWeight = 2.0;
+
+/// Seed of the stochastic selection strategy (kRandom).
+constexpr uint64_t kSelectionSeed = 1;
+
 la::Matrix GatherRows(const la::Matrix& all, const std::vector<int>& ids) {
   la::Matrix out(ids.size(), all.cols());
   for (size_t i = 0; i < ids.size(); ++i) {
@@ -97,7 +106,7 @@ Result<SelectionResult> CoupledSvmScheme::SelectForContext(
       const double* log_sim =
           log.sparse ? log_values.data() : log.values.data();
       for (size_t pos = 0; pos < visual.size(); ++pos) {
-        sim[pos] += visual[pos] + options_.selection_log_weight * log_sim[pos];
+        sim[pos] += visual[pos] + kSelectionLogWeight * log_sim[pos];
       }
     }
     inputs.similarity_to_positives.reserve(positions.size());
@@ -135,7 +144,7 @@ Result<SelectionResult> CoupledSvmScheme::SelectForContext(
     }
   }
   return SelectUnlabeled(options_.selection, inputs, options_.n_prime,
-                         options_.selection_seed);
+                         kSelectionSeed);
 }
 
 Status CoupledSvmScheme::BindColumns(const FeedbackContext& ctx) const {

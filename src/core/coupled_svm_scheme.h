@@ -12,7 +12,9 @@
 
 namespace cbir::core {
 
-/// \brief Options for the full LRF-CSVM algorithm (paper Fig. 1).
+/// \brief Options for the full LRF-CSVM algorithm (paper Fig. 1): the
+/// values the paper and the driver presets vary. The most-similar rule's
+/// log weight (2) and kRandom's seed (1) are constants of the scheme.
 struct LrfCsvmOptions {
   /// Number of unlabeled samples N' engaged in the coupled training.
   int n_prime = 20;
@@ -20,16 +22,9 @@ struct LrfCsvmOptions {
   /// kMaxMin is Fig. 1's literal pseudo-code (compared by
   /// `experiment_driver --preset=ablation-selection`).
   SelectionStrategy selection = SelectionStrategy::kMostSimilar;
-  /// Weight of the log-side kernel similarity when scoring closeness to
-  /// labeled samples for kMostSimilar. Values > 1 prioritize log-confirmed
-  /// (co-marked) candidates, whose pseudo-labels are the most precise
-  /// information the feedback log offers.
-  double selection_log_weight = 2.0;
   /// Coupled-SVM hyper-parameters; the scheme options supply each
   /// modality's C and kernel.
   MultiCsvmOptions csvm;
-  /// Seed for stochastic selection strategies (kRandom).
-  uint64_t selection_seed = 1;
 };
 
 /// \brief The paper's three SVM schemes as one coupled SVM (Section 4.1)

@@ -8,6 +8,13 @@
 
 namespace cbir::core {
 
+namespace {
+
+/// Cap on label-correction retraining rounds per outer iteration.
+constexpr int kMaxInnerIterations = 20;
+
+}  // namespace
+
 double MultiCoupledModel::Decision(const std::vector<la::Vec>& samples) const {
   CBIR_CHECK_EQ(samples.size(), models.size());
   double sum = 0.0;
@@ -32,10 +39,6 @@ Status MultiCoupledSvm::Validate(const MultiCsvmOptions& options) {
   }
   if (!(options.delta >= 0.0)) {
     return Status::InvalidArgument("coupled SVM: delta must be non-negative");
-  }
-  if (options.max_inner_iterations <= 0) {
-    return Status::InvalidArgument(
-        "coupled SVM: max_inner_iterations must be positive");
   }
   return Status::OK();
 }
@@ -112,7 +115,7 @@ Result<MultiCoupledModel> MultiCoupledSvm::TrainViews(
     ++diag.outer_iterations;
     CBIR_RETURN_NOT_OK(solve_all(rho_star));
 
-    for (int inner = 0; inner < options_.max_inner_iterations; ++inner) {
+    for (int inner = 0; inner < kMaxInnerIterations; ++inner) {
       // A pseudo-label is a flip candidate only when EVERY modality
       // penalizes it (the K-modality generalization of Fig. 1's
       // "xi' > 0 AND eta' > 0") and the total violation exceeds Delta.
@@ -141,31 +144,20 @@ Result<MultiCoupledModel> MultiCoupledSvm::TrainViews(
         y[idx] = -y[idx];
         for (svm::SmoSolution& sol : solutions) sol.alpha[idx] = 0.0;
       };
-      int flips = 0;
-      if (options_.enforce_class_balance) {
-        std::sort(pos_violators.rbegin(), pos_violators.rend());
-        std::sort(neg_violators.rbegin(), neg_violators.rend());
-        const size_t swaps =
-            std::min(pos_violators.size(), neg_violators.size());
-        for (size_t s = 0; s < swaps; ++s) {
-          flip_sample(pos_violators[s].second);
-          flip_sample(neg_violators[s].second);
-          flips += 2;
-        }
-      } else {
-        for (const auto& [violation, idx] : pos_violators) {
-          flip_sample(idx);
-          ++flips;
-        }
-        for (const auto& [violation, idx] : neg_violators) {
-          flip_sample(idx);
-          ++flips;
-        }
+      // Flip in +/- pairs, strongest violations first, so the pseudo-label
+      // class ratio stays fixed (the class comment says why).
+      std::sort(pos_violators.rbegin(), pos_violators.rend());
+      std::sort(neg_violators.rbegin(), neg_violators.rend());
+      const size_t swaps = std::min(pos_violators.size(), neg_violators.size());
+      for (size_t s = 0; s < swaps; ++s) {
+        flip_sample(pos_violators[s].second);
+        flip_sample(neg_violators[s].second);
       }
+      const int flips = 2 * static_cast<int>(swaps);
       if (flips == 0) break;
       diag.total_flips += flips;
       ++diag.inner_iterations;
-      if (inner + 1 >= options_.max_inner_iterations) {
+      if (inner + 1 >= kMaxInnerIterations) {
         diag.inner_cap_hit = true;
       }
       CBIR_RETURN_NOT_OK(solve_all(rho_star));

@@ -12,7 +12,9 @@ namespace cbir::core {
 
 /// \brief Hyper-parameters of the coupled SVM (paper Eq. 1 and Fig. 1),
 /// shared across modalities. Each modality's C and kernel live in its
-/// ModalityView.
+/// ModalityView. The class-balanced flip rule and the cap on correction
+/// rounds are fixed; MultiCoupledSvm's class comment gives both and how
+/// they deviate from Fig. 1.
 struct MultiCsvmOptions {
   /// Final regularization weight for unlabeled samples (their box bound is
   /// rho * C). The annealing starts at min(rho_init, rho), rho_init = 1e-4
@@ -35,18 +37,6 @@ struct MultiCsvmOptions {
   /// makes Fig. 1's rule coincide with the exact integer-program label
   /// update; smaller values admit loss-increasing flips that oscillate.
   double delta = 2.0;
-  /// Cap on label-correction retraining rounds per outer iteration; Fig. 1's
-  /// inner WHILE has no termination proof (the paper lists convergence as an
-  /// open problem), so we bound it.
-  int max_inner_iterations = 20;
-  /// Keep the pseudo-label class ratio fixed during label correction by
-  /// flipping violators in +/- pairs (strongest violations first), exactly
-  /// as transductive SVM does (Joachims ICML'99 — the paper's reference
-  /// [18], which Section 4.2 says the annealing imitates). Without this
-  /// guard, a nearly-single-class labeled set lets the correction step
-  /// relabel the entire pseudo-negative half positive and the decision
-  /// function collapses. false = the literal Fig. 1 rule.
-  bool enforce_class_balance = true;
 };
 
 /// \brief Convergence/behaviour report from one coupled training run.
@@ -110,22 +100,36 @@ struct MultiCoupledModel {
 ///
 /// 1. With pseudo-labels fixed, solve the K weighted SVM QPs (labeled
 ///    samples bounded by c_k, unlabeled by rho* c_k).
-/// 2. With the models fixed, update the pseudo-labels by Fig. 1's flip rule:
-///    flip those that every modality rejects (all slacks > 0) with joint
-///    violation above Delta, in class-balanced pairs by default.
+/// 2. With the models fixed, update the pseudo-labels: a pseudo-label is a
+///    violator when every modality rejects it (all slacks > 0) with joint
+///    violation above Delta, and violators flip in +/- pairs (see below).
+///    At most 20 such retraining rounds run per outer iteration.
 /// 3. Anneal rho* <- min(2 rho*, rho); repeat until rho* reaches rho.
 ///
-/// Deviation from Fig. 1: we run the final train/correct round at
-/// rho* == rho inclusive, matching transductive-SVM practice; the literal
-/// pseudo-code exits before ever training at rho.
+/// Deviations from Fig. 1:
+///  - Violators flip only in class-balanced pairs: the strongest positive
+///    violator with the strongest negative one, and so on, so the
+///    pseudo-label class ratio stays fixed and a violator with no
+///    opposite-class partner keeps its label. Fig. 1 flips every violator.
+///    The pairs are transductive SVM's rule (Joachims ICML'99, the paper's
+///    reference [18], which Section 4.2 says the annealing imitates);
+///    without them a nearly-single-class labeled set lets the correction
+///    relabel the whole pseudo-negative half positive, and the decision
+///    function collapses.
+///  - The inner correction loop is capped (CsvmDiagnostics::inner_cap_hit
+///    reports reaching the cap): Fig. 1's inner WHILE has no termination
+///    proof, and the paper lists convergence as an open problem.
+///  - The final train/correct round runs at rho* == rho inclusive, matching
+///    transductive-SVM practice; the literal pseudo-code exits before ever
+///    training at rho.
 class MultiCoupledSvm {
  public:
   /// `options` must pass Validate(); invalid options abort.
   explicit MultiCoupledSvm(const MultiCsvmOptions& options);
 
-  /// InvalidArgument unless rho and rho_init are positive, delta is
-  /// non-negative and max_inner_iterations is positive. Callers taking
-  /// options from a request or command line check here first.
+  /// InvalidArgument unless rho and rho_init are positive and delta is
+  /// non-negative. Callers taking options from a request or command line
+  /// check here first.
   static Status Validate(const MultiCsvmOptions& options);
 
   const MultiCsvmOptions& options() const { return options_; }

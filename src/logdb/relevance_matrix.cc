@@ -12,7 +12,7 @@ RelevanceMatrix::RelevanceMatrix(int num_images) : num_images_(num_images) {
 }
 
 void RelevanceMatrix::AddSession(const LogSession& session) {
-  const int session_index = num_sessions();
+  const int session_index = num_sessions_++;
   std::vector<LogEntry> row;
   row.reserve(session.entries.size());
   for (const LogEntry& e : session.entries) {
@@ -36,18 +36,6 @@ void RelevanceMatrix::AddSession(const LogSession& session) {
       ++negative_count_;
     }
   }
-  sessions_.push_back(std::move(row));
-}
-
-int RelevanceMatrix::Value(int session, int image_id) const {
-  CBIR_CHECK_GE(session, 0);
-  CBIR_CHECK_LT(session, num_sessions());
-  CBIR_CHECK_GE(image_id, 0);
-  CBIR_CHECK_LT(image_id, num_images_);
-  for (const LogEntry& e : sessions_[static_cast<size_t>(session)]) {
-    if (e.image_id == image_id) return e.judgment;
-  }
-  return 0;
 }
 
 la::Vec RelevanceMatrix::LogVector(int image_id,

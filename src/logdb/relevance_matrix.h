@@ -12,8 +12,9 @@ namespace cbir::logdb {
 /// \brief The paper's relevance matrix R (Section 2).
 ///
 /// Rows are user log sessions, columns are images; entries are +1 (relevant),
-/// -1 (irrelevant) or 0 (not judged). Storage is sparse by session; an
-/// inverted per-image index supports fast column (log vector r_i) extraction.
+/// -1 (irrelevant) or 0 (not judged). Only the columns are stored: an
+/// inverted per-image list of (session, mark), from which a log vector r_i
+/// is read directly.
 ///
 /// Each image's log vector r_i has dimension M = number of sessions; that is
 /// the representation the log-side SVM consumes.
@@ -23,15 +24,12 @@ class RelevanceMatrix {
   explicit RelevanceMatrix(int num_images);
 
   int num_images() const { return num_images_; }
-  int num_sessions() const { return static_cast<int>(sessions_.size()); }
+  int num_sessions() const { return num_sessions_; }
 
   /// Appends one session (one row). Entries with out-of-range image ids or
   /// zero judgments are ignored; duplicate judgments for the same image in
   /// one session keep the last value.
   void AddSession(const LogSession& session);
-
-  /// Relevance value R[session][image] in {-1, 0, +1}.
-  int Value(int session, int image_id) const;
 
   /// Rocchio-style default down-weighting of negative marks in the dense
   /// representation. Positive marks ("this image matches my query concept")
@@ -67,8 +65,7 @@ class RelevanceMatrix {
   };
 
   int num_images_;
-  /// Per-session sparse rows (image_id, value), deduplicated.
-  std::vector<std::vector<LogEntry>> sessions_;
+  int num_sessions_ = 0;
   /// Inverted index: per-image list of (session, value).
   std::vector<std::vector<Mark>> image_marks_;
   int64_t positive_count_ = 0;

@@ -101,7 +101,7 @@ bool RetryingClient::ShouldRetry(const Status& status, bool* reconnect) {
 void RetryingClient::Backoff(int attempt) {
   const double cap = static_cast<double>(options_.max_backoff_ms);
   const double grown = static_cast<double>(options_.initial_backoff_ms) *
-                       std::pow(options_.backoff_multiplier, attempt);
+                       std::pow(2.0, attempt);
   const double ceiling = std::min(cap, grown);
   const int sleep_ms = static_cast<int>(NextUniform() * ceiling);
   if (sleep_ms > 0) {

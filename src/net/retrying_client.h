@@ -19,11 +19,10 @@ struct RetryOptions {
   /// status is what the caller sees.
   int max_attempts = 4;
   /// Exponential backoff with full jitter: attempt n sleeps uniform(0,
-  /// min(max_backoff_ms, initial_backoff_ms * multiplier^n)) — the jitter
-  /// keeps a fleet of clients from retrying in lockstep against a server
-  /// that just came back.
+  /// min(max_backoff_ms, initial_backoff_ms * 2^n)) — the jitter keeps a
+  /// fleet of clients from retrying in lockstep against a server that just
+  /// came back.
   int initial_backoff_ms = 10;
-  double backoff_multiplier = 2.0;
   int max_backoff_ms = 500;
   /// Bounds every TCP connect (0 = blocking).
   int connect_timeout_ms = 1000;

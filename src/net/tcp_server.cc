@@ -14,6 +14,9 @@ namespace cbir::net {
 
 namespace {
 
+/// listen(2) backlog of the accept socket.
+constexpr int kListenBacklog = 64;
+
 /// Registry series the transport writes. Looked up once (registration takes
 /// the registry mutex); every update after that is a relaxed fetch_add.
 struct NetMetrics {
@@ -101,7 +104,7 @@ Status TcpServer::Start() {
   }
   CBIR_ASSIGN_OR_RETURN(
       listener_,
-      Socket::ListenTcp(options_.host, options_.port, options_.backlog));
+      Socket::ListenTcp(options_.host, options_.port, kListenBacklog));
   port_ = listener_.local_port();
   stopping_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);

@@ -25,7 +25,6 @@ struct TcpServerOptions {
   /// 0 = OS-assigned ephemeral port (read back with port() after Start —
   /// what the tests and the loopback bench use).
   int port = 0;
-  int backlog = 64;
   /// Idle-connection reaper: a connection that sends no frame for this long
   /// is dropped (0 = never). Protects the per-connection threads from
   /// clients that connect and go silent.

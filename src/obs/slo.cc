@@ -23,9 +23,10 @@ SloTracker::SloTracker(MetricsRegistry* registry, SloOptions options,
       options_(std::move(options)),
       alert_log_(alert_log) {
   if (options_.tick_seconds <= 0) options_.tick_seconds = 1;
-  latency_ = registry_->GetHistogram(options_.latency_histogram);
-  requests_ = registry_->GetCounter(options_.requests_counter);
-  errors_ = registry_->GetCounter(options_.errors_counter);
+  // The transport's series (created at zero if absent).
+  latency_ = registry_->GetHistogram("cbir_net_request_us");
+  requests_ = registry_->GetCounter("cbir_net_requests_total");
+  errors_ = registry_->GetCounter("cbir_net_responses_error_total");
   breach_gauge_ = registry_->GetGauge("cbir_slo_breach");
   registry_->SetHelp("cbir_slo_breach",
                      "1 while any SLO window's burn rate is >= 1.0.");

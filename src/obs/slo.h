@@ -30,10 +30,6 @@ struct SloOptions {
   /// tick_seconds). Multi-window per the SRE playbook: the short window
   /// catches a fast burn, the long one a slow leak.
   std::vector<int> windows_s = {60, 600};
-  /// Registry series the tracker watches (created at zero if absent).
-  std::string latency_histogram = "cbir_net_request_us";
-  std::string requests_counter = "cbir_net_requests_total";
-  std::string errors_counter = "cbir_net_responses_error_total";
 };
 
 /// One window's view at the last tick.
@@ -61,6 +57,8 @@ struct SloState {
 
 /// \brief Windowed SLO tracking over the registry's since-boot series.
 ///
+/// It watches the transport's `cbir_net_request_us` histogram and its
+/// `cbir_net_requests_total` and `cbir_net_responses_error_total` counters.
 /// Counters and histograms in the registry are process-lifetime monotonic
 /// by design; the tracker turns them into "over the last 60s" answers by
 /// keeping a ring of per-tick bucket snapshots and summarizing deltas —

@@ -47,18 +47,10 @@ QueryCache::Shard& QueryCache::ShardFor(uint64_t key) {
 
 bool QueryCache::Lookup(uint64_t key, std::vector<int>* out) {
   CBIR_CHECK(out != nullptr);
-  const uint64_t now = epoch();
   Shard& shard = ShardFor(key);
   util::MutexLock lock(shard.mu);
   auto it = shard.map.find(key);
   if (it == shard.map.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  if (it->second->epoch != now) {
-    // Stale epoch: reclaim lazily and report a miss.
-    shard.lru.erase(it->second);
-    shard.map.erase(it);
     misses_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
@@ -68,20 +60,17 @@ bool QueryCache::Lookup(uint64_t key, std::vector<int>* out) {
   return true;
 }
 
-void QueryCache::Insert(uint64_t key, const std::vector<int>& ranking,
-                        uint64_t epoch) {
+void QueryCache::Insert(uint64_t key, const std::vector<int>& ranking) {
   if (per_shard_capacity_ == 0) return;
-  if (epoch != this->epoch()) return;  // computed against invalidated data
   Shard& shard = ShardFor(key);
   util::MutexLock lock(shard.mu);
   auto it = shard.map.find(key);
   if (it != shard.map.end()) {
-    it->second->epoch = epoch;
     it->second->ranking = ranking;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
-  shard.lru.push_front(Entry{key, epoch, ranking});
+  shard.lru.push_front(Entry{key, ranking});
   shard.map[key] = shard.lru.begin();
   insertions_.fetch_add(1, std::memory_order_relaxed);
   while (shard.map.size() > per_shard_capacity_) {
@@ -91,18 +80,12 @@ void QueryCache::Insert(uint64_t key, const std::vector<int>& ranking,
   }
 }
 
-void QueryCache::Invalidate() {
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
-  invalidations_.fetch_add(1, std::memory_order_relaxed);
-}
-
 QueryCacheStats QueryCache::stats() const {
   QueryCacheStats s;
   s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);
   s.insertions = insertions_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
-  s.invalidations = invalidations_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -115,17 +98,8 @@ size_t QueryCache::size() const {
   return total;
 }
 
-uint64_t QueryCache::FingerprintQuery(const la::Vec& query, int depth,
-                                      uint64_t config_fingerprint) {
-  uint64_t hash = kFnvOffset;
-  hash = FnvMix(hash, query.data(), query.size() * sizeof(double));
-  hash = FnvMix(hash, &depth, sizeof(depth));
-  hash = FnvMix(hash, &config_fingerprint, sizeof(config_fingerprint));
-  return hash;
-}
-
-uint64_t QueryCache::HashCombine(uint64_t seed, uint64_t value) {
-  return FnvMix(seed == 0 ? kFnvOffset : seed, &value, sizeof(value));
+uint64_t QueryCache::FingerprintQuery(const la::Vec& query) {
+  return FnvMix(kFnvOffset, query.data(), query.size() * sizeof(double));
 }
 
 }  // namespace cbir::serve

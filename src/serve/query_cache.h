@@ -27,8 +27,7 @@ struct QueryCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t insertions = 0;
-  uint64_t evictions = 0;      ///< LRU capacity evictions
-  uint64_t invalidations = 0;  ///< Invalidate() epoch bumps
+  uint64_t evictions = 0;  ///< LRU capacity evictions
 
   double hit_rate() const {
     const uint64_t lookups = hits + misses;
@@ -40,57 +39,39 @@ struct QueryCacheStats {
 
 /// \brief Sharded LRU cache of first-round top-k rankings.
 ///
-/// Keys are 64-bit fingerprints of (query feature, retrieval depth, index
-/// configuration) — see FingerprintQuery — so two sessions issuing the same
-/// query image against the same index share one ranking computation.
-/// Invalidation is epoch-based: every entry is stamped with the epoch
-/// observed *before* its ranking was computed (pass `epoch()` to Insert),
-/// and Invalidate() bumps the epoch, making every older entry a miss.
-/// Stale entries are reclaimed lazily on lookup and by LRU eviction; no
-/// global sweep ever blocks the serving path.
+/// Keys are 64-bit fingerprints of the query feature (see FingerprintQuery),
+/// so two sessions issuing the same query image share one ranking
+/// computation. A cache belongs to one RetrievalService, whose database,
+/// index and ranking depth are fixed for its lifetime, so the feature alone
+/// determines the ranking and no entry ever goes stale: entries leave only
+/// by LRU eviction.
 ///
 /// All methods are thread-safe; Lookup/Insert take exactly one shard mutex.
 class QueryCache {
  public:
   explicit QueryCache(const QueryCacheOptions& options);
 
-  /// Current invalidation epoch. Read it before computing a ranking and
-  /// hand it to Insert so a concurrent Invalidate() poisons the entry.
-  uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
-
   /// On hit, copies the cached ranking into `out` and refreshes its LRU
-  /// position. Counts a miss (and erases the entry) when the entry's epoch
-  /// is stale.
+  /// position.
   bool Lookup(uint64_t key, std::vector<int>* out);
 
-  /// Caches `ranking` under `key`, stamped with `epoch` (from epoch()).
-  /// Replaces an existing entry for the key; evicts the shard's LRU tail
-  /// beyond capacity. No-op when the entry is already stale or capacity 0.
-  void Insert(uint64_t key, const std::vector<int>& ranking, uint64_t epoch);
-
-  /// Makes every current entry a miss (epoch bump). Call after the data a
-  /// cached ranking derives from (index, corpus) has been swapped.
-  void Invalidate();
+  /// Caches `ranking` under `key`. Replaces an existing entry for the key;
+  /// evicts the shard's LRU tail beyond capacity. No-op at capacity 0.
+  void Insert(uint64_t key, const std::vector<int>& ranking);
 
   QueryCacheStats stats() const;
 
-  /// Live entries across all shards (stale-but-unreclaimed ones included).
+  /// Live entries across all shards.
   size_t size() const;
 
-  /// FNV-1a fingerprint of a query feature vector plus the retrieval depth
-  /// and an index-configuration fingerprint. 64-bit collisions across live
-  /// cache entries are vanishingly rare; a collision serves the colliding
-  /// query the other query's (deterministic) ranking.
-  static uint64_t FingerprintQuery(const la::Vec& query, int depth,
-                                   uint64_t config_fingerprint);
-
-  /// Fingerprint helper for the index-configuration part of the key.
-  static uint64_t HashCombine(uint64_t seed, uint64_t value);
+  /// FNV-1a fingerprint of a query feature vector. 64-bit collisions across
+  /// live cache entries are vanishingly rare; a collision serves the
+  /// colliding query the other query's (deterministic) ranking.
+  static uint64_t FingerprintQuery(const la::Vec& query);
 
  private:
   struct Entry {
     uint64_t key = 0;
-    uint64_t epoch = 0;
     std::vector<int> ranking;
   };
   struct Shard {
@@ -107,12 +88,10 @@ class QueryCache {
   size_t per_shard_capacity_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  std::atomic<uint64_t> epoch_{0};
   mutable std::atomic<uint64_t> hits_{0};
   mutable std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> insertions_{0};
   std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> invalidations_{0};
 };
 
 }  // namespace cbir::serve

@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "index/signature_index.h"
 #include "la/vector_ops.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -15,29 +14,6 @@
 namespace cbir::serve {
 
 namespace {
-
-/// Hashes the parts of the retrieval configuration a cached first-round
-/// ranking depends on, so rankings computed against a differently-built
-/// index can never alias in the cache.
-uint64_t ConfigFingerprint(const retrieval::ImageDatabase& db) {
-  uint64_t fp = QueryCache::HashCombine(
-      0, static_cast<uint64_t>(db.num_images()));
-  const retrieval::Index* index = db.index();
-  if (index == nullptr) {
-    return QueryCache::HashCombine(fp, 0x6e6f6e65ull);  // "none"
-  }
-  for (char c : index->name()) {
-    fp = QueryCache::HashCombine(fp, static_cast<uint64_t>(c));
-  }
-  if (const auto* sig = dynamic_cast<const retrieval::SignatureIndex*>(index);
-      sig != nullptr) {
-    fp = QueryCache::HashCombine(fp, static_cast<uint64_t>(sig->bits()));
-    fp = QueryCache::HashCombine(
-        fp, static_cast<uint64_t>(sig->options().candidate_factor));
-    fp = QueryCache::HashCombine(fp, sig->options().seed);
-  }
-  return fp;
-}
 
 /// Attaches the index work done inside its scope to the current request's
 /// trace as per-request counters (EXPLAIN's `index_*` lines). The index
@@ -87,7 +63,6 @@ RetrievalService::RetrievalService(
       scheme_(std::move(scheme)),
       options_(options),
       cache_(options.cache),
-      config_fingerprint_(ConfigFingerprint(*db)),
       next_session_id_(options.first_session_id) {
   queries_ = metrics_.GetCounter("cbir_serve_queries_total");
   candidate_queries_ =
@@ -212,20 +187,19 @@ std::vector<int> RetrievalService::FirstRoundRanking(
     ScopedIndexCounters index_counters(db_->index());
     ranking = db_->TopK(query_feature, depth);
   } else {
-    // The cached ranking still contains the query row itself: the TopK
-    // result depends only on (feature, depth, index config), so sessions
-    // for different images with identical features can share one entry;
-    // the caller-specific self-exclusion happens after the fetch.
-    const uint64_t key = QueryCache::FingerprintQuery(query_feature, depth,
-                                                     config_fingerprint_);
+    // The cached ranking still contains the query row itself: the service's
+    // database, index and depth are fixed, so the TopK result depends only
+    // on the feature, and sessions for different images with identical
+    // features can share one entry; the caller-specific self-exclusion
+    // happens after the fetch.
+    const uint64_t key = QueryCache::FingerprintQuery(query_feature);
     const bool hit = cache_.Lookup(key, &ranking);
     if (!hit) {
-      const uint64_t epoch = cache_.epoch();
       ScopedIndexCounters index_counters(db_->index());
       ranking = db_->TopK(query_feature, depth,
                           candidates != nullptr ? &candidates->emplace()
                                                 : nullptr);
-      cache_.Insert(key, ranking, epoch);
+      cache_.Insert(key, ranking);
     }
     if (obs::RequestTrace* trace = obs::CurrentTrace(); trace != nullptr) {
       trace->AddCounter("query_cache_hit", hit ? 1 : 0);
@@ -456,8 +430,6 @@ void RetrievalService::FlushSessionLocked(ServeSession& session) {
   }
 }
 
-void RetrievalService::InvalidateCache() { cache_.Invalidate(); }
-
 ServiceStats RetrievalService::stats() const {
   ServiceStats s;
   s.queries = queries_->value();
@@ -476,7 +448,6 @@ ServiceStats RetrievalService::stats() const {
   s.cache_hits = qc.hits;
   s.cache_misses = qc.misses;
   s.cache_evictions = qc.evictions;
-  s.cache_invalidations = qc.invalidations;
   s.cache_hit_rate = qc.hit_rate();
 
   s.log_sessions_appended = log_sessions_appended_->value();

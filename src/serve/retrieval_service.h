@@ -76,7 +76,9 @@ struct ScoredCandidate {
 /// Concurrency model: the database, log-feature matrix, and scheme are
 /// immutable and shared by all sessions; per-session mutable state lives in
 /// a ServeSession behind its own mutex (SessionManager, TTL + LRU bounded);
-/// first-round rankings are memoized in a sharded QueryCache. Requests for
+/// first-round rankings are memoized in a sharded QueryCache, keyed by the
+/// query feature and never invalidated, since the data they derive from
+/// stays fixed for the service's lifetime. Requests for
 /// different sessions never contend beyond map lookups, so throughput
 /// scales with cores until the corpus scans themselves saturate memory
 /// bandwidth.
@@ -154,10 +156,6 @@ class RetrievalService {
   /// ones. Returns how many were evicted.
   size_t EvictExpiredSessions();
 
-  /// Drops every cached first-round ranking (epoch bump); call after the
-  /// serving data (index, log matrix) has been swapped.
-  void InvalidateCache();
-
   /// Counts one request the transport shed for an expired deadline (the
   /// dispatcher decides; the service only owns the counter).
   void RecordDeadlineShed();
@@ -232,8 +230,9 @@ class RetrievalService {
   ServiceOptions options_;
 
   std::unique_ptr<SessionManager> sessions_;
+  /// First-round rankings keyed by query feature alone: db_, its index and
+  /// the depth never change while the service lives.
   QueryCache cache_;
-  uint64_t config_fingerprint_ = 0;
 
   Stopwatch uptime_;
   std::atomic<uint64_t> next_session_id_{1};

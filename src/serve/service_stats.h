@@ -34,7 +34,6 @@ struct ServiceStats {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t cache_evictions = 0;
-  uint64_t cache_invalidations = 0;
 
   // Feedback log integration.
   uint64_t log_sessions_appended = 0;  ///< LogSessions flushed to the store

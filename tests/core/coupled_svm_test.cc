@@ -2,7 +2,10 @@
 // K = 2, modality 0 visual and modality 1 log.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "core/multi_coupled_svm.h"
 #include "two_modality_problem.h"
@@ -41,57 +44,69 @@ TEST(CoupledSvmTest, DecisionIsSumOfModalities) {
               1e-12);
 }
 
-TEST(CoupledSvmTest, CorrectsMislabeledUnlabeledSample) {
-  // The unlabeled sample sits deep in positive territory in BOTH modalities
-  // but is pseudo-labeled -1: the Delta-gated flip must correct it.
-  TwoModalityData data = TwoModalityProblem(8, 0, 3.0, 2.0, 5);
-  data.visual = la::Matrix(17, 2);
-  data.log = la::Matrix(17, 1);
-  {
-    const TwoModalityData base = TwoModalityProblem(8, 0, 3.0, 2.0, 5);
-    for (size_t i = 0; i < 16; ++i) {
-      data.visual.SetRow(i, base.visual.Row(i));
-      data.log.SetRow(i, base.log.Row(i));
-    }
-    data.labels = base.labels;
+// The 16 labeled rows of TwoModalityProblem(8, 0, 3.0, 2.0, seed), then
+// `unlabeled` rows, each given as (visual x, log value, pseudo-label).
+TwoModalityData WithUnlabeled(
+    uint64_t seed, const std::vector<std::array<double, 3>>& unlabeled) {
+  const TwoModalityData base = TwoModalityProblem(8, 0, 3.0, 2.0, seed);
+  TwoModalityData data;
+  data.visual = la::Matrix(16 + unlabeled.size(), 2);
+  data.log = la::Matrix(16 + unlabeled.size(), 1);
+  for (size_t i = 0; i < 16; ++i) {
+    data.visual.SetRow(i, base.visual.Row(i));
+    data.log.SetRow(i, base.log.Row(i));
   }
-  data.visual.SetRow(16, {3.0, 0.0});  // clearly positive visually
-  data.log.SetRow(16, {2.0});          // clearly positive in the log view
-  data.initial_unlabeled_labels = {-1.0};
+  data.labels = base.labels;
+  for (size_t j = 0; j < unlabeled.size(); ++j) {
+    data.visual.SetRow(16 + j, {unlabeled[j][0], 0.0});
+    data.log.SetRow(16 + j, {unlabeled[j][1]});
+    data.initial_unlabeled_labels.push_back(unlabeled[j][2]);
+  }
+  return data;
+}
 
-  // A lone violator has no opposite-class partner, so this exercises the
-  // literal Fig. 1 rule (balance guard off).
-  MultiCsvmOptions options = TestOptions();
-  options.enforce_class_balance = false;
-  MultiCoupledSvm csvm(options);
+// One opposed pair of violators: a sample deep in positive territory in
+// BOTH modalities pseudo-labeled -1, and one deep in negative territory
+// pseudo-labeled +1.
+TwoModalityData OpposedPairProblem(uint64_t seed) {
+  return WithUnlabeled(seed, {{3.0, 2.0, -1.0}, {-3.0, -2.0, 1.0}});
+}
+
+TEST(CoupledSvmTest, CorrectsMislabeledUnlabeledSample) {
+  // Both pseudo-labels are wrong in every modality: the Delta-gated flip
+  // must correct them.
+  const TwoModalityData data = OpposedPairProblem(5);
+  MultiCoupledSvm csvm(TestOptions());
   auto model = Train(csvm, data);
   ASSERT_TRUE(model.ok()) << model.status();
-  ASSERT_EQ(model->unlabeled_labels.size(), 1u);
+  ASSERT_EQ(model->unlabeled_labels.size(), 2u);
   EXPECT_DOUBLE_EQ(model->unlabeled_labels[0], 1.0);
-  EXPECT_GE(model->diagnostics.total_flips, 1);
+  EXPECT_DOUBLE_EQ(model->unlabeled_labels[1], -1.0);
+  EXPECT_GE(model->diagnostics.total_flips, 2);
 }
 
 TEST(CoupledSvmTest, HugeDeltaPreventsFlips) {
-  TwoModalityData data = TwoModalityProblem(8, 0, 3.0, 2.0, 5);
-  // Same mislabeled construction as above.
-  TwoModalityData extended;
-  extended.visual = la::Matrix(17, 2);
-  extended.log = la::Matrix(17, 1);
-  for (size_t i = 0; i < 16; ++i) {
-    extended.visual.SetRow(i, data.visual.Row(i));
-    extended.log.SetRow(i, data.log.Row(i));
-  }
-  extended.labels = data.labels;
-  extended.visual.SetRow(16, {3.0, 0.0});
-  extended.log.SetRow(16, {2.0});
-  extended.initial_unlabeled_labels = {-1.0};
-
+  // Same opposed pair as above, which flips at the default Delta.
+  const TwoModalityData data = OpposedPairProblem(5);
   MultiCsvmOptions options = TestOptions();
-  options.enforce_class_balance = false;
   options.delta = 1e6;  // flips disabled
   MultiCoupledSvm csvm(options);
-  auto model = Train(csvm, extended);
+  auto model = Train(csvm, data);
   ASSERT_TRUE(model.ok());
+  EXPECT_DOUBLE_EQ(model->unlabeled_labels[0], -1.0);
+  EXPECT_DOUBLE_EQ(model->unlabeled_labels[1], 1.0);
+  EXPECT_EQ(model->diagnostics.total_flips, 0);
+}
+
+TEST(CoupledSvmTest, LoneViolatorNeverFlips) {
+  // One sample deep in positive territory in both modalities but
+  // pseudo-labeled -1, and no opposite-class violator to pair it with:
+  // flips come only in +/- pairs, so its label stays.
+  const TwoModalityData data = WithUnlabeled(5, {{3.0, 2.0, -1.0}});
+  MultiCoupledSvm csvm(TestOptions());
+  auto model = Train(csvm, data);
+  ASSERT_TRUE(model.ok()) << model.status();
+  ASSERT_EQ(model->unlabeled_labels.size(), 1u);
   EXPECT_DOUBLE_EQ(model->unlabeled_labels[0], -1.0);
   EXPECT_EQ(model->diagnostics.total_flips, 0);
 }
@@ -100,22 +115,8 @@ TEST(CoupledSvmTest, BalancedCorrectionSwapsOpposedViolators) {
   // Two unlabeled samples with SWAPPED pseudo-labels: one deep positive
   // labeled -1, one deep negative labeled +1. The balance-preserving
   // correction must swap both in one round.
-  const TwoModalityData base = TwoModalityProblem(8, 0, 3.0, 2.0, 21);
-  TwoModalityData data;
-  data.visual = la::Matrix(18, 2);
-  data.log = la::Matrix(18, 1);
-  for (size_t i = 0; i < 16; ++i) {
-    data.visual.SetRow(i, base.visual.Row(i));
-    data.log.SetRow(i, base.log.Row(i));
-  }
-  data.labels = base.labels;
-  data.visual.SetRow(16, {3.0, 0.0});   // positive region
-  data.log.SetRow(16, {2.0});
-  data.visual.SetRow(17, {-3.0, 0.0});  // negative region
-  data.log.SetRow(17, {-2.0});
-  data.initial_unlabeled_labels = {-1.0, 1.0};  // both wrong
-
-  MultiCoupledSvm csvm(TestOptions());  // balance guard on by default
+  const TwoModalityData data = OpposedPairProblem(21);
+  MultiCoupledSvm csvm(TestOptions());
   auto model = Train(csvm, data);
   ASSERT_TRUE(model.ok()) << model.status();
   EXPECT_DOUBLE_EQ(model->unlabeled_labels[0], 1.0);
@@ -203,9 +204,6 @@ TEST(CoupledSvmTest, ValidateRejectsBadOptions) {
   expect_invalid(options);
   options = TestOptions();
   options.delta = -1.0;
-  expect_invalid(options);
-  options = TestOptions();
-  options.max_inner_iterations = 0;
   expect_invalid(options);
 }
 

@@ -87,35 +87,46 @@ TEST(MultiCoupledSvmTest, SingleModalityDegeneratesToWeightedSvm) {
 }
 
 TEST(MultiCoupledSvmTest, FlipRequiresUnanimousRejection) {
-  // The unlabeled sample is wrong in modality 0 but comfortably correct in
-  // modality 1: the all-modalities gate must block the flip.
-  MultiProblem p = MakeProblem(2, 8, 0, 7);
-  const size_t n = p.labels.size() + 1;
-  for (size_t k = 0; k < 2; ++k) {
-    la::Matrix extended(n, p.data[k].cols());
-    for (size_t i = 0; i + 1 < n; ++i) {
-      extended.SetRow(i, p.data[k].Row(i));
+  // Two unlabeled samples. Sample A is pseudo-labeled -1 and sits deep
+  // positive in modality 0 (rejects the label); `a_in_modality_1` places it
+  // in modality 1. Sample B is pseudo-labeled +1 and sits deep negative in
+  // both modalities, so it is a violator whose only possible partner is A.
+  const auto train = [](double a_in_modality_1) {
+    MultiProblem p = MakeProblem(2, 8, 0, 7);
+    const size_t n = p.labels.size() + 2;
+    for (size_t k = 0; k < 2; ++k) {
+      la::Matrix extended(n, p.data[k].cols());
+      for (size_t i = 0; i + 2 < n; ++i) {
+        extended.SetRow(i, p.data[k].Row(i));
+      }
+      la::Vec a(extended.cols(), 0.0);
+      a[0] = k == 0 ? 3.0 : a_in_modality_1;
+      extended.SetRow(n - 2, a);
+      la::Vec b(extended.cols(), 0.0);
+      b[0] = -3.0;
+      extended.SetRow(n - 1, b);
+      p.data[k] = std::move(extended);
     }
-    p.data[k] = std::move(extended);
-  }
-  // Pseudo-label -1. Modality 0 places it deep positive (rejects the
-  // label); modality 1 places it deep negative (confirms the label).
-  {
-    la::Vec row0(p.data[0].cols(), 0.0);
-    row0[0] = 3.0;
-    p.data[0].SetRow(n - 1, row0);
-    la::Vec row1(p.data[1].cols(), 0.0);
-    row1[0] = -3.0;
-    p.data[1].SetRow(n - 1, row1);
-  }
-  p.initial_unlabeled = {-1.0};
+    p.initial_unlabeled = {-1.0, 1.0};
+    // Delta = 0, so the all-modalities gate alone decides who violates.
+    MultiCsvmOptions options = TestOptions();
+    options.delta = 0.0;
+    return MultiCoupledSvm(options).TrainViews(p.Views(), p.labels,
+                                               p.initial_unlabeled);
+  };
 
-  MultiCsvmOptions options = TestOptions();
-  options.enforce_class_balance = false;  // isolate the unanimity gate
-  MultiCoupledSvm csvm(options);
-  auto model = csvm.TrainViews(p.Views(), p.labels, p.initial_unlabeled);
-  ASSERT_TRUE(model.ok());
-  EXPECT_DOUBLE_EQ(model->unlabeled_labels[0], -1.0);
+  // Control: A rejected by both modalities pairs with B and both flip.
+  auto control = train(3.0);
+  ASSERT_TRUE(control.ok()) << control.status();
+  EXPECT_EQ(control->unlabeled_labels, (std::vector<double>{1.0, -1.0}));
+  EXPECT_GE(control->diagnostics.total_flips, 2);
+
+  // Modality 1 places A deep negative (confirms its label): the
+  // all-modalities gate must keep A from flipping, which leaves B without
+  // a partner, so nothing flips.
+  auto model = train(-3.0);
+  ASSERT_TRUE(model.ok()) << model.status();
+  EXPECT_EQ(model->unlabeled_labels, (std::vector<double>{-1.0, 1.0}));
   EXPECT_EQ(model->diagnostics.total_flips, 0);
 }
 

@@ -39,8 +39,8 @@ TEST(LogStoreTest, BuildMatrix) {
   const LogStore store = SampleStore();
   const RelevanceMatrix m = store.BuildMatrix(10);
   EXPECT_EQ(m.num_sessions(), 2);
-  EXPECT_EQ(m.Value(0, 1), 1);
-  EXPECT_EQ(m.Value(1, 3), 1);
+  EXPECT_EQ(m.LogVector(1, 1.0), (la::Vec{1.0, 0.0}));
+  EXPECT_EQ(m.LogVector(3, 1.0), (la::Vec{0.0, 1.0}));
 }
 
 TEST(LogStoreTest, SaveLoadRoundTrip) {

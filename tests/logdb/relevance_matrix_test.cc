@@ -27,11 +27,10 @@ TEST(RelevanceMatrixTest, AddSessionAndQuery) {
   m.AddSession(MakeSession(0, {{1, 1}, {2, -1}}));
   m.AddSession(MakeSession(3, {{1, -1}, {4, 1}}));
   EXPECT_EQ(m.num_sessions(), 2);
-  EXPECT_EQ(m.Value(0, 1), 1);
-  EXPECT_EQ(m.Value(0, 2), -1);
-  EXPECT_EQ(m.Value(0, 3), 0);
-  EXPECT_EQ(m.Value(1, 1), -1);
-  EXPECT_EQ(m.Value(1, 4), 1);
+  EXPECT_EQ(m.LogVector(1, 1.0), (la::Vec{1.0, -1.0}));
+  EXPECT_EQ(m.LogVector(2, 1.0), (la::Vec{-1.0, 0.0}));
+  EXPECT_EQ(m.LogVector(3, 1.0), (la::Vec{0.0, 0.0}));
+  EXPECT_EQ(m.LogVector(4, 1.0), (la::Vec{0.0, 1.0}));
 }
 
 TEST(RelevanceMatrixTest, LogVectorIsColumn) {
@@ -72,13 +71,15 @@ TEST(RelevanceMatrixTest, IgnoresInvalidEntries) {
   RelevanceMatrix m(3);
   m.AddSession(MakeSession(0, {{-1, 1}, {7, 1}, {1, 0}, {2, 1}}));
   EXPECT_EQ(m.PositiveCount(), 1);
-  EXPECT_EQ(m.Value(0, 2), 1);
+  EXPECT_EQ(m.num_sessions(), 1);
+  EXPECT_EQ(m.LogVector(2, 1.0), (la::Vec{1.0}));
+  EXPECT_EQ(m.LogVector(1, 1.0), (la::Vec{0.0}));
 }
 
 TEST(RelevanceMatrixTest, DuplicateJudgmentKeepsLast) {
   RelevanceMatrix m(3);
   m.AddSession(MakeSession(0, {{1, 1}, {1, -1}}));
-  EXPECT_EQ(m.Value(0, 1), -1);
+  EXPECT_EQ(m.LogVector(1, 1.0), (la::Vec{-1.0}));
   // Only one mark recorded despite the duplicate.
   EXPECT_EQ(m.PositiveCount() + m.NegativeCount(), 1);
 }
@@ -95,8 +96,7 @@ TEST(RelevanceMatrixTest, Counts) {
 TEST(RelevanceMatrixDeathTest, BoundsChecked) {
   RelevanceMatrix m(2);
   m.AddSession(MakeSession(0, {{0, 1}}));
-  EXPECT_DEATH((void)m.Value(1, 0), "Check failed");
-  EXPECT_DEATH((void)m.Value(0, 2), "Check failed");
+  EXPECT_DEATH((void)m.LogVector(2), "Check failed");
   EXPECT_DEATH((void)m.LogVector(-1), "Check failed");
 }
 

@@ -332,14 +332,6 @@ TEST_F(RetrievalServiceTest, QueryCacheHitsAcrossSessions) {
   EXPECT_EQ(r1.value(), r2.value());
   EXPECT_EQ(service->stats().cache_hits, 1u);
   EXPECT_EQ(service->stats().cache_misses, 1u);
-
-  // Invalidate: the same query misses once, then hits again.
-  service->InvalidateCache();
-  auto third = service->StartSession(6);
-  ASSERT_TRUE(third.ok());
-  ASSERT_TRUE(service->Query(third.value(), 30).ok());
-  EXPECT_EQ(service->stats().cache_misses, 2u);
-  EXPECT_EQ(service->stats().cache_invalidations, 1u);
 }
 
 TEST_F(RetrievalServiceTest, CapacityEvictionFlushesToLog) {

@@ -18,7 +18,7 @@ TEST(QueryCacheTest, MissThenHit) {
   QueryCache cache(QueryCacheOptions{16, 4});
   std::vector<int> out;
   EXPECT_FALSE(cache.Lookup(1, &out));
-  cache.Insert(1, {4, 5, 6}, cache.epoch());
+  cache.Insert(1, {4, 5, 6});
   ASSERT_TRUE(cache.Lookup(1, &out));
   EXPECT_EQ(out, (std::vector<int>{4, 5, 6}));
   const QueryCacheStats stats = cache.stats();
@@ -27,30 +27,14 @@ TEST(QueryCacheTest, MissThenHit) {
   EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.5);
 }
 
-TEST(QueryCacheTest, InvalidateMakesEntriesStale) {
-  QueryCache cache(QueryCacheOptions{16, 1});
-  cache.Insert(7, {1}, cache.epoch());
-  cache.Invalidate();
-  std::vector<int> out;
-  EXPECT_FALSE(cache.Lookup(7, &out));
-  EXPECT_EQ(cache.stats().invalidations, 1u);
-  // An insert stamped with the pre-invalidate epoch is refused.
-  const uint64_t stale = cache.epoch() - 1;
-  cache.Insert(8, {2}, stale);
-  EXPECT_FALSE(cache.Lookup(8, &out));
-  // Fresh insert works again.
-  cache.Insert(7, {3}, cache.epoch());
-  EXPECT_TRUE(cache.Lookup(7, &out));
-}
-
 TEST(QueryCacheTest, LruEvictionWithinShard) {
   // One shard, capacity 2: inserting a third entry evicts the LRU one.
   QueryCache cache(QueryCacheOptions{2, 1});
-  cache.Insert(1, {1}, cache.epoch());
-  cache.Insert(2, {2}, cache.epoch());
+  cache.Insert(1, {1});
+  cache.Insert(2, {2});
   std::vector<int> out;
   ASSERT_TRUE(cache.Lookup(1, &out));  // 1 is now most recently used
-  cache.Insert(3, {3}, cache.epoch());
+  cache.Insert(3, {3});
   EXPECT_TRUE(cache.Lookup(1, &out));
   EXPECT_FALSE(cache.Lookup(2, &out));  // evicted
   EXPECT_TRUE(cache.Lookup(3, &out));
@@ -59,21 +43,20 @@ TEST(QueryCacheTest, LruEvictionWithinShard) {
 
 TEST(QueryCacheTest, ZeroCapacityDisables) {
   QueryCache cache(QueryCacheOptions{0, 4});
-  cache.Insert(1, {1}, cache.epoch());
+  cache.Insert(1, {1});
   std::vector<int> out;
   EXPECT_FALSE(cache.Lookup(1, &out));
   EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST(QueryCacheTest, FingerprintSeparatesQueryDepthAndConfig) {
+TEST(QueryCacheTest, FingerprintSeparatesQueries) {
   const la::Vec a{1.0, 2.0, 3.0};
   la::Vec b = a;
-  const uint64_t base = QueryCache::FingerprintQuery(a, 10, 1);
-  EXPECT_EQ(QueryCache::FingerprintQuery(b, 10, 1), base);
-  EXPECT_NE(QueryCache::FingerprintQuery(a, 11, 1), base);
-  EXPECT_NE(QueryCache::FingerprintQuery(a, 10, 2), base);
+  const uint64_t base = QueryCache::FingerprintQuery(a);
+  EXPECT_EQ(QueryCache::FingerprintQuery(b), base);
   b[0] += 1e-12;
-  EXPECT_NE(QueryCache::FingerprintQuery(b, 10, 1), base);
+  EXPECT_NE(QueryCache::FingerprintQuery(b), base);
+  EXPECT_NE(QueryCache::FingerprintQuery(la::Vec{1.0, 2.0}), base);
 }
 
 // ------------------------------------------------------------ histogram ----

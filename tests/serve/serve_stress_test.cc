@@ -1,7 +1,7 @@
 // Multi-threaded stress tests for the serving subsystem. These are the
 // binaries the ThreadSanitizer CI job runs: the assertions matter less than
 // the interleavings — sessions started / fed / ended / evicted from many
-// threads, first-round cache hit+invalidate races, and concurrent log-store
+// threads, first-round cache hit/insert/evict races, and concurrent log-store
 // appends.
 #include <algorithm>
 #include <atomic>
@@ -114,7 +114,7 @@ TEST(ServeStressTest, ConcurrentSessionsFullLifecycle) {
   EXPECT_GT(store.num_sessions(), 0);
 }
 
-TEST(ServeStressTest, CacheHitInvalidateRaces) {
+TEST(ServeStressTest, CacheHitInsertEvictRaces) {
   retrieval::ImageDatabase db = StressCorpus(1000);
   retrieval::IndexOptions index_options;
   index_options.mode = retrieval::IndexMode::kSignature;
@@ -131,11 +131,16 @@ TEST(ServeStressTest, CacheHitInvalidateRaces) {
   ASSERT_TRUE(service_or.ok());
   RetrievalService& service = *service_or.value();
 
+  // Each reader runs for the whole window and at least kMinQueries queries,
+  // so the 128-image pool outgrows the 64-entry cache even on a slow
+  // (sanitized) build: hits, inserts and evictions all race.
+  constexpr int kMinQueries = 100;
   std::atomic<bool> stop{false};
   std::atomic<int> mismatches{0};
   auto reader = [&](int t) {
     Rng rng(static_cast<uint64_t>(t) + 1);
-    while (!stop.load(std::memory_order_relaxed)) {
+    for (int n = 0; n < kMinQueries || !stop.load(std::memory_order_relaxed);
+         ++n) {
       const int query_id = static_cast<int>(rng.UniformInt(uint64_t{128}));
       auto sid = service.StartSession(query_id);
       if (!sid.ok()) continue;
@@ -153,23 +158,16 @@ TEST(ServeStressTest, CacheHitInvalidateRaces) {
       (void)service.EndSession(sid.value());
     }
   };
-  auto invalidator = [&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      service.InvalidateCache();
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-  };
   std::vector<std::thread> pool;
-  for (int t = 0; t < kThreads - 1; ++t) pool.emplace_back(reader, t);
-  pool.emplace_back(invalidator);
+  for (int t = 0; t < kThreads; ++t) pool.emplace_back(reader, t);
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   stop.store(true);
   for (std::thread& t : pool) t.join();
 
   EXPECT_EQ(mismatches.load(), 0);
   const ServiceStats stats = service.stats();
-  EXPECT_GT(stats.cache_invalidations, 0u);
-  EXPECT_GT(stats.cache_hits + stats.cache_misses, 0u);
+  EXPECT_GT(stats.cache_hits, 0u);
+  EXPECT_GT(stats.cache_evictions, 0u);
 }
 
 TEST(ServeStressTest, TtlEvictionRacesRequests) {
