@@ -208,8 +208,8 @@ def summary(args):
               (workload, len(seeds), failed_runs["parent"],
                failed_runs["change"], failed["parent"], failed["change"]))
         for side in SIDES:
-            print("build %s: %s" % (side, "; ".join(sorted(
-                {row_build(r) for r in mine if r["side"] == side}))))
+            builds = sorted({row_build(r) for r in mine if r["side"] == side})
+            print("build %s: %s" % (side, "; ".join(builds) or "no runs"))
         print()
         print("| metric | parent median [q1, q3] | change median [q1, q3] |"
               " change | wins | parent spread / bound | verdict |")
